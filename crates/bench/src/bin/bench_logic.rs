@@ -1,10 +1,9 @@
-//! Functional-kernel snapshot: measures the bit-sliced IMPLY kernels
-//! against the scalar interpreter — the eq-comparator and ripple-adder
-//! microkernels at every lane-block width (u64×1 / ×4 / ×8), end-to-end
-//! scaled DNA + additions executor runs, and the paper's full-scale 10⁶
-//! parallel additions — and writes the numbers to `BENCH_logic.json` at
-//! the workspace root, so the perf trajectory is tracked in-repo from PR
-//! to PR.
+//! Functional-kernel snapshot: measures the 64-lane bit-sliced IMPLY
+//! kernels against the scalar interpreter — the eq-comparator and
+//! ripple-adder microkernels, end-to-end scaled DNA + additions executor
+//! runs, and the paper's full-scale 10⁶ parallel additions — and writes
+//! the numbers to `BENCH_logic.json` at the workspace root, so the perf
+//! trajectory is tracked in-repo from PR to PR.
 //!
 //! ```bash
 //! cargo run --release -p cim-bench --bin bench_logic            # full run
@@ -13,46 +12,39 @@
 //! ```
 //!
 //! `--check` validates the checked-in snapshot against the
-//! `cim-bench-logic/2` schema without re-measuring **and gates the
-//! wide-block headline** (`million_adds_wide_speedup > 1.0`: ×4-or-wider
-//! lane blocks must beat the 64-lane engine on the full-scale addition
-//! run — real measured ILP, not a projection); `--quick` trims workload
-//! sizes and sample counts for smoke runs.
+//! `cim-bench-logic/3` schema without re-measuring: every required field
+//! must be present and every field but `schema` numeric. The speedups
+//! are host wall-clock ratios, recorded with `host_cores`; none is
+//! gated. `--quick` trims workload sizes and sample counts for smoke
+//! runs.
 
 use std::time::Instant;
 
 use cim_bench::{repo_root_file, Args};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LaneBlock, Lanes4, Lanes8};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
 use cim_sim::{BatchPolicy, CimExecutor, ExecutionBackend, KernelPolicy};
 use cim_workloads::{AdditionWorkload, DnaWorkload};
 
-const SCHEMA: &str = "cim-bench-logic/2";
+const SCHEMA: &str = "cim-bench-logic/3";
 
 /// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 23] = [
+const REQUIRED_FIELDS: [&str; 16] = [
     "schema",
     "samples",
+    "host_cores",
     "comparator_ops",
     "comparator_scalar_ns",
     "comparator_sliced_ns",
-    "comparator_sliced_x4_ns",
-    "comparator_sliced_x8_ns",
     "comparator_speedup",
     "adder_ops",
     "adder_scalar_ns",
     "adder_sliced_ns",
-    "adder_sliced_x4_ns",
-    "adder_sliced_x8_ns",
     "adder_speedup",
     "million_adds_ops",
-    "million_adds_x1_ns",
-    "million_adds_x4_ns",
-    "million_adds_x8_ns",
-    "million_adds_wide_speedup",
+    "million_adds_sliced_ns",
     "e2e_scalar_ns",
     "e2e_sliced_ns",
     "e2e_speedup",
-    "e2e_sliced_x8_ns",
 ];
 
 /// Median wall-clock nanoseconds of `routine` over `samples` runs (one
@@ -94,56 +86,48 @@ fn check(path: &std::path::Path) -> Result<(), String> {
         if !body.contains(&format!("\"{field}\":")) {
             return Err(format!("snapshot is missing required field '{field}'"));
         }
-    }
-    let wide = numeric_field(&body, "million_adds_wide_speedup")
-        .ok_or("million_adds_wide_speedup is not numeric")?;
-    if wide <= 1.0 {
-        return Err(format!(
-            "million_adds_wide_speedup {wide} is at or below the 1.0 gate: wide lane \
-             blocks must beat the 64-lane engine on the full-scale addition run"
-        ));
+        if field != "schema" && numeric_field(&body, field).is_none() {
+            return Err(format!("field '{field}' is not numeric"));
+        }
     }
     Ok(())
 }
 
-/// Comparator pass over pre-packed `B`-block groups: returns median ns.
-fn comparator_pass<B: LaneBlock>(samples: usize, cmp: &Comparator, pairs: &[(u8, u8)]) -> f64 {
-    let packed: Vec<(B, B, B, B, B)> = pairs
-        .chunks(B::LANES)
+/// Comparator pass over pre-packed 64-lane groups: returns median ns.
+fn comparator_pass(samples: usize, cmp: &Comparator, pairs: &[(u8, u8)]) -> f64 {
+    let packed: Vec<[u64; 5]> = pairs
+        .chunks(LANES)
         .map(|group| {
-            let (mut a0, mut a1, mut b0, mut b1) = (B::ZERO, B::ZERO, B::ZERO, B::ZERO);
+            let mut slices = [0u64; 5];
             for (lane, &(a, b)) in group.iter().enumerate() {
-                a0.set_lane(lane, a & 1 == 1);
-                a1.set_lane(lane, a & 2 == 2);
-                b0.set_lane(lane, b & 1 == 1);
-                b1.set_lane(lane, b & 2 == 2);
+                slices[0] |= u64::from(a & 1) << lane;
+                slices[1] |= u64::from(a >> 1 & 1) << lane;
+                slices[2] |= u64::from(b & 1) << lane;
+                slices[3] |= u64::from(b >> 1 & 1) << lane;
             }
-            (a0, a1, b0, b1, B::lane_mask(group.len()))
+            slices[4] = u64::MAX >> (LANES - group.len());
+            slices
         })
         .collect();
     median_ns(samples, || {
-        let mut engine = BitSliceEngine::<B>::wide();
+        let mut engine = BitSliceEngine::new();
         let mut matches = 0u64;
-        for &(a0, a1, b0, b1, mask) in &packed {
-            let eq = cmp
-                .matches_sliced_wide(&mut engine, a0, a1, b0, b1)
-                .and(mask);
-            for w in 0..B::WORDS {
-                matches += u64::from(eq.word(w).count_ones());
-            }
+        for &[a0, a1, b0, b1, mask] in &packed {
+            let eq = cmp.matches_sliced(&mut engine, a0, a1, b0, b1) & mask;
+            matches += u64::from(eq.count_ones());
         }
         std::hint::black_box(matches);
     })
 }
 
-/// Adder pass over `B::LANES`-wide operand groups: returns median ns.
-fn adder_pass<B: LaneBlock>(samples: usize, adder: &ImplyAdder, operands: &[(u64, u64)]) -> f64 {
+/// Adder pass over 64-lane operand groups: returns median ns.
+fn adder_pass(samples: usize, adder: &ImplyAdder, operands: &[(u64, u64)]) -> f64 {
     median_ns(samples, || {
-        let mut engine = BitSliceEngine::<B>::wide();
-        let mut sums = vec![0u64; B::LANES];
+        let mut engine = BitSliceEngine::new();
+        let mut sums = [0u64; LANES];
         let mut checksum = 0u64;
-        for group in operands.chunks(B::LANES) {
-            adder.add_sliced_wide(&mut engine, group, &mut sums[..group.len()]);
+        for group in operands.chunks(LANES) {
+            adder.add_sliced(&mut engine, group, &mut sums[..group.len()]);
             for &s in &sums[..group.len()] {
                 checksum = checksum.wrapping_add(s);
             }
@@ -158,10 +142,7 @@ fn main() {
 
     if args.has("--check") {
         match check(&path) {
-            Ok(()) => println!(
-                "[ok] {} matches schema {SCHEMA} and the wide-block gate",
-                path.display()
-            ),
+            Ok(()) => println!("[ok] {} matches schema {SCHEMA}", path.display()),
             Err(e) => {
                 eprintln!("[fail] {e}");
                 std::process::exit(1);
@@ -173,9 +154,9 @@ fn main() {
     let quick = args.has("--quick");
     let samples = if quick { 10 } else { 50 };
     let e2e_samples = if quick { 3 } else { 9 };
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    // ── Eq-comparator kernel: one pass over `cmp_ops` symbol pairs,
-    // at every lane-block width ──
+    // ── Eq-comparator kernel: one pass over `cmp_ops` symbol pairs ──
     // Inputs are marshalled outside the timed region on both sides so
     // the comparison isolates kernel execution (the e2e section below
     // charges packing/transposition at its real place in the pipeline).
@@ -201,13 +182,10 @@ fn main() {
             std::hint::black_box(matches);
         })
     };
-    let cmp_sliced = comparator_pass::<u64>(samples, &cmp, &pairs);
-    let cmp_sliced_x4 = comparator_pass::<Lanes4>(samples, &cmp, &pairs);
-    let cmp_sliced_x8 = comparator_pass::<Lanes8>(samples, &cmp, &pairs);
+    let cmp_sliced = comparator_pass(samples, &cmp, &pairs);
     let cmp_speedup = cmp_scalar / cmp_sliced;
 
-    // ── 32-bit ripple adder: one pass over `add_ops` operand pairs,
-    // at every lane-block width ──
+    // ── 32-bit ripple adder: one pass over `add_ops` operand pairs ──
     let adder = ImplyAdder::new(32);
     let add_ops: usize = if quick { 1 << 10 } else { 1 << 13 };
     let operands: Vec<(u64, u64)> = (0..add_ops as u64)
@@ -226,29 +204,23 @@ fn main() {
         }
         std::hint::black_box(checksum);
     });
-    let add_sliced = adder_pass::<u64>(samples, &adder, &operands);
-    let add_sliced_x4 = adder_pass::<Lanes4>(samples, &adder, &operands);
-    let add_sliced_x8 = adder_pass::<Lanes8>(samples, &adder, &operands);
+    let add_sliced = adder_pass(samples, &adder, &operands);
     let add_speedup = add_scalar / add_sliced;
 
     // ── Full-scale 10⁶ parallel additions (the paper's headline
-    // workload), measured — not projected — through the executor at
-    // each lane-block width ──
+    // workload), measured — not projected — through the serial
+    // bit-sliced executor ──
     let million_ops: u64 = if quick { 100_000 } else { 1_000_000 };
     let million = AdditionWorkload::scaled(million_ops, 7);
     let million_samples = if quick { 3 } else { 5 };
-    let million_run = |kernel: KernelPolicy| {
-        let exec = CimExecutor::with_policies(BatchPolicy::SERIAL, kernel);
+    let million_sliced = {
+        let exec = CimExecutor::with_policies(BatchPolicy::SERIAL, KernelPolicy::BitSliced);
         median_ns(million_samples, || {
             let out =
                 ExecutionBackend::<AdditionWorkload>::run(&exec, &million).expect("million adds");
             std::hint::black_box(out.digest.checksum);
         })
     };
-    let million_x1 = million_run(KernelPolicy::BitSliced);
-    let million_x4 = million_run(KernelPolicy::BitSliced4);
-    let million_x8 = million_run(KernelPolicy::BitSliced8);
-    let million_wide_speedup = million_x1 / million_x4.min(million_x8);
 
     // ── End-to-end: CimExecutor DNA + additions, scalar vs sliced ──
     // Serial batch isolates the kernel effect from thread scaling.
@@ -264,71 +236,46 @@ fn main() {
     };
     let e2e_scalar = e2e(KernelPolicy::Scalar);
     let e2e_sliced = e2e(KernelPolicy::BitSliced);
-    let e2e_sliced_x8 = e2e(KernelPolicy::BitSliced8);
     let e2e_speedup = e2e_scalar / e2e_sliced;
 
     let per = |total_ns: f64, ops: usize| total_ns / ops as f64;
-    println!("== logic kernel snapshot ({samples} samples, median ns per pass) ==");
+    println!(
+        "== logic kernel snapshot ({samples} samples, median ns per pass, {host_cores} cores) =="
+    );
     println!(
         "comparator scalar       {cmp_scalar:>12.0}   ({:.2} ns/op, {cmp_ops} ops)",
         per(cmp_scalar, cmp_ops)
     );
     println!(
-        "comparator sliced x1    {cmp_sliced:>12.0}   ({:.2} ns/op, {cmp_speedup:.1}x)",
+        "comparator sliced       {cmp_sliced:>12.0}   ({:.2} ns/op, {cmp_speedup:.1}x)",
         per(cmp_sliced, cmp_ops)
-    );
-    println!(
-        "comparator sliced x4    {cmp_sliced_x4:>12.0}   ({:.2} ns/op)",
-        per(cmp_sliced_x4, cmp_ops)
-    );
-    println!(
-        "comparator sliced x8    {cmp_sliced_x8:>12.0}   ({:.2} ns/op)",
-        per(cmp_sliced_x8, cmp_ops)
     );
     println!(
         "adder scalar            {add_scalar:>12.0}   ({:.1} ns/op, {add_ops} ops)",
         per(add_scalar, add_ops)
     );
     println!(
-        "adder sliced x1         {add_sliced:>12.0}   ({:.1} ns/op, {add_speedup:.1}x)",
+        "adder sliced            {add_sliced:>12.0}   ({:.1} ns/op, {add_speedup:.1}x)",
         per(add_sliced, add_ops)
     );
-    println!(
-        "adder sliced x4         {add_sliced_x4:>12.0}   ({:.1} ns/op)",
-        per(add_sliced_x4, add_ops)
-    );
-    println!(
-        "adder sliced x8         {add_sliced_x8:>12.0}   ({:.1} ns/op)",
-        per(add_sliced_x8, add_ops)
-    );
-    println!("10^6 adds sliced x1     {million_x1:>12.0}   ({million_ops} ops)");
-    println!("10^6 adds sliced x4     {million_x4:>12.0}");
-    println!("10^6 adds sliced x8     {million_x8:>12.0}   (wide wins {million_wide_speedup:.2}x)");
+    println!("10^6 adds sliced        {million_sliced:>12.0}   ({million_ops} ops)");
     println!("e2e dna+adds scalar     {e2e_scalar:>12.0}");
-    println!("e2e dna+adds sliced x1  {e2e_sliced:>12.0}   ({e2e_speedup:.1}x)");
-    println!("e2e dna+adds sliced x8  {e2e_sliced_x8:>12.0}");
+    println!("e2e dna+adds sliced     {e2e_sliced:>12.0}   ({e2e_speedup:.1}x)");
 
     // The vendored serde is a no-op stub, so the snapshot is written by
     // hand; `--check` validates exactly this shape.
     let json = format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"samples\": {samples},\n  \
+         \"host_cores\": {host_cores},\n  \
          \"comparator_ops\": {cmp_ops},\n  \"comparator_scalar_ns\": {cmp_scalar:.0},\n  \
          \"comparator_sliced_ns\": {cmp_sliced:.0},\n  \
-         \"comparator_sliced_x4_ns\": {cmp_sliced_x4:.0},\n  \
-         \"comparator_sliced_x8_ns\": {cmp_sliced_x8:.0},\n  \
          \"comparator_speedup\": {cmp_speedup:.1},\n  \"adder_ops\": {add_ops},\n  \
          \"adder_scalar_ns\": {add_scalar:.0},\n  \"adder_sliced_ns\": {add_sliced:.0},\n  \
-         \"adder_sliced_x4_ns\": {add_sliced_x4:.0},\n  \
-         \"adder_sliced_x8_ns\": {add_sliced_x8:.0},\n  \
          \"adder_speedup\": {add_speedup:.1},\n  \
          \"million_adds_ops\": {million_ops},\n  \
-         \"million_adds_x1_ns\": {million_x1:.0},\n  \
-         \"million_adds_x4_ns\": {million_x4:.0},\n  \
-         \"million_adds_x8_ns\": {million_x8:.0},\n  \
-         \"million_adds_wide_speedup\": {million_wide_speedup:.2},\n  \
+         \"million_adds_sliced_ns\": {million_sliced:.0},\n  \
          \"e2e_scalar_ns\": {e2e_scalar:.0},\n  \
-         \"e2e_sliced_ns\": {e2e_sliced:.0},\n  \"e2e_speedup\": {e2e_speedup:.1},\n  \
-         \"e2e_sliced_x8_ns\": {e2e_sliced_x8:.0}\n}}\n"
+         \"e2e_sliced_ns\": {e2e_sliced:.0},\n  \"e2e_speedup\": {e2e_speedup:.1}\n}}\n"
     );
     std::fs::write(&path, &json).expect("write BENCH_logic.json");
     println!("\n[written] {}", path.display());
@@ -341,11 +288,5 @@ fn main() {
     }
     if e2e_speedup < 5.0 {
         eprintln!("[warn] end-to-end speedup {e2e_speedup:.1}x is below the 5x target");
-    }
-    if million_wide_speedup <= 1.0 {
-        eprintln!(
-            "[warn] wide-block speedup {million_wide_speedup:.2}x does not beat x1 — \
-             `--check` will fail on this snapshot"
-        );
     }
 }

@@ -115,15 +115,6 @@ impl<C: Cell> Crossbar<C> {
         self.solver.config.threads = threads;
     }
 
-    /// Routes crew phases through the legacy spawn-per-phase dispatcher
-    /// instead of the persistent pool. Bit-identical results, strictly
-    /// slower — exists only so `bench_solver` can measure the dispatch
-    /// overhead the persistent crew removed.
-    pub fn with_solver_spawn_dispatch(mut self, spawn: bool) -> Self {
-        self.solver.config.spawn_dispatch = spawn;
-        self
-    }
-
     /// Array dimensions `(rows, cols)`.
     pub fn dimensions(&self) -> (usize, usize) {
         (self.rows, self.cols)

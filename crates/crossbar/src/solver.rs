@@ -97,12 +97,6 @@ pub struct SolverConfig {
     /// docs for why. This is the same knob `solve_batch` uses to size
     /// its batch-of-solves pool.
     pub threads: usize,
-    /// Use the legacy spawn-per-phase dispatcher
-    /// ([`cim_pool::run_crew_spawned`]) instead of the persistent crew.
-    /// Bit-identical results, strictly slower; kept only so
-    /// `bench_solver` can measure what the persistent crew saves. Off by
-    /// default and not part of any production path.
-    pub spawn_dispatch: bool,
 }
 
 impl Default for SolverConfig {
@@ -116,7 +110,6 @@ impl Default for SolverConfig {
             omega: 0.7,
             conductance_blend: 0.1,
             threads: 1,
-            spawn_dispatch: false,
         }
     }
 }
@@ -131,22 +124,6 @@ impl SolverConfig {
             self.threads
         };
         requested.clamp(1, lines.max(1))
-    }
-
-    /// Dispatches the phase crew through the configured dispatcher:
-    /// the persistent pool by default, the legacy spawn-per-phase
-    /// baseline when [`SolverConfig::spawn_dispatch`] is set.
-    fn drive_crew<R>(
-        &self,
-        workers: usize,
-        phase_fn: impl Fn(usize, u32) -> f64 + Sync,
-        conduct: impl FnOnce(&cim_pool::Conductor<'_>) -> R,
-    ) -> R {
-        if self.spawn_dispatch {
-            cim_pool::run_crew_spawned(workers, phase_fn, conduct)
-        } else {
-            run_crew(workers, phase_fn, conduct)
-        }
     }
 }
 
@@ -456,7 +433,7 @@ impl LumpedSolver {
                 ),
             }
         };
-        let (iterations, converged) = self.config.drive_crew(workers, phase_fn, |crew| {
+        let (iterations, converged) = run_crew(workers, phase_fn, |crew| {
             crew.phase(PHASE_REFRESH_INIT);
             let mut iterations = 0;
             let mut converged = false;
@@ -706,7 +683,7 @@ impl DistributedSolver {
                 ),
             }
         };
-        let (iterations, converged) = self.config.drive_crew(workers, phase_fn, |crew| {
+        let (iterations, converged) = run_crew(workers, phase_fn, |crew| {
             crew.phase(PHASE_REFRESH_INIT);
             let mut iterations = 0;
             let mut converged = false;

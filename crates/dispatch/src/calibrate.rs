@@ -210,7 +210,10 @@ impl Calibrator {
     /// # Errors
     ///
     /// Returns a description of the first malformed line, or of a
-    /// missing/unknown header, mode, machine, component, or phase.
+    /// missing/unknown header, mode, machine, component, or phase. A
+    /// factor that is non-finite or not positive is an error naming its
+    /// line, never silently replaced: [`save_string`](Self::save_string)
+    /// cannot write one, so such a file was not written by it.
     pub fn load_string(text: &str) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty calibrator file")?;
@@ -244,9 +247,16 @@ impl Calibrator {
                 .find(|p| p.label() == phase_label)
                 .ok_or_else(|| format!("unknown phase `{phase_label}`"))?;
             let parse_bits = |hex: &str| {
-                u64::from_str_radix(hex, 16)
+                let factor = u64::from_str_radix(hex, 16)
                     .map(f64::from_bits)
-                    .map_err(|_| format!("malformed factor `{hex}` in `{line}`"))
+                    .map_err(|_| format!("malformed factor `{hex}` in `{line}`"))?;
+                if factor.is_finite() && factor > 0.0 {
+                    Ok(factor)
+                } else {
+                    Err(format!(
+                        "factor `{hex}` ({factor}) in `{line}` is not finite and positive"
+                    ))
+                }
             };
             let energy = parse_bits(energy_hex)?;
             let time = parse_bits(time_hex)?;
@@ -434,9 +444,94 @@ mod tests {
                 "cim-calibrator/1\nmode frozen\ncim imply_step map nothex 3ff0000000000000\n",
                 "malformed factor",
             ),
+            (
+                "cim-calibrator/1\nmode frozen\ncim imply_step map 7ff8000000000000 3ff0000000000000\n",
+                "`7ff8000000000000` (NaN) in `cim imply_step map",
+            ),
+            (
+                "cim-calibrator/1\nmode frozen\nhost imply_step map 3ff0000000000000 bff0000000000000\n",
+                "`bff0000000000000` (-1) in `host imply_step map",
+            ),
+            (
+                "cim-calibrator/1\nmode frozen\ncim imply_step map 7ff0000000000000 3ff0000000000000\n",
+                "not finite and positive",
+            ),
+            (
+                "cim-calibrator/1\nmode frozen\ncim imply_step map 0000000000000000 3ff0000000000000\n",
+                "not finite and positive",
+            ),
         ] {
             let err = Calibrator::load_string(text).expect_err(needle);
             assert!(err.contains(needle), "`{err}` missing `{needle}`");
+        }
+    }
+
+    #[test]
+    fn subnormal_factors_load_as_finite_scales() {
+        // 2^-1074 and 2^-1022: positive and finite, so they load, and
+        // the dyadic quantisation must keep them finite (not NaN).
+        for hex in ["0000000000000001", "0010000000000000"] {
+            let text = format!("cim-calibrator/1\nmode frozen\ncim imply_step map {hex} {hex}\n");
+            let loaded = Calibrator::load_string(&text).expect(hex);
+            let scales = loaded.cim_scales();
+            for factor in [
+                scales.energy_factor(Component::ImplyStep, Phase::Map),
+                scales.time_factor(Component::ImplyStep, Phase::Map),
+            ] {
+                assert!(factor.is_finite() && factor > 0.0, "{hex} -> {factor}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arbitrary_calibrator_lines_load_or_error_without_panicking(
+            picks in proptest::collection::vec(proptest::prelude::any::<u64>(), 6),
+            energy in proptest::prelude::any::<u64>(),
+            time in proptest::prelude::any::<u64>(),
+        ) {
+            // Each field is drawn from valid labels plus garbage, and the
+            // field count varies, so every parse branch is reachable.
+            let machines = ["cim", "host", "gpu", ""];
+            let components: Vec<&str> = Component::ALL
+                .iter()
+                .map(|c| c.label())
+                .chain(["warp_shuffle"])
+                .collect();
+            let phases: Vec<&str> =
+                Phase::ALL.iter().map(|p| p.label()).chain(["zap"]).collect();
+            let pick = |options: &[&'static str], i: usize| {
+                options[picks[i] as usize % options.len()]
+            };
+            let fields = [
+                pick(&machines, 0).to_string(),
+                pick(&components, 1).to_string(),
+                pick(&phases, 2).to_string(),
+                format!("{energy:016x}"),
+                if picks[3].is_multiple_of(8) {
+                    "nothex".into()
+                } else {
+                    format!("{time:016x}")
+                },
+            ];
+            let kept = if picks[4].is_multiple_of(4) { picks[5] as usize % 5 } else { 5 };
+            let text =
+                format!("cim-calibrator/1\nmode online\n{}\n", fields[..kept].join(" "));
+            match Calibrator::load_string(&text) {
+                Ok(loaded) => {
+                    for scales in [loaded.cim_scales(), loaded.host_scales()] {
+                        for c in Component::ALL {
+                            for p in Phase::ALL {
+                                let e = scales.energy_factor(c, p);
+                                let t = scales.time_factor(c, p);
+                                proptest::prop_assert!(e.is_finite() && e > 0.0, "{text}");
+                                proptest::prop_assert!(t.is_finite() && t > 0.0, "{text}");
+                            }
+                        }
+                    }
+                }
+                Err(err) => proptest::prop_assert!(!err.is_empty()),
+            }
         }
     }
 

@@ -19,7 +19,7 @@
 //! bit-for-bit (`cim_units::counts` has the proof obligations).
 
 use cim_arch::{Placement, RunReport, TileCoord, TileGrid};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LaneBlock, Lanes4, Lanes8, TcAdderModel};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, TcAdderModel};
 use cim_sim::{
     par_units, BatchPolicy, CostEstimate, ExecutionBackend, KernelPolicy, RunOutcome, SimError,
 };
@@ -215,9 +215,10 @@ impl FabricExecutor {
 
     /// Runs one tile's shard serially: real in-array semantics per
     /// query, checked against host arithmetic, counts charged through
-    /// the single shared `Query::charge` definition. Dispatches the
-    /// kernel policy to a monomorphised block width once per tile, not
-    /// per query.
+    /// the single shared `Query::charge` definition. Lane packing is in
+    /// window order for both kernels, so values — and therefore
+    /// checksums, divergence evidence, and ledgers — are bit-identical
+    /// across kernels.
     fn run_tile(
         &self,
         index: usize,
@@ -225,32 +226,8 @@ impl FabricExecutor {
         comparator: &Comparator,
         adder: &ImplyAdder,
     ) -> (TileOutcome, Option<String>) {
-        match self.kernel {
-            KernelPolicy::Scalar | KernelPolicy::BitSliced => {
-                self.run_tile_kernel::<u64>(index, shard, comparator, adder)
-            }
-            KernelPolicy::BitSliced4 => {
-                self.run_tile_kernel::<Lanes4>(index, shard, comparator, adder)
-            }
-            KernelPolicy::BitSliced8 => {
-                self.run_tile_kernel::<Lanes8>(index, shard, comparator, adder)
-            }
-        }
-    }
-
-    /// The tile walk at block width `B` (scalar runs with `B = u64` but
-    /// never touches the engine). Lane packing is in window order at
-    /// every width, so values — and therefore checksums, divergence
-    /// evidence, and ledgers — are bit-identical across kernels.
-    fn run_tile_kernel<B: LaneBlock>(
-        &self,
-        index: usize,
-        shard: &[&Query],
-        comparator: &Comparator,
-        adder: &ImplyAdder,
-    ) -> (TileOutcome, Option<String>) {
         let scalar = self.kernel == KernelPolicy::Scalar;
-        let mut engine = BitSliceEngine::<B>::wide();
+        let mut engine = BitSliceEngine::new();
         let mut scratch = Vec::new();
         let mut out = Vec::new();
         let scalar_adder = TcAdderModel::new(ADD_BITS);
@@ -278,20 +255,15 @@ impl FabricExecutor {
                         }
                         mask
                     } else {
-                        let (mut s0, mut s1, mut r0, mut r1) = (B::ZERO, B::ZERO, B::ZERO, B::ZERO);
+                        let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
                         for (lane, (&s, &r)) in q.iter().zip(&reference).enumerate() {
-                            s0.set_lane(lane, s & 1 == 1);
-                            s1.set_lane(lane, s >> 1 & 1 == 1);
-                            r0.set_lane(lane, r & 1 == 1);
-                            r1.set_lane(lane, r >> 1 & 1 == 1);
+                            s0 |= u64::from(s & 1) << lane;
+                            s1 |= u64::from(s >> 1 & 1) << lane;
+                            r0 |= u64::from(r & 1) << lane;
+                            r1 |= u64::from(r >> 1 & 1) << lane;
                         }
                         let mask = (1u64 << WINDOW) - 1;
-                        // WINDOW ≤ 64, so the match mask lives in word 0
-                        // of the block at every width.
-                        comparator
-                            .matches_sliced_wide(&mut engine, s0, s1, r0, r1)
-                            .word(0)
-                            & mask
+                        comparator.matches_sliced(&mut engine, s0, s1, r0, r1) & mask
                     }
                 }
                 QueryOperands::Words { a, b } => {
@@ -299,7 +271,7 @@ impl FabricExecutor {
                         scalar_adder.add(a, b)
                     } else {
                         let mut sums = [0u64];
-                        adder.add_sliced_wide(&mut engine, &[(a, b)], &mut sums);
+                        adder.add_sliced(&mut engine, &[(a, b)], &mut sums);
                         sums[0]
                     }
                 }

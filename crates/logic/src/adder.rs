@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use cim_device::DeviceParams;
 
-use crate::bitslice::{marshal_group, unmarshal_group, BitSliceEngine, CompiledProgram, LaneBlock};
+use crate::bitslice::{transpose64, BitSliceEngine, CompiledProgram, LANES};
 use crate::cost::LogicCost;
 use crate::crs_logic::CrsImp;
 use crate::engine::ImplyEngine;
@@ -143,64 +143,37 @@ impl ImplyAdder {
     /// Panics if more than 64 pairs are given, `sums.len()` mismatches
     /// `pairs.len()`, or an operand exceeds the adder width.
     pub fn add_sliced(&self, engine: &mut BitSliceEngine, pairs: &[(u64, u64)], sums: &mut [u64]) {
-        self.add_sliced_wide(engine, pairs, sums);
-    }
-
-    /// [`ImplyAdder::add_sliced`] generalised to any [`LaneBlock`]
-    /// width: up to `B::LANES` operand pairs marshal into slice-major
-    /// lane blocks (64-word group `g` into word `g` of each slice, via
-    /// [`marshal_group`]), the compiled program runs **once** computing
-    /// every lane, and the sum blocks unmarshal back to one word per
-    /// lane. Lane results are bit-identical to [`ImplyAdder::add_sliced`]
-    /// at every width — widening only batches more additions per issued
-    /// instruction, like a taller crossbar answering the same broadcast.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `B::LANES` pairs are given, `sums.len()`
-    /// mismatches `pairs.len()`, or an operand exceeds the adder width.
-    pub fn add_sliced_wide<B: LaneBlock>(
-        &self,
-        engine: &mut BitSliceEngine<B>,
-        pairs: &[(u64, u64)],
-        sums: &mut [u64],
-    ) {
         assert!(
-            pairs.len() <= B::LANES,
-            "at most {} lanes per sliced pass",
-            B::LANES
+            pairs.len() <= LANES,
+            "at most {LANES} lanes per sliced pass"
         );
         assert_eq!(pairs.len(), sums.len(), "one sum slot per operand pair");
         let bits = self.bits as usize;
-        // Program input order: a's bits LSB-first, then b's.
-        let mut in_slices = [B::ZERO; 128];
-        let mut group_words = [0u64; 64];
-        for (group, chunk) in pairs.chunks(64).enumerate() {
-            for (lane, &(a, _)) in chunk.iter().enumerate() {
-                self.check_operand(a);
-                group_words[lane] = a;
-            }
-            marshal_group(&group_words[..chunk.len()], group, &mut in_slices[..bits]);
-            for (lane, &(_, b)) in chunk.iter().enumerate() {
-                self.check_operand(b);
-                group_words[lane] = b;
-            }
-            marshal_group(
-                &group_words[..chunk.len()],
-                group,
-                &mut in_slices[bits..2 * bits],
-            );
+        let mut a = [0u64; 64];
+        let mut b = [0u64; 64];
+        for (lane, &(x, y)) in pairs.iter().enumerate() {
+            self.check_operand(x);
+            self.check_operand(y);
+            a[lane] = x;
+            b[lane] = y;
         }
-        let mut out_slices = [B::ZERO; 65];
+        transpose64(&mut a);
+        transpose64(&mut b);
+        // Program input order: a's bits LSB-first, then b's.
+        let mut in_slices = [0u64; 128];
+        in_slices[..bits].copy_from_slice(&a[..bits]);
+        in_slices[bits..2 * bits].copy_from_slice(&b[..bits]);
+        let mut out_slices = [0u64; 65];
         engine.run(
             &self.compiled,
             &in_slices[..2 * bits],
             &mut out_slices[..=bits],
         );
+        let mut words = [0u64; 64];
         let kept = (bits + 1).min(64);
-        for (group, chunk) in sums.chunks_mut(64).enumerate() {
-            unmarshal_group(&out_slices[..kept], group, chunk);
-        }
+        words[..kept].copy_from_slice(&out_slices[..kept]);
+        transpose64(&mut words);
+        sums.copy_from_slice(&words[..sums.len()]);
     }
 
     /// The adder's measured step/device cost.
@@ -390,48 +363,6 @@ mod tests {
                 assert_eq!(sum, a + b, "{a} + {b}");
             }
         }
-    }
-
-    #[test]
-    fn wide_sliced_addition_matches_reference_beyond_64_lanes() {
-        use crate::bitslice::{Lanes4, Lanes8};
-        let adder = ImplyAdder::new(16);
-        // 300 pairs, chunked to each width's lane capacity.
-        let pairs: Vec<(u64, u64)> = (0..300u64)
-            .map(|k| {
-                (
-                    k.wrapping_mul(0x9E37).wrapping_add(11) & 0xFFFF,
-                    k.wrapping_mul(0x85EB).wrapping_add(3) & 0xFFFF,
-                )
-            })
-            .collect();
-        let expect: Vec<u64> = pairs
-            .iter()
-            .map(|&(a, b)| adder.add_reference(a, b))
-            .collect();
-
-        fn run<B: crate::LaneBlock>(adder: &ImplyAdder, pairs: &[(u64, u64)]) -> Vec<u64> {
-            let mut engine = BitSliceEngine::<B>::wide();
-            let mut sums = vec![0u64; pairs.len()];
-            for (chunk, out) in pairs.chunks(B::LANES).zip(sums.chunks_mut(B::LANES)) {
-                adder.add_sliced_wide(&mut engine, chunk, out);
-            }
-            sums
-        }
-
-        assert_eq!(run::<u64>(&adder, &pairs), expect);
-        // 300 pairs: a full 256-lane x4 pass plus a ragged 44-lane tail.
-        assert_eq!(
-            run::<Lanes4>(&adder, &pairs),
-            expect,
-            "u64x4 lanes diverged"
-        );
-        // A single 512-lane x8 pass absorbs the whole batch.
-        assert_eq!(
-            run::<Lanes8>(&adder, &pairs),
-            expect,
-            "u64x8 lanes diverged"
-        );
     }
 
     #[test]

@@ -13,11 +13,9 @@
 //! Imply(p, q)  ⇒  regs[q] = !regs[p] | regs[q]
 //! ```
 //!
-//! executes 64 rows of the array in one Rust instruction. The register
-//! word is generic over [`LaneBlock`] — `u64` (64 lanes), [`Lanes4`]
-//! (256) or [`Lanes8`] (512 lanes per instruction, unrolled word ops) —
-//! so wider workloads batch more crossbar rows per issued step without
-//! changing any semantics. Programs with
+//! executes 64 rows of the array in one Rust instruction. Wider
+//! workloads run more 64-lane passes; [`transpose64`] converts 64
+//! operand-major words to slice-major form and back. Programs with
 //! at most [`LUT_MAX_INPUTS`] inputs additionally compile to a
 //! truth-table fast path: each output's full truth table fits in one
 //! `u64` mask, and a Shannon-expansion combine evaluates all 64 lanes
@@ -38,152 +36,6 @@ pub const LANES: usize = 64;
 /// Largest input arity compiled to the truth-table fast path (a `2⁶`
 /// entry table exactly fills one `u64` mask per output).
 pub const LUT_MAX_INPUTS: usize = 6;
-
-/// A block of bit-slice lanes: `WORDS` unrolled `u64` words holding
-/// `64 × WORDS` independent lanes per register.
-///
-/// The engine's semantics never depend on the block width — lane `k`
-/// lives at bit `k % 64` of word `k / 64`, every operation is a
-/// word-wise bitwise op, and the equivalence suite pins each width to
-/// the scalar reference — so widening is purely a host-throughput knob,
-/// mirroring a crossbar that broadcasts one instruction to more rows.
-///
-/// Implemented for `u64` (the classic 64-lane slice), [`Lanes4`] and
-/// [`Lanes8`].
-pub trait LaneBlock: Copy + Eq + std::fmt::Debug + Default + Send + Sync + 'static {
-    /// `u64` words per block.
-    const WORDS: usize;
-    /// Independent lanes per block (`64 × WORDS`).
-    const LANES: usize;
-    /// All lanes 0.
-    const ZERO: Self;
-    /// All lanes 1.
-    const ONES: Self;
-    /// Reads word `i` (lanes `64·i .. 64·i+64`).
-    fn word(&self, i: usize) -> u64;
-    /// Mutable access to word `i`.
-    fn word_mut(&mut self, i: usize) -> &mut u64;
-    /// Lane-wise AND.
-    #[must_use]
-    fn and(self, other: Self) -> Self;
-    /// Lane-wise OR.
-    #[must_use]
-    fn or(self, other: Self) -> Self;
-    /// Lane-wise XOR.
-    #[must_use]
-    fn xor(self, other: Self) -> Self;
-    /// Lane-wise NOT.
-    #[must_use]
-    fn not(self) -> Self;
-
-    /// Overwrites word `i`.
-    fn set_word(&mut self, i: usize, word: u64) {
-        *self.word_mut(i) = word;
-    }
-    /// Reads lane `k`.
-    fn lane(&self, k: usize) -> bool {
-        (self.word(k / 64) >> (k % 64)) & 1 == 1
-    }
-    /// Sets lane `k` to `bit`.
-    fn set_lane(&mut self, k: usize, bit: bool) {
-        let word = self.word_mut(k / 64);
-        if bit {
-            *word |= 1u64 << (k % 64);
-        } else {
-            *word &= !(1u64 << (k % 64));
-        }
-    }
-    /// Index of the lowest set lane, if any.
-    fn first_lane(&self) -> Option<usize> {
-        (0..Self::WORDS).find_map(|w| {
-            let word = self.word(w);
-            (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
-        })
-    }
-    /// A mask with the lowest `lanes` lanes set.
-    #[must_use]
-    fn lane_mask(lanes: usize) -> Self {
-        let mut mask = Self::ZERO;
-        for w in 0..Self::WORDS {
-            let lo = w * 64;
-            mask.set_word(
-                w,
-                if lanes >= lo + 64 {
-                    u64::MAX
-                } else if lanes <= lo {
-                    0
-                } else {
-                    (1u64 << (lanes - lo)) - 1
-                },
-            );
-        }
-        mask
-    }
-}
-
-impl LaneBlock for u64 {
-    const WORDS: usize = 1;
-    const LANES: usize = 64;
-    const ZERO: Self = 0;
-    const ONES: Self = u64::MAX;
-    fn word(&self, _i: usize) -> u64 {
-        *self
-    }
-    fn word_mut(&mut self, _i: usize) -> &mut u64 {
-        self
-    }
-    fn and(self, other: Self) -> Self {
-        self & other
-    }
-    fn or(self, other: Self) -> Self {
-        self | other
-    }
-    fn xor(self, other: Self) -> Self {
-        self ^ other
-    }
-    fn not(self) -> Self {
-        !self
-    }
-}
-
-/// Implements [`LaneBlock`] for `[u64; N]` with fully unrolled word
-/// loops (fixed-length array ops the compiler vectorizes).
-macro_rules! lane_block_array {
-    ($words:literal) => {
-        impl LaneBlock for [u64; $words] {
-            const WORDS: usize = $words;
-            const LANES: usize = 64 * $words;
-            const ZERO: Self = [0; $words];
-            const ONES: Self = [u64::MAX; $words];
-            fn word(&self, i: usize) -> u64 {
-                self[i]
-            }
-            fn word_mut(&mut self, i: usize) -> &mut u64 {
-                &mut self[i]
-            }
-            fn and(self, other: Self) -> Self {
-                std::array::from_fn(|i| self[i] & other[i])
-            }
-            fn or(self, other: Self) -> Self {
-                std::array::from_fn(|i| self[i] | other[i])
-            }
-            fn xor(self, other: Self) -> Self {
-                std::array::from_fn(|i| self[i] ^ other[i])
-            }
-            fn not(self) -> Self {
-                std::array::from_fn(|i| !self[i])
-            }
-        }
-    };
-}
-
-lane_block_array!(4);
-lane_block_array!(8);
-
-/// Four-word lane block: 256 lanes per issued instruction.
-pub type Lanes4 = [u64; 4];
-/// Eight-word lane block: 512 lanes per issued instruction.
-pub type Lanes8 = [u64; 8];
 
 /// One lowered micro-operation over `u64` register slices.
 ///
@@ -340,9 +192,9 @@ impl CompiledProgram {
 /// split the table on the last input, recurse, and mux the halves with
 /// `(!x & lo) | (x & hi)`. At most `2ⁿ − 1` mux nodes; equal halves
 /// collapse, so constant and input-independent cofactors cost nothing.
-fn shannon<B: LaneBlock>(mask: u64, inputs: &[B]) -> B {
+fn shannon(mask: u64, inputs: &[u64]) -> u64 {
     let Some((&x, rest)) = inputs.split_last() else {
-        return if mask & 1 == 1 { B::ONES } else { B::ZERO };
+        return if mask & 1 == 1 { u64::MAX } else { 0 };
     };
     let half = 1u32 << rest.len();
     let low = if half >= 64 {
@@ -355,48 +207,37 @@ fn shannon<B: LaneBlock>(mask: u64, inputs: &[B]) -> B {
     if lo == hi {
         lo
     } else {
-        x.not().and(lo).or(x.and(hi))
+        (!x & lo) | (x & hi)
     }
 }
 
-/// Executes [`CompiledProgram`]s, one [`LaneBlock`] of lanes at a time
-/// (64 for the default `u64`, 256/512 for [`Lanes4`]/[`Lanes8`]).
+/// Executes [`CompiledProgram`]s, [`LANES`] lanes at a time.
 ///
-/// The engine owns the register file (one block per register) and
+/// The engine owns the register file (one `u64` slice per register) and
 /// reuses it across runs, so steady-state execution is allocation-free.
 /// Unused high lanes are harmless: every lane computes independently,
 /// and callers mask the result down to the lanes they populated.
 #[derive(Debug, Clone, Default)]
-pub struct BitSliceEngine<B: LaneBlock = u64> {
-    regs: Vec<B>,
+pub struct BitSliceEngine {
+    regs: Vec<u64>,
 }
 
-impl BitSliceEngine<u64> {
-    /// Creates the classic 64-lane engine; the register file grows
-    /// lazily on first run.
+impl BitSliceEngine {
+    /// Creates the 64-lane engine; the register file grows lazily on
+    /// first run.
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<B: LaneBlock> BitSliceEngine<B> {
-    /// Creates an engine for any block width (e.g.
-    /// `BitSliceEngine::<Lanes8>::wide()` runs 512 lanes per
-    /// instruction); the register file grows lazily on first run.
-    pub fn wide() -> Self {
-        Self::default()
-    }
-
-    /// Runs `compiled` with one lane block per input, writing one block
-    /// per output. Lane `k` of every block is an independent instance:
-    /// lane outputs depend only on lane inputs, exactly like
-    /// [`LaneBlock::LANES`] crossbar rows answering one broadcast
-    /// instruction stream.
+    /// Runs `compiled` with one slice per input, writing one slice per
+    /// output. Lane `k` of every slice is an independent instance: lane
+    /// outputs depend only on lane inputs, exactly like [`LANES`]
+    /// crossbar rows answering one broadcast instruction stream.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` or `outputs` length mismatches the program.
-    pub fn run(&mut self, compiled: &CompiledProgram, inputs: &[B], outputs: &mut [B]) {
+    pub fn run(&mut self, compiled: &CompiledProgram, inputs: &[u64], outputs: &mut [u64]) {
         assert_eq!(
             inputs.len(),
             compiled.num_inputs,
@@ -415,16 +256,15 @@ impl<B: LaneBlock> BitSliceEngine<B> {
             }
             Kernel::Ops { loads, ops, stores } => {
                 self.regs.clear();
-                self.regs.resize(compiled.registers, B::ZERO);
+                self.regs.resize(compiled.registers, 0);
                 for (&reg, &slice) in loads.iter().zip(inputs) {
                     self.regs[reg as usize] = slice;
                 }
                 for &op in ops {
                     match op {
-                        SliceOp::False(q) => self.regs[q as usize] = B::ZERO,
+                        SliceOp::False(q) => self.regs[q as usize] = 0,
                         SliceOp::Imply(p, q) => {
-                            self.regs[q as usize] =
-                                self.regs[p as usize].not().or(self.regs[q as usize]);
+                            self.regs[q as usize] |= !self.regs[p as usize];
                         }
                     }
                 }
@@ -463,48 +303,6 @@ pub fn transpose64(m: &mut [u64; 64]) {
     }
 }
 
-/// Marshals one operand-major group of up to 64 words into word `group`
-/// of each slice block: `transpose64` flips the group to slice-major
-/// form, then bit-row `i` lands in `slices[i]`'s word `group`.
-///
-/// Together with [`unmarshal_group`] this extends the 64×64 transpose to
-/// N-word [`LaneBlock`]s: a block-wide pass marshals `B::WORDS` groups
-/// into the same slice vector and runs the compiled program once for all
-/// of them.
-///
-/// # Panics
-///
-/// Panics if `words` exceeds 64 entries or `group` is out of range for
-/// the block width.
-pub fn marshal_group<B: LaneBlock>(words: &[u64], group: usize, slices: &mut [B]) {
-    assert!(words.len() <= 64, "a marshalling group is at most 64 words");
-    assert!(group < B::WORDS, "group index exceeds the block width");
-    let mut m = [0u64; 64];
-    m[..words.len()].copy_from_slice(words);
-    transpose64(&mut m);
-    for (slice, &row) in slices.iter_mut().zip(&m) {
-        slice.set_word(group, row);
-    }
-}
-
-/// Inverse of [`marshal_group`]: extracts word `group` of each slice
-/// block back into operand-major words.
-///
-/// # Panics
-///
-/// Panics if `words` exceeds 64 entries or `group` is out of range for
-/// the block width.
-pub fn unmarshal_group<B: LaneBlock>(slices: &[B], group: usize, words: &mut [u64]) {
-    assert!(words.len() <= 64, "a marshalling group is at most 64 words");
-    assert!(group < B::WORDS, "group index exceeds the block width");
-    let mut m = [0u64; 64];
-    for (row, slice) in m.iter_mut().zip(slices) {
-        *row = slice.word(group);
-    }
-    transpose64(&mut m);
-    words.copy_from_slice(&m[..words.len()]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,63 +312,6 @@ mod tests {
     /// Broadcasts a scalar input word into lane-constant slices.
     fn splat(bits: &[bool]) -> Vec<u64> {
         bits.iter().map(|&b| if b { u64::MAX } else { 0 }).collect()
-    }
-
-    #[test]
-    fn marshal_round_trips_at_every_block_width() {
-        fn check<B: LaneBlock>() {
-            let words: Vec<u64> = (0..50u64)
-                .map(|k| k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect();
-            let mut slices = vec![B::ZERO; 64];
-            for group in 0..B::WORDS {
-                marshal_group(&words, group, &mut slices);
-            }
-            let mut back = vec![0u64; words.len()];
-            for group in 0..B::WORDS {
-                unmarshal_group(&slices, group, &mut back);
-                assert_eq!(back, words, "group {group}");
-            }
-        }
-        check::<u64>();
-        check::<Lanes4>();
-        check::<Lanes8>();
-    }
-
-    #[test]
-    fn wide_kernels_match_the_narrow_engine_lane_by_lane() {
-        // Same per-lane inputs replicated into every word of the block:
-        // each word of the wide output must equal the narrow output.
-        let cmp = Comparator::new();
-        let compiled = CompiledProgram::compile(cmp.eq_program()).unwrap();
-
-        fn lanes<B: LaneBlock>(compiled: &CompiledProgram, narrow: &[u64], out: u64) {
-            let inputs: Vec<B> = narrow
-                .iter()
-                .map(|&w| {
-                    let mut block = B::ZERO;
-                    for word in 0..B::WORDS {
-                        block.set_word(word, w);
-                    }
-                    block
-                })
-                .collect();
-            let mut engine = BitSliceEngine::<B>::wide();
-            let mut outs = [B::ZERO];
-            engine.run(compiled, &inputs, &mut outs);
-            for word in 0..B::WORDS {
-                assert_eq!(outs[0].word(word), out, "word {word}");
-            }
-        }
-
-        let narrow: Vec<u64> = (0..4u64)
-            .map(|i| i.wrapping_mul(0xA5A5_5A5A_DEAD_BEEF) ^ (i << 17))
-            .collect();
-        let mut engine = BitSliceEngine::new();
-        let mut outs = [0u64];
-        engine.run(&compiled, &narrow, &mut outs);
-        lanes::<Lanes4>(&compiled, &narrow, outs[0]);
-        lanes::<Lanes8>(&compiled, &narrow, outs[0]);
     }
 
     #[test]

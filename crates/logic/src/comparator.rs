@@ -94,21 +94,7 @@ impl Comparator {
         b0: u64,
         b1: u64,
     ) -> u64 {
-        self.matches_sliced_wide(engine, a0, a1, b0, b1)
-    }
-
-    /// [`Comparator::matches_sliced`] generalised to any
-    /// [`crate::LaneBlock`] width: up to `B::LANES` symbol pairs per
-    /// invocation, bit-identical to the 64-lane path lane by lane.
-    pub fn matches_sliced_wide<B: crate::LaneBlock>(
-        &self,
-        engine: &mut BitSliceEngine<B>,
-        a0: B,
-        a1: B,
-        b0: B,
-        b1: B,
-    ) -> B {
-        let mut out = [B::ZERO];
+        let mut out = [0u64];
         engine.run(&self.eq_compiled, &[a0, a1, b0, b1], &mut out);
         out[0]
     }

@@ -64,10 +64,7 @@ mod synthesis;
 mod wear;
 
 pub use adder::{CrsAdder, ImplyAdder, TcAdderModel};
-pub use bitslice::{
-    marshal_group, transpose64, unmarshal_group, BitSliceEngine, CompiledProgram, LaneBlock,
-    Lanes4, Lanes8, SliceOp, LANES, LUT_MAX_INPUTS,
-};
+pub use bitslice::{transpose64, BitSliceEngine, CompiledProgram, SliceOp, LANES, LUT_MAX_INPUTS};
 pub use comparator::Comparator;
 pub use cost::LogicCost;
 pub use crs_logic::{CrsImp, Level};

@@ -10,7 +10,7 @@
 use cim_device::DeviceParams;
 use cim_units::{Component, Energy};
 
-use crate::bitslice::{BitSliceEngine, CompiledProgram, LaneBlock, Lanes4, Lanes8};
+use crate::bitslice::{BitSliceEngine, CompiledProgram, LANES};
 use crate::cost::LogicCost;
 use crate::engine::{ImplyEngine, ImplyParams};
 use crate::program::Program;
@@ -53,27 +53,21 @@ enum Backend {
     Electrical(Vec<ImplyEngine>),
     /// Functional: a compiled artifact shared by all rows (boxed — the
     /// payload dwarfs the electrical variant's `Vec` header).
-    BitSliced(Box<SlicedRows<u64>>),
-    /// Functional, four-word lane blocks: 256 rows per issued
-    /// instruction.
-    BitSlicedQuad(Box<SlicedRows<Lanes4>>),
-    /// Functional, eight-word lane blocks: 512 rows per issued
-    /// instruction.
-    BitSlicedWide(Box<SlicedRows<Lanes8>>),
+    BitSliced(Box<SlicedRows>),
 }
 
-/// State of the bit-sliced backend at block width `B`.
+/// State of the bit-sliced backend.
 #[derive(Debug, Clone)]
-struct SlicedRows<B: LaneBlock> {
+struct SlicedRows {
     compiled: CompiledProgram,
-    engine: BitSliceEngine<B>,
+    engine: BitSliceEngine,
     rows: usize,
     device: DeviceParams,
     energy: Energy,
 }
 
-impl<B: LaneBlock> SlicedRows<B> {
-    /// Runs the compiled artifact across all rows, `B::LANES` lanes per
+impl SlicedRows {
+    /// Runs the compiled artifact across all rows, [`LANES`] lanes per
     /// host instruction, and charges nominal write energy per row-step.
     fn run(&mut self, program: &Program, inputs_per_row: &[Vec<bool>]) -> Vec<Vec<bool>> {
         assert_eq!(
@@ -86,10 +80,10 @@ impl<B: LaneBlock> SlicedRows<B> {
             "program does not match the compiled artifact"
         );
         let mut outputs = Vec::with_capacity(self.rows);
-        let mut in_slices = vec![B::ZERO; self.compiled.num_inputs()];
-        let mut out_slices = vec![B::ZERO; self.compiled.num_outputs()];
-        for group in inputs_per_row.chunks(B::LANES) {
-            in_slices.fill(B::ZERO);
+        let mut in_slices = vec![0u64; self.compiled.num_inputs()];
+        let mut out_slices = vec![0u64; self.compiled.num_outputs()];
+        for group in inputs_per_row.chunks(LANES) {
+            in_slices.fill(0);
             for (lane, row) in group.iter().enumerate() {
                 assert_eq!(
                     row.len(),
@@ -97,12 +91,12 @@ impl<B: LaneBlock> SlicedRows<B> {
                     "input arity mismatch"
                 );
                 for (slice, &bit) in in_slices.iter_mut().zip(row) {
-                    slice.set_lane(lane, bit);
+                    *slice |= u64::from(bit) << lane;
                 }
             }
             self.engine.run(&self.compiled, &in_slices, &mut out_slices);
             for lane in 0..group.len() {
-                outputs.push(out_slices.iter().map(|s| s.lane(lane)).collect());
+                outputs.push(out_slices.iter().map(|s| (s >> lane) & 1 == 1).collect());
             }
         }
         // One write per row per broadcast step, at nominal energy.
@@ -163,69 +157,11 @@ impl RowParallelEngine {
         }
     }
 
-    /// Like [`RowParallelEngine::for_program_bitsliced`], but executing
-    /// four-word [`Lanes4`] blocks — 256 rows per issued host
-    /// instruction. Results and the cost law are identical to every
-    /// other backend; only host throughput changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is zero or `program` fails [`Program::validate`].
-    pub fn for_program_bitsliced_quad(program: &Program, rows: usize) -> Self {
-        assert!(rows > 0, "need at least one row");
-        let device = DeviceParams::table1_cim();
-        let params = ImplyParams::for_device(&device);
-        let compiled =
-            CompiledProgram::compile(program).unwrap_or_else(|e| panic!("invalid program: {e}"));
-        Self {
-            backend: Backend::BitSlicedQuad(Box::new(SlicedRows {
-                compiled,
-                engine: BitSliceEngine::wide(),
-                rows,
-                device,
-                energy: Energy::ZERO,
-            })),
-            params,
-            broadcast_steps: 0,
-            wear: WearLedger::new(program.registers),
-        }
-    }
-
-    /// Like [`RowParallelEngine::for_program_bitsliced`], but executing
-    /// eight-word [`Lanes8`] blocks — 512 rows per issued host
-    /// instruction. Results and the cost law are identical to every
-    /// other backend; only host throughput changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` is zero or `program` fails [`Program::validate`].
-    pub fn for_program_bitsliced_wide(program: &Program, rows: usize) -> Self {
-        assert!(rows > 0, "need at least one row");
-        let device = DeviceParams::table1_cim();
-        let params = ImplyParams::for_device(&device);
-        let compiled =
-            CompiledProgram::compile(program).unwrap_or_else(|e| panic!("invalid program: {e}"));
-        Self {
-            backend: Backend::BitSlicedWide(Box::new(SlicedRows {
-                compiled,
-                engine: BitSliceEngine::wide(),
-                rows,
-                device,
-                energy: Energy::ZERO,
-            })),
-            params,
-            broadcast_steps: 0,
-            wear: WearLedger::new(program.registers),
-        }
-    }
-
     /// Number of rows operating in parallel.
     pub fn rows(&self) -> usize {
         match &self.backend {
             Backend::Electrical(rows) => rows.len(),
             Backend::BitSliced(sliced) => sliced.rows,
-            Backend::BitSlicedQuad(sliced) => sliced.rows,
-            Backend::BitSlicedWide(sliced) => sliced.rows,
         }
     }
 
@@ -251,28 +187,18 @@ impl RowParallelEngine {
                 .map(|(engine, inputs)| engine.run(program, inputs))
                 .collect(),
             Backend::BitSliced(sliced) => sliced.run(program, inputs_per_row),
-            Backend::BitSlicedQuad(sliced) => sliced.run(program, inputs_per_row),
-            Backend::BitSlicedWide(sliced) => sliced.run(program, inputs_per_row),
         };
         // Every row executed the same broadcast sequence.
         self.broadcast_steps += program.len() as u64;
         // And aged under it: the target column of each step takes a
         // write pulse, every other column a half-select disturb. The
-        // sliced backends charge from the compiled artifact they
+        // sliced backend charges from the compiled artifact it
         // actually executed; the electrical backend from the program.
         match &self.backend {
             Backend::Electrical(_) => {
                 self.wear.record(program.steps.iter().map(|s| s.target()));
             }
             Backend::BitSliced(sliced) => {
-                let targets = sliced.compiled.step_targets();
-                self.wear.record(targets.iter().map(|&t| t as usize));
-            }
-            Backend::BitSlicedQuad(sliced) => {
-                let targets = sliced.compiled.step_targets();
-                self.wear.record(targets.iter().map(|&t| t as usize));
-            }
-            Backend::BitSlicedWide(sliced) => {
                 let targets = sliced.compiled.step_targets();
                 self.wear.record(targets.iter().map(|&t| t as usize));
             }
@@ -297,12 +223,6 @@ impl RowParallelEngine {
                 rows.iter().map(super::engine::ImplyEngine::registers).sum(),
             ),
             Backend::BitSliced(sliced) => {
-                (sliced.energy, sliced.compiled.registers() * sliced.rows)
-            }
-            Backend::BitSlicedQuad(sliced) => {
-                (sliced.energy, sliced.compiled.registers() * sliced.rows)
-            }
-            Backend::BitSlicedWide(sliced) => {
                 (sliced.energy, sliced.compiled.registers() * sliced.rows)
             }
         };
@@ -425,31 +345,6 @@ mod tests {
         assert_eq!(wide.devices, 13_000);
         assert_eq!(wide.latency, unit.latency);
         assert!((wide.energy.as_pico_joules() - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn wide_backend_matches_electrical_and_narrow_sliced() {
-        let cmp = Comparator::new();
-        let program = cmp.eq_program().clone();
-        // 700 rows: a full 512-lane block plus a ragged 188-lane tail.
-        let inputs: Vec<Vec<bool>> = (0..700u32)
-            .map(|k| {
-                let (a, b) = (k % 4, (k / 4) % 4);
-                vec![a & 1 == 1, a & 2 == 2, b & 1 == 1, b & 2 == 2]
-            })
-            .collect();
-        let mut narrow = RowParallelEngine::for_program_bitsliced(&program, inputs.len());
-        let mut wide = RowParallelEngine::for_program_bitsliced_wide(&program, inputs.len());
-        let narrow_out = narrow.run(&program, &inputs);
-        assert_eq!(narrow_out, wide.run(&program, &inputs));
-        // Same cost law: identical steps, latency, energy, devices.
-        assert_eq!(narrow.cost().steps, wide.cost().steps);
-        assert_eq!(narrow.cost().latency, wide.cost().latency);
-        assert_eq!(
-            narrow.cost().energy.get().to_bits(),
-            wide.cost().energy.get().to_bits()
-        );
-        assert_eq!(narrow.cost().devices, wide.cost().devices);
     }
 
     #[test]

@@ -10,15 +10,12 @@
 //! the scalar semantics on every one of the 64 lanes, and the scalar
 //! semantics must in turn agree with the device-physics engine — so a
 //! defect anywhere in the lowering, the Shannon combine, or the lane
-//! packing cannot hide. The widened lane blocks ([`Lanes4`]/[`Lanes8`])
-//! close the loop: every word of a wide block must equal the narrow
-//! kernel run on that word's slices, and spot-checked lanes must equal
-//! the scalar reference — so widening can only change host throughput,
-//! never a bit.
+//! packing cannot hide. [`ImplyAdder::add_sliced`] closes the loop on
+//! the transpose: any pass of 1–64 operand pairs, at any word width up
+//! to the 64-bit carry wrap, must equal the scalar adder pair by pair.
 
 use cim_logic::{
-    synthesize, BitSliceEngine, CompiledProgram, Expr, ImplyAdder, ImplyEngine, LaneBlock, Lanes4,
-    Lanes8, Program, LANES,
+    synthesize, BitSliceEngine, CompiledProgram, Expr, ImplyAdder, ImplyEngine, Program, LANES,
 };
 use proptest::prelude::*;
 
@@ -94,53 +91,20 @@ proptest! {
     }
 
     #[test]
-    fn wide_blocks_match_the_narrow_kernel_and_scalar(
-        expr in arb_expr(4),
-        raw in prop::collection::vec(any::<u64>(), 4 * 8),
+    fn sliced_adder_matches_scalar_on_ragged_passes(
+        bits in (0usize..3).prop_map(|i| [8u32, 32, 64][i]),
+        raw in prop::collection::vec((any::<u64>(), any::<u64>()), 1..=LANES),
     ) {
-        fn check<B: LaneBlock>(
-            program: &Program,
-            compiled: &CompiledProgram,
-            words: &[u64],
-        ) -> Result<(), proptest::test_runner::TestCaseError> {
-            // Input `i` takes its `B::WORDS` words from row `i` of the
-            // random pool (stride 8 fits the widest block).
-            let inputs: Vec<B> = (0..program.inputs.len())
-                .map(|i| {
-                    let mut block = B::ZERO;
-                    for w in 0..B::WORDS {
-                        block.set_word(w, words[i * 8 + w]);
-                    }
-                    block
-                })
-                .collect();
-            let mut wide = BitSliceEngine::<B>::wide();
-            let mut outs = vec![B::ZERO; compiled.num_outputs()];
-            wide.run(compiled, &inputs, &mut outs);
-            let mut narrow = BitSliceEngine::new();
-            for w in 0..B::WORDS {
-                let slices: Vec<u64> = inputs.iter().map(|b| b.word(w)).collect();
-                let mut narrow_outs = vec![0u64; compiled.num_outputs()];
-                narrow.run(compiled, &slices, &mut narrow_outs);
-                for (wide_out, narrow_out) in outs.iter().zip(&narrow_outs) {
-                    prop_assert_eq!(wide_out.word(w), *narrow_out, "word {}", w);
-                }
-                // Scalar spot check on the word's edge lanes.
-                for lane in [0usize, 63] {
-                    let bits: Vec<bool> =
-                        slices.iter().map(|&s| (s >> lane) & 1 == 1).collect();
-                    let expect = program.evaluate(&bits);
-                    let got: Vec<bool> =
-                        outs.iter().map(|o| o.lane(w * 64 + lane)).collect();
-                    prop_assert_eq!(&got, &expect, "word {} lane {}", w, lane);
-                }
-            }
-            Ok(())
+        let adder = ImplyAdder::new(bits);
+        let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+        let pairs: Vec<(u64, u64)> = raw.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
+        let mut sums = vec![0u64; pairs.len()];
+        adder.add_sliced(&mut BitSliceEngine::new(), &pairs, &mut sums);
+        for (&(a, b), &sum) in pairs.iter().zip(&sums) {
+            // A 64-bit adder's carry-out has no bit left: the sum wraps.
+            let expect = if bits == 64 { a.wrapping_add(b) } else { adder.add_reference(a, b) };
+            prop_assert_eq!(sum, expect, "{:#x} + {:#x}", a, b);
         }
-        let program = synthesize(&expr);
-        let compiled = CompiledProgram::compile(&program).expect("valid program");
-        check::<Lanes4>(&program, &compiled, &raw)?;
-        check::<Lanes8>(&program, &compiled, &raw)?;
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //!
 //! * [`run_crew`] — a **phase-stepped crew**: worker threads are spawned
 //!   *once* per dispatch and then re-used for every epoch of the
-//!   computation, synchronized by a sense-reversing [`SpinBarrier`]. This
-//!   replaces the old spawn-per-half-sweep pattern, whose thread-creation
-//!   cost exceeded the per-sweep work and made `threads > 1` a measured
-//!   *slowdown* (`distributed_speedup: 0.62` in the PR-3 snapshot).
+//!   computation, synchronized by a sense-reversing [`SpinBarrier`]. A
+//!   phase costs two barrier crossings; spawning threads per half-sweep
+//!   cost more than the sweep itself and made `threads > 1` a measured
+//!   slowdown.
 //! * [`run_indexed`] — **batch-of-solves dispatch**: independent jobs
 //!   claimed from a shared index dispenser, one job per worker at a time,
 //!   with no synchronization inside a job. This is the parallelism axis
@@ -321,9 +321,6 @@ pub struct Conductor<'a> {
     control: &'a CrewControl,
     phase_fn: &'a (dyn Fn(usize, u32) -> f64 + Sync),
     workers: usize,
-    /// True under [`run_crew_spawned`]: each phase spawns fresh scoped
-    /// threads instead of stepping the persistent crew.
-    spawned: bool,
 }
 
 impl Conductor<'_> {
@@ -345,20 +342,6 @@ impl Conductor<'_> {
         assert_ne!(tag, EXIT_TAG, "phase tag {EXIT_TAG:#x} is reserved");
         if self.workers == 1 {
             return (self.phase_fn)(0, tag);
-        }
-        if self.spawned {
-            // The measurement baseline: pay a spawn/join round per phase.
-            std::thread::scope(|scope| {
-                for worker in 1..self.workers {
-                    let control = self.control;
-                    let phase_fn = self.phase_fn;
-                    scope.spawn(move || {
-                        control.set_delta(worker, phase_fn(worker, tag));
-                    });
-                }
-                self.control.set_delta(0, (self.phase_fn)(0, tag));
-            });
-            return self.control.max_delta();
         }
         self.control.tag.store(tag, Ordering::Release);
         self.control.barrier.wait();
@@ -403,7 +386,6 @@ pub fn run_crew<R>(
         control: &control,
         phase_fn: &phase_fn,
         workers,
-        spawned: false,
     };
     if workers == 1 {
         return conduct(&conductor);
@@ -432,28 +414,6 @@ pub fn run_crew<R>(
             Err(payload) => resume_unwind(payload),
         }
     })
-}
-
-/// The spawn-per-phase twin of [`run_crew`]: identical phase semantics
-/// and bit-identical results, but every [`Conductor::phase`] call spawns
-/// and joins fresh scoped threads — the dispatch model the seed solver
-/// used for its half-sweeps. Kept **only** as a measurable baseline so
-/// `bench_solver` can record what the persistent crew saves per phase;
-/// production paths always use [`run_crew`].
-pub fn run_crew_spawned<R>(
-    workers: usize,
-    phase_fn: impl Fn(usize, u32) -> f64 + Sync,
-    conduct: impl FnOnce(&Conductor<'_>) -> R,
-) -> R {
-    let workers = workers.max(1);
-    let control = CrewControl::new(workers);
-    let conductor = Conductor {
-        control: &control,
-        phase_fn: &phase_fn,
-        workers,
-        spawned: true,
-    };
-    conduct(&conductor)
 }
 
 /// Runs `jobs` independent jobs over `threads` workers (resolved by
@@ -658,42 +618,6 @@ mod tests {
         let reference = run(1);
         for workers in [2usize, 3, 4, 8] {
             assert_eq!(run(workers), reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn spawned_crew_matches_the_persistent_crew_bit_for_bit() {
-        let run = |spawned: bool, workers: usize| -> Vec<u64> {
-            let n = 61;
-            let grid = SharedF64::new(n);
-            for i in 0..n {
-                grid.set(i, (i as f64).cos());
-            }
-            let phase_fn = |worker: usize, tag: u32| {
-                let mut delta = 0.0f64;
-                for i in band(worker, workers, n) {
-                    let next = 0.5 * (grid.get(i) + f64::from(tag + 1).recip());
-                    delta = delta.max((next - grid.get(i)).abs());
-                    grid.set(i, next);
-                }
-                delta
-            };
-            let conduct = |crew: &Conductor<'_>| {
-                for tag in 0..6u32 {
-                    crew.phase(tag % 3);
-                }
-            };
-            if spawned {
-                run_crew_spawned(workers, phase_fn, conduct);
-            } else {
-                run_crew(workers, phase_fn, conduct);
-            }
-            (0..n).map(|i| grid.get(i).to_bits()).collect()
-        };
-        let reference = run(false, 1);
-        for workers in [1usize, 2, 4] {
-            assert_eq!(run(false, workers), reference, "persistent x{workers}");
-            assert_eq!(run(true, workers), reference, "spawned x{workers}");
         }
     }
 

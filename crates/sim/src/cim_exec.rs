@@ -1,7 +1,7 @@
 //! Executor for the CIM (memristor crossbar) machine.
 
 use cim_arch::{CimMachine, RunReport};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LaneBlock, Lanes4, Lanes8, TcAdderModel};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, TcAdderModel, LANES};
 use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, Time, UnitCosts};
 use cim_workloads::{
     AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, ShortRead,
@@ -27,12 +27,6 @@ pub enum KernelPolicy {
     /// parallelism mirrored in the simulator. The default.
     #[default]
     BitSliced,
-    /// Bit-sliced over four-word [`Lanes4`] blocks: 256 lanes per
-    /// issued host instruction.
-    BitSliced4,
-    /// Bit-sliced over eight-word [`Lanes8`] blocks: 512 lanes per
-    /// issued host instruction.
-    BitSliced8,
     /// One lane at a time through [`cim_logic::Program::evaluate_into`]
     /// — the reference the bit-sliced kernel is checked against.
     Scalar,
@@ -161,16 +155,15 @@ impl CimExecutor {
         )
     }
 
-    /// Bit-sliced DNA pass: `B::LANES` character comparisons per
+    /// Bit-sliced DNA pass: [`LANES`] character comparisons per
     /// comparator invocation. Each read's symbols pack lane-wise against
-    /// the genome window (lane `k` of each input block = lane `k`'s
-    /// bit), one [`BitSliceEngine`] run compares the whole group, and
-    /// the result block is diffed against direct equality as a mask —
+    /// the genome window (bit `k` of each input slice = lane `k`'s bit),
+    /// one [`BitSliceEngine`] run compares the whole group, and the
+    /// result slice is diffed against direct equality as a mask —
     /// per-lane evidence is extracted only on a mismatch, where the
     /// lowest diverging lane reproduces the scalar path's first-hit
-    /// report exactly (at every block width, since lanes pack in symbol
-    /// order).
-    fn dna_pass_bitsliced<B: LaneBlock>(
+    /// report exactly (lanes pack in symbol order).
+    fn dna_pass_bitsliced(
         &self,
         comparator: &Comparator,
         codes: &[u8],
@@ -181,33 +174,35 @@ impl CimExecutor {
             reads,
             || (0u64, None::<String>),
             |(mut count, mut diverged), chunk| {
-                let mut engine = BitSliceEngine::<B>::wide();
+                let mut engine = BitSliceEngine::new();
                 for read in chunk {
                     let pos = read.true_position;
                     let window = &codes[pos..pos + read.symbols.len()];
                     count += read.symbols.len() as u64;
                     for (group, (symbols, references)) in read
                         .symbols
-                        .chunks(B::LANES)
-                        .zip(window.chunks(B::LANES))
+                        .chunks(LANES)
+                        .zip(window.chunks(LANES))
                         .enumerate()
                     {
-                        let (mut s0, mut s1, mut r0, mut r1) = (B::ZERO, B::ZERO, B::ZERO, B::ZERO);
-                        let mut expect = B::ZERO;
+                        let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
+                        let mut expect = 0u64;
                         for (lane, (&s, &r)) in symbols.iter().zip(references).enumerate() {
-                            s0.set_lane(lane, s & 1 == 1);
-                            s1.set_lane(lane, s >> 1 & 1 == 1);
-                            r0.set_lane(lane, r & 1 == 1);
-                            r1.set_lane(lane, r >> 1 & 1 == 1);
-                            expect.set_lane(lane, s == r);
+                            s0 |= u64::from(s & 1) << lane;
+                            s1 |= u64::from(s >> 1 & 1) << lane;
+                            r0 |= u64::from(r & 1) << lane;
+                            r1 |= u64::from(r >> 1 & 1) << lane;
+                            expect |= u64::from(s == r) << lane;
                         }
-                        let eq = comparator.matches_sliced_wide(&mut engine, s0, s1, r0, r1);
-                        let diff = eq.xor(expect).and(B::lane_mask(symbols.len()));
-                        if let Some(lane) = diff.first_lane() {
+                        let lane_mask = u64::MAX >> (LANES - symbols.len());
+                        let eq = comparator.matches_sliced(&mut engine, s0, s1, r0, r1);
+                        let diff = (eq ^ expect) & lane_mask;
+                        if diff != 0 {
                             if diverged.is_none() {
-                                let i = group * B::LANES + lane;
+                                let lane = diff.trailing_zeros() as usize;
+                                let i = group * LANES + lane;
                                 diverged = Some(divergence_note(
-                                    eq.lane(lane),
+                                    eq >> lane & 1 == 1,
                                     read.symbols[i],
                                     window[i],
                                     pos + i,
@@ -226,11 +221,11 @@ impl CimExecutor {
         )
     }
 
-    /// Bit-sliced addition pass at block width `B`: `B::LANES` ripple
-    /// additions per [`ImplyAdder::add_sliced_wide`] invocation. The
-    /// width-masked wrapping checksum is grouping-independent, so the
-    /// digest is bit-identical at every width.
-    fn additions_pass_bitsliced<B: LaneBlock>(
+    /// Bit-sliced addition pass: [`LANES`] ripple additions per
+    /// [`ImplyAdder::add_sliced`] invocation. The width-masked wrapping
+    /// checksum is grouping-independent, so the digest is bit-identical
+    /// to the scalar kernel's.
+    fn additions_pass_bitsliced(
         &self,
         bits: u32,
         sum_mask: u64,
@@ -242,10 +237,14 @@ impl CimExecutor {
             operands,
             || (0u64, 0u64),
             |(mut count, mut sum), chunk| {
-                let mut engine = BitSliceEngine::<B>::wide();
-                let mut sums = vec![0u64; B::LANES];
-                for group in chunk.chunks(B::LANES) {
-                    adder.add_sliced_wide(&mut engine, group, &mut sums[..group.len()]);
+                let mut engine = BitSliceEngine::new();
+                // A `Vec`, not a stack array: with glibc's allocator the
+                // array measured 14 MB more peak RSS on the 10⁶-addition
+                // run (it changes which heap chunks get trimmed), for no
+                // speed gain.
+                let mut sums = vec![0u64; LANES];
+                for group in chunk.chunks(LANES) {
+                    adder.add_sliced(&mut engine, group, &mut sums[..group.len()]);
                     for &s in &sums[..group.len()] {
                         sum = sum.wrapping_add(s & sum_mask);
                     }
@@ -277,15 +276,7 @@ impl CimExecutor {
         };
         let sum_mask = (mask << 1) | 1;
         let (count, checksum) = match self.kernel {
-            KernelPolicy::BitSliced => {
-                self.additions_pass_bitsliced::<u64>(bits, sum_mask, operands)
-            }
-            KernelPolicy::BitSliced4 => {
-                self.additions_pass_bitsliced::<Lanes4>(bits, sum_mask, operands)
-            }
-            KernelPolicy::BitSliced8 => {
-                self.additions_pass_bitsliced::<Lanes8>(bits, sum_mask, operands)
-            }
+            KernelPolicy::BitSliced => self.additions_pass_bitsliced(bits, sum_mask, operands),
             KernelPolicy::Scalar => {
                 let adder = TcAdderModel::new(bits);
                 par_fold_slices(
@@ -401,15 +392,7 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
         // so the hot loop fans out; divergence evidence (if any) merges
         // to the earliest chunk's report.
         let (comparisons, diverged) = match self.kernel {
-            KernelPolicy::BitSliced => {
-                self.dna_pass_bitsliced::<u64>(&comparator, genome.codes(), &reads)
-            }
-            KernelPolicy::BitSliced4 => {
-                self.dna_pass_bitsliced::<Lanes4>(&comparator, genome.codes(), &reads)
-            }
-            KernelPolicy::BitSliced8 => {
-                self.dna_pass_bitsliced::<Lanes8>(&comparator, genome.codes(), &reads)
-            }
+            KernelPolicy::BitSliced => self.dna_pass_bitsliced(&comparator, genome.codes(), &reads),
             KernelPolicy::Scalar => self.dna_pass_scalar(&comparator, genome.codes(), &reads),
         };
         if let Some(detail) = diverged {
@@ -626,27 +609,18 @@ mod tests {
             let dna_scalar = scalar.run(&dna).expect("scalar DNA run");
             let add_scalar = ExecutionBackend::<AdditionWorkload>::run(&scalar, &adds)
                 .expect("scalar additions run");
-            for kernel in [
-                KernelPolicy::BitSliced,
-                KernelPolicy::BitSliced4,
-                KernelPolicy::BitSliced8,
-            ] {
-                let sliced = CimExecutor::with_policies(batch, kernel);
-                let dna_sliced = sliced.run(&dna).expect("bitsliced DNA run");
-                assert_eq!(
-                    dna_sliced, dna_scalar,
-                    "DNA outcome at {threads} threads, {kernel:?}"
-                );
-                assert_eq!(dna_sliced.digest, dna_scalar.digest);
+            let sliced = CimExecutor::with_policies(batch, KernelPolicy::BitSliced);
+            let dna_sliced = sliced.run(&dna).expect("bitsliced DNA run");
+            assert_eq!(dna_sliced, dna_scalar, "DNA outcome at {threads} threads");
+            assert_eq!(dna_sliced.digest, dna_scalar.digest);
 
-                let add_sliced = ExecutionBackend::<AdditionWorkload>::run(&sliced, &adds)
-                    .expect("bitsliced additions run");
-                assert_eq!(
-                    add_sliced, add_scalar,
-                    "additions outcome at {threads} threads, {kernel:?}"
-                );
-                assert_eq!(add_sliced.digest.checksum, Some(adds.checksum()));
-            }
+            let add_sliced = ExecutionBackend::<AdditionWorkload>::run(&sliced, &adds)
+                .expect("bitsliced additions run");
+            assert_eq!(
+                add_sliced, add_scalar,
+                "additions outcome at {threads} threads"
+            );
+            assert_eq!(add_sliced.digest.checksum, Some(adds.checksum()));
         }
     }
 

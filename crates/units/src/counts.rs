@@ -55,19 +55,28 @@ pub const MAX_EXACT_COUNT: u64 = (1 << (53 - DYADIC_BITS)) - 1;
 /// Products and regrouped sums of dyadic unit prices are exact in f64
 /// (see the module docs), which is what lets per-tile ledgers sum
 /// bit-for-bit to the fabric ledger. Zero, infinities and NaN pass
-/// through unchanged.
+/// through unchanged; every other finite input gives a finite result of
+/// the same sign (near `f64::MAX`, where rounding up would overflow, it
+/// rounds down one mantissa unit instead).
 pub fn dyadic(value: f64) -> f64 {
     if value == 0.0 || !value.is_finite() {
         return value;
     }
     // Scale so the value sits in [2^25, 2^26), round to an integer m,
     // then scale back: the result is m / 2^s with m representable in
-    // DYADIC_BITS bits. exp_shift stays well inside f64's exponent
-    // range for any physical model constant.
+    // DYADIC_BITS bits. Below about 2^-998 the shift 2^s overflows f64,
+    // so it is applied as two power-of-two halves; each multiply is
+    // exact, giving the same bits as one 2^s wherever 2^s is finite.
     let exponent = value.abs().log2().floor() as i32;
     let shift = DYADIC_BITS as i32 - 1 - exponent;
-    let scale = 2.0f64.powi(shift);
-    (value * scale).round() / scale
+    let (lo, hi) = (2.0f64.powi(shift / 2), 2.0f64.powi(shift - shift / 2));
+    let m = (value * lo * hi).round();
+    let q = m / hi / lo;
+    if q.is_finite() {
+        q
+    } else {
+        (m - m.signum()) / hi / lo
+    }
 }
 
 /// A dense ledger of exact primitive-operation counts over the
@@ -408,6 +417,29 @@ mod tests {
         // Exactly dyadic inputs pass through untouched.
         assert_eq!(dyadic(0.5), 0.5);
         assert_eq!(dyadic(3.0), 3.0);
+    }
+
+    #[test]
+    fn dyadic_stays_finite_down_to_the_smallest_subnormal() {
+        // 2^-1074, 2^-1022, and the largest subnormal: 2^s overflows f64
+        // for all three, so a single-factor scale would return NaN.
+        for bits in [1u64, 0x0010_0000_0000_0000, 0x000F_FFFF_FFFF_FFFF] {
+            let value = f64::from_bits(bits);
+            let q = dyadic(value);
+            assert!(q.is_finite() && q > 0.0, "{bits:#018x} -> {q}");
+            assert_eq!(dyadic(q), q, "idempotent at {bits:#018x}");
+            assert_eq!(dyadic(-value), -q, "sign-symmetric at {bits:#018x}");
+        }
+        // At the top of the range rounding up would overflow: the result
+        // steps one mantissa unit down instead.
+        let top = dyadic(f64::MAX);
+        assert!(
+            top.is_finite() && (top / f64::MAX - 1.0).abs() < 1e-7,
+            "{top}"
+        );
+        assert_eq!(dyadic(top), top);
+        assert_eq!(dyadic(f64::MIN), -top);
+        assert_eq!(dyadic(f64::MIN_POSITIVE), f64::MIN_POSITIVE);
     }
 
     #[test]

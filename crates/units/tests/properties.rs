@@ -1,6 +1,8 @@
 //! Property-based tests for the dimensional algebra.
 
-use cim_units::{Conductance, Current, Energy, Frequency, Power, Resistance, Time, Voltage};
+use cim_units::{
+    dyadic, Conductance, Current, Energy, Frequency, Power, Resistance, Time, Voltage,
+};
 use proptest::prelude::*;
 
 fn finite_positive() -> impl Strategy<Value = f64> {
@@ -11,6 +13,19 @@ fn finite_positive() -> impl Strategy<Value = f64> {
 }
 
 proptest! {
+    #[test]
+    fn dyadic_is_finite_sign_preserving_and_idempotent(bits in any::<u64>()) {
+        // Uniform over bit patterns, so subnormals and the top of the
+        // exponent range turn up as often as everyday magnitudes.
+        let value = f64::from_bits(bits);
+        prop_assume!(value.is_finite());
+        let q = dyadic(value);
+        prop_assert!(q.is_finite(), "{:#018x} -> {}", bits, q);
+        prop_assert_eq!(q.is_sign_negative(), value.is_sign_negative());
+        let again = dyadic(q);
+        prop_assert_eq!(again.to_bits(), q.to_bits(), "not idempotent at {:#018x}", bits);
+    }
+
     #[test]
     fn power_time_energy_triangle(p in finite_positive(), t in finite_positive()) {
         let power = Power::new(p);

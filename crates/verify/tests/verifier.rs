@@ -7,9 +7,10 @@
 //! * the closed-form cost certificate equals the dynamic
 //!   `RowParallelEngine` ledger **bit for bit** for every shipped program;
 //! * the closed-form wear certificate equals the dynamic `WearLedger`
-//!   **bit for bit** for every shipped program, at every lane-block
-//!   width, under row-partitioned execution, and on random valid
-//!   programs; one-sided split-wear claims equal the solo certificate.
+//!   **bit for bit** for every shipped program, on both the bit-sliced
+//!   and the electrical backend, under row-partitioned execution, and
+//!   on random valid programs; one-sided split-wear claims equal the
+//!   solo certificate.
 
 use cim_device::DeviceParams;
 use cim_logic::{Program, RowParallelEngine, Step, WearLedger};
@@ -160,7 +161,7 @@ fn certificates_match_dynamic_ledgers_for_every_shipped_program() {
     }
 }
 
-/// A `RowParallelEngine` constructor at some lane-block width.
+/// A `RowParallelEngine` constructor for one backend.
 type EngineBuilder = fn(&Program, usize) -> RowParallelEngine;
 
 /// One non-trivial input pattern per row for `program`.
@@ -175,22 +176,22 @@ fn row_inputs(program: &Program, rows: usize) -> Vec<Vec<bool>> {
 }
 
 #[test]
-fn wear_certificates_match_dynamic_ledgers_at_every_lane_width() {
+fn wear_certificates_match_dynamic_ledgers_on_every_backend() {
     // The wear counts are position-classified, so the certificate must
-    // hold at every lane-block width ({1, 4, 8}-word backends) and at
-    // both thread shapes (one engine owning all rows, or the rows
-    // partitioned across four engines — per-device wear is invariant
-    // under the partitioning, because broadcast stresses each row's
-    // devices identically regardless of who drives the row).
+    // hold on both backends — the bit-sliced one charges its compiled
+    // artifact's step targets, the electrical one the source program's
+    // — and at both thread shapes (one engine owning all rows, or the
+    // rows partitioned across four engines — per-device wear is
+    // invariant under the partitioning, because broadcast stresses each
+    // row's devices identically regardless of who drives the row).
     for entry in shipped_programs() {
         let program = &entry.program;
         let cert = WearCertificate::broadcast(program);
-        let engines: [(&str, EngineBuilder); 3] = [
-            ("1-word", RowParallelEngine::for_program_bitsliced),
-            ("4-word", RowParallelEngine::for_program_bitsliced_quad),
-            ("8-word", RowParallelEngine::for_program_bitsliced_wide),
+        let engines: [(&str, EngineBuilder); 2] = [
+            ("bit-sliced", RowParallelEngine::for_program_bitsliced),
+            ("electrical", RowParallelEngine::for_program),
         ];
-        for (width, build) in engines {
+        for (backend, build) in engines {
             for threads in [1usize, 4] {
                 let rows_per = entry.rows / threads;
                 let mut partitions: Vec<RowParallelEngine> =
@@ -203,13 +204,13 @@ fn wear_certificates_match_dynamic_ledgers_at_every_lane_width() {
                 for engine in &partitions {
                     assert!(
                         cert.check_ledger(entry.name, 2, engine.wear()).is_clean(),
-                        "{} {width} x{threads}",
+                        "{} {backend} x{threads}",
                         entry.name
                     );
                     assert_eq!(
                         &cert.after_runs(2),
                         engine.wear(),
-                        "{} {width} x{threads}",
+                        "{} {backend} x{threads}",
                         entry.name
                     );
                 }

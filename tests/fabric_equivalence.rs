@@ -42,24 +42,20 @@ proptest! {
     }
 
     #[test]
-    fn fabric_outcome_is_bit_identical_across_kernel_widths(
+    fn fabric_outcome_is_bit_identical_across_kernels(
         queries in 1u64..300,
         seed in 0u64..1000,
     ) {
-        // The lane-width half of the contract: {1, 4, 8}-word blocks and
-        // the scalar reference all produce the same digest, counts, and
-        // ledger as the default 64-lane kernel, at 1 and 4 threads.
+        // The kernel half of the contract: the scalar reference produces
+        // the same digest, counts, and ledger as the default 64-lane
+        // kernel, at 1 and 4 threads.
         let batch = TrafficSpec::sustained(queries, seed).generate();
         let reference = executor(2, 2, 1).execute(&batch).expect("reference run");
-        for kernel in [
-            KernelPolicy::Scalar,
-            KernelPolicy::BitSliced4,
-            KernelPolicy::BitSliced8,
-        ] {
+        for kernel in [KernelPolicy::Scalar, KernelPolicy::BitSliced] {
             for threads in [1usize, 4] {
                 let mut exec = executor(2, 2, threads);
                 exec.kernel = kernel;
-                let outcome = exec.execute(&batch).expect("widened run");
+                let outcome = exec.execute(&batch).expect("kernel run");
                 prop_assert_eq!(&outcome.digest, &reference.digest, "{:?}", kernel);
                 prop_assert_eq!(&outcome.counts, &reference.counts);
                 prop_assert_eq!(&outcome.ledger, &reference.ledger);

@@ -112,15 +112,16 @@ proptest! {
     }
 
     #[test]
-    fn cim_outcomes_are_bit_identical_across_workers_and_lane_widths(
+    fn cim_outcomes_are_bit_identical_across_workers_and_kernels(
         seed in 0u64..500,
         n_ops in 500u64..3_000,
         ref_len in 20_000u64..35_000,
     ) {
-        // The tentpole contract: worker count ({1, 2, 4, 8}) and lane
-        // block width ({1, 4, 8} words) change wall-clock only — every
-        // RunOutcome field (digest, checksum, ledger, report, notes) is
-        // bit-identical to the serial narrow reference.
+        // Worker count ({1, 2, 4, 8}) and kernel (scalar reference or
+        // 64-lane bit slices) change wall-clock only — every RunOutcome
+        // field (digest, checksum, ledger, report, notes) is
+        // bit-identical to the serial bit-sliced reference. 100-symbol
+        // reads and random operand counts leave ragged 64-lane tails.
         let additions = AdditionWorkload::scaled(n_ops, seed);
         let dna = dna_workload(ref_len, seed);
         let reference = CimExecutor::with_batch(BatchPolicy::with_threads(1));
@@ -128,11 +129,7 @@ proptest! {
             .expect("reference additions");
         let dna_ref = reference.run(&dna).expect("reference dna");
         for threads in [1usize, 2, 4, 8] {
-            for kernel in [
-                KernelPolicy::BitSliced,
-                KernelPolicy::BitSliced4,
-                KernelPolicy::BitSliced8,
-            ] {
+            for kernel in [KernelPolicy::Scalar, KernelPolicy::BitSliced] {
                 let exec =
                     CimExecutor::with_policies(BatchPolicy::with_threads(threads), kernel);
                 let add = ExecutionBackend::<AdditionWorkload>::run(&exec, &additions)
