@@ -37,7 +37,7 @@
 //! exactly, the split claim certifies clean, the hybrid lands within 5%
 //! of the oracle, and each pure policy loses at least one scenario.
 
-use cim_bench::{repo_root_file, Args};
+use cim_bench::{repo_root_file, snapshot_number, Args};
 use cim_dispatch::{split_claim, Calibrator, HybridExecutor};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
@@ -95,16 +95,7 @@ fn check(path: &std::path::Path) -> Result<(), String> {
     }
     // The split gate is numeric, not just present: parse the value and
     // require the measured concurrency win.
-    let needle = "\"split_speedup\":";
-    let start = body.find(needle).expect("field presence checked above") + needle.len();
-    let token: String = body[start..]
-        .trim_start()
-        .chars()
-        .take_while(|c| !matches!(c, ',' | '}') && !c.is_whitespace())
-        .collect();
-    let speedup: f64 = token
-        .parse()
-        .map_err(|e| format!("split_speedup `{token}` is not a number: {e}"))?;
+    let speedup = snapshot_number(&body, "split_speedup").ok_or("split_speedup is not a number")?;
     if speedup < SPLIT_SPEEDUP_GATE {
         return Err(format!(
             "split_speedup {speedup:.4} is below the {SPLIT_SPEEDUP_GATE}x gate"

@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, Args};
+use cim_bench::{repo_root_file, snapshot_number, Args};
 use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
 use cim_sim::{BatchPolicy, CimExecutor, ExecutionBackend, KernelPolicy};
 use cim_workloads::{AdditionWorkload, DnaWorkload};
@@ -62,17 +62,6 @@ fn median_ns(samples: usize, mut routine: impl FnMut()) -> f64 {
     times[times.len() / 2] as f64
 }
 
-/// Extracts the numeric value of `field` from the hand-written snapshot.
-fn numeric_field(body: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let rest = &body[body.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn check(path: &std::path::Path) -> Result<(), String> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -86,7 +75,7 @@ fn check(path: &std::path::Path) -> Result<(), String> {
         if !body.contains(&format!("\"{field}\":")) {
             return Err(format!("snapshot is missing required field '{field}'"));
         }
-        if field != "schema" && numeric_field(&body, field).is_none() {
+        if field != "schema" && snapshot_number(&body, field).is_none() {
             return Err(format!("field '{field}' is not numeric"));
         }
     }

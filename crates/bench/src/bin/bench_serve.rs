@@ -16,25 +16,31 @@
 //! snapshot: the serve trace is bit-identical across executed tile
 //! counts and thread counts, and the per-tile ledgers sum bit-for-bit
 //! to the fabric ledger (checked through `cim_verify::certify_tiles`).
+//!
+//! The `host_*` fields are wall clocks of the machine that ran the
+//! snapshot, recorded with its `host_cores`; every other field is
+//! modelled and host-independent. `--check` requires every field to be
+//! present and every field but `schema` numeric.
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, Args};
+use cim_bench::{repo_root_file, snapshot_number, Args};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
 };
 use cim_sim::BatchPolicy;
 use cim_verify::{certify_tiles, TileClaim};
 
-const SCHEMA: &str = "cim-bench-serve/1";
+const SCHEMA: &str = "cim-bench-serve/2";
 
 /// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 20] = [
+const REQUIRED_FIELDS: [&str; 21] = [
     "schema",
     "queries",
     "tenants",
     "tiles",
     "threads",
+    "host_cores",
     "queue_depth",
     "tenant_quota",
     "max_batch",
@@ -64,6 +70,9 @@ fn check(path: &std::path::Path) -> Result<(), String> {
     for field in REQUIRED_FIELDS {
         if !body.contains(&format!("\"{field}\":")) {
             return Err(format!("snapshot is missing required field '{field}'"));
+        }
+        if field != "schema" && snapshot_number(&body, field).is_none() {
+            return Err(format!("field '{field}' is not numeric"));
         }
     }
     Ok(())
@@ -149,6 +158,7 @@ fn main() {
     };
     let traffic = TrafficSpec::sustained(queries as u64, 2015);
     let fe = front_end(tiles, threads, config);
+    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     // Host wall clock: median of a few full serve replays.
     let samples = if quick { 3 } else { 7 };
@@ -170,7 +180,10 @@ fn main() {
     let makespan_ns = report.makespan.get() * 1e9;
     let energy_j = report.fabric_ledger.total_energy().get();
 
-    println!("== serving snapshot ({queries} queries, {tiles} tiles, {threads} threads) ==");
+    println!(
+        "== serving snapshot ({queries} queries, {tiles} tiles, {threads} threads, \
+         {host_cores} host cores) =="
+    );
     println!(
         "admitted {:>8}   rejected {:>6} (queue) + {:>5} (quota)   batches {:>6}   peak queue {}",
         report.admitted,
@@ -192,6 +205,7 @@ fn main() {
     let json = format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"queries\": {queries},\n  \
          \"tenants\": {},\n  \"tiles\": {tiles},\n  \"threads\": {threads},\n  \
+         \"host_cores\": {host_cores},\n  \
          \"queue_depth\": {},\n  \"tenant_quota\": {},\n  \"max_batch\": {},\n  \
          \"admitted\": {},\n  \"rejected_queue_full\": {},\n  \"rejected_quota\": {},\n  \
          \"batches\": {},\n  \"peak_queue\": {},\n  \

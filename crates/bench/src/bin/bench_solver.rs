@@ -30,7 +30,7 @@
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, Args};
+use cim_bench::{repo_root_file, snapshot_number, Args};
 use cim_crossbar::{solve_batch, BiasScheme, Crossbar, Geometry, ResistiveCell};
 use cim_device::DeviceParams;
 
@@ -85,17 +85,6 @@ fn array() -> Crossbar<ResistiveCell> {
     a
 }
 
-/// Extracts the numeric value of `field` from the hand-written snapshot.
-fn numeric_field(body: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let rest = &body[body.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn check(path: &std::path::Path) -> Result<(), String> {
     let body = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -110,7 +99,7 @@ fn check(path: &std::path::Path) -> Result<(), String> {
             return Err(format!("snapshot is missing required field '{field}'"));
         }
     }
-    let batch = numeric_field(&body, "batch_solves_speedup")
+    let batch = snapshot_number(&body, "batch_solves_speedup")
         .ok_or("batch_solves_speedup is not numeric")?;
     if batch <= 2.0 {
         return Err(format!(

@@ -51,6 +51,19 @@ pub fn repo_root_file(name: &str) -> PathBuf {
     }
 }
 
+/// The numeric value of `field` in a hand-written `BENCH_*.json`
+/// snapshot (`"field": <number>`), or `None` when the field is absent
+/// or its value does not parse as a number. The `--check` mode of every
+/// snapshot binary validates its fields through this one reader.
+pub fn snapshot_number(body: &str, field: &str) -> Option<f64> {
+    let key = format!("\"{field}\":");
+    let rest = body[body.find(&key)? + key.len()..].trim_start();
+    let end = rest
+        .find(|c: char| matches!(c, ',' | '}') || c.is_whitespace())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
 /// Minimal flag scanner for the bench binaries: `has("--flag")` and
 /// `value("--key")`.
 #[derive(Debug, Clone)]
@@ -112,6 +125,15 @@ mod tests {
         assert!(!args.has("--slow"));
         assert_eq!(args.value("--n"), Some("32"));
         assert_eq!(args.value("--missing"), None);
+    }
+
+    #[test]
+    fn snapshot_numbers_parse_plain_and_exponent_values_only() {
+        let body = "{\n  \"schema\": \"x/1\",\n  \"cores\": 2,\n  \"energy_j\": 6.677e-8\n}\n";
+        assert_eq!(snapshot_number(body, "cores"), Some(2.0));
+        assert_eq!(snapshot_number(body, "energy_j"), Some(6.677e-8));
+        assert_eq!(snapshot_number(body, "schema"), None);
+        assert_eq!(snapshot_number(body, "missing"), None);
     }
 
     #[test]

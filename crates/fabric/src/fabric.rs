@@ -18,6 +18,8 @@
 //! and the fabric ledger equals the tile-order sum of per-tile ledgers
 //! bit-for-bit (`cim_units::counts` has the proof obligations).
 
+use std::sync::OnceLock;
+
 use cim_arch::{Placement, RunReport, TileCoord, TileGrid};
 use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, TcAdderModel};
 use cim_sim::{
@@ -67,6 +69,17 @@ impl FabricOutcome {
     pub fn makespan(&self) -> cim_units::Time {
         self.ledger.total_time()
     }
+}
+
+/// The fabric's two tile kernels — the equality comparator and the
+/// `ADD_BITS` ripple adder — compiled once per process and borrowed by
+/// every batch. Both are pure constants, independent of grid,
+/// placement and threading, and `run_tile` only reads them,
+/// so sharing them cannot leak state between batches (DESIGN.md §5,
+/// "Compile once").
+fn tile_kernels() -> &'static (Comparator, ImplyAdder) {
+    static KERNELS: OnceLock<(Comparator, ImplyAdder)> = OnceLock::new();
+    KERNELS.get_or_init(|| (Comparator::new(), ImplyAdder::new(ADD_BITS)))
 }
 
 /// Executes query batches across a [`TileGrid`].
@@ -157,10 +170,9 @@ impl FabricExecutor {
             shards[self.grid.home_tile(query.home_key()) as usize].push(query);
         }
 
-        let comparator = Comparator::new();
-        let adder = ImplyAdder::new(ADD_BITS);
+        let (comparator, adder) = tile_kernels();
         let results = par_units(self.batch, tiles, |index| {
-            self.run_tile(index, &shards[index], &comparator, &adder)
+            self.run_tile(index, &shards[index], comparator, adder)
         });
 
         let mut tile_outcomes = Vec::with_capacity(tiles);
@@ -484,6 +496,31 @@ mod tests {
         let a = sliced.execute(&queries).expect("sliced");
         let b = scalar.execute(&queries).expect("scalar");
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shared_tile_kernels_leak_no_state_between_batches() {
+        let a = traffic(150);
+        let b = TrafficSpec::sustained(97, 7).generate();
+        for kernel in [KernelPolicy::BitSliced, KernelPolicy::Scalar] {
+            for threads in [1, 2] {
+                let build = || {
+                    let grid = TileGrid::paper_dna(2, 2);
+                    let placement = Placement::uniform(&grid, 1, WINDOW as u32);
+                    FabricExecutor::new(grid, placement, BatchPolicy::with_threads(threads), kernel)
+                        .expect("legal")
+                };
+                let fresh = build().execute(&a).expect("fresh A");
+                let fabric = build();
+                for executor in [fabric.clone(), fabric] {
+                    let first = executor.execute(&a).expect("A");
+                    executor.execute(&b).expect("B");
+                    let again = executor.execute(&a).expect("A again");
+                    assert_eq!(first, fresh, "{kernel:?}@{threads}: first A");
+                    assert_eq!(again, fresh, "{kernel:?}@{threads}: A after B");
+                }
+            }
+        }
     }
 
     #[test]

@@ -603,10 +603,13 @@ impl ServeFrontEnd {
 
     /// Rejects degenerate configurations before any query is served:
     /// a zero queue depth or tenant quota admits nothing, a zero batch
-    /// size dispatches nothing, and an empty tile set has nowhere to
-    /// execute — all would hang or divide by zero downstream, so they
-    /// surface as typed [`SimError::InvalidConfig`] errors instead.
-    fn validate(&self) -> Result<(), SimError> {
+    /// size dispatches nothing, an empty tile set has nowhere to
+    /// execute, and a mean gap whose worst-case arrival clock
+    /// (`queries × (2·mean_gap_ps − 1)` ps) does not fit in a `u64`
+    /// would overflow — all would hang, divide by zero or wrap
+    /// downstream, so they surface as typed [`SimError::InvalidConfig`]
+    /// errors instead.
+    fn validate(&self, traffic: &TrafficSpec) -> Result<(), SimError> {
         let invalid = |detail: &str| SimError::InvalidConfig {
             machine: FabricExecutor::MACHINE,
             detail: detail.to_string(),
@@ -623,6 +626,12 @@ impl ServeFrontEnd {
         if self.fabric.grid.tiles() == 0 {
             return Err(invalid(
                 "tile set is empty; the fabric has nowhere to execute",
+            ));
+        }
+        let max_gap = 2 * u128::from(self.config.mean_gap_ps.max(1)) - 1;
+        if u128::from(traffic.queries) * max_gap > u128::from(u64::MAX) {
+            return Err(invalid(
+                "mean_gap_ps is too large; the arrival clock would overflow u64 picoseconds",
             ));
         }
         Ok(())
@@ -693,7 +702,11 @@ impl ServeFrontEnd {
         let service = cim_service
             .max(HostQueryExecutor.service_ps(&host_batch))
             .max(1);
-        let completion = start + service;
+        let completion = start.checked_add(service).ok_or(SimError::InvalidConfig {
+            machine: FabricExecutor::MACHINE,
+            detail: "mean_gap_ps is too large; the completion clock overflowed u64 picoseconds"
+                .to_string(),
+        })?;
         for (query, arrived, to_cim) in &batch {
             state.histogram.record(completion - arrived);
             let account = &mut state.accounts[query.tenant.0 as usize];
@@ -735,7 +748,7 @@ impl ServeFrontEnd {
     /// producing the full serving report. Deterministic: bit-identical
     /// for any executed tile count and host thread count.
     pub fn serve(&self, traffic: &TrafficSpec) -> Result<ServeReport, SimError> {
-        self.validate()?;
+        self.validate(traffic)?;
         let routes = RouteTable::build(&self.policy, &self.fabric);
         let queries = traffic.generate();
         let tenants = traffic.tenants.max(1) as usize;
@@ -778,9 +791,12 @@ impl ServeFrontEnd {
             mispredictions: 0,
         };
         let (mut free_at, mut clock) = (0u64, 0u64);
+        // `2·gap − 1`, ordered so a validated gap of 2^63 cannot
+        // overflow the intermediate product.
+        let gap_span = (self.config.mean_gap_ps.max(1) - 1) * 2 + 1;
 
         for query in &queries {
-            clock += 1 + gap_rng.gen::<u64>() % (2 * self.config.mean_gap_ps.max(1) - 1);
+            clock += 1 + gap_rng.gen::<u64>() % gap_span;
             // Drain whatever the machines can finish before this arrival.
             while !state.queue.is_empty() && free_at <= clock {
                 let start = free_at.max(state.queue.front().expect("non-empty").1);
@@ -861,6 +877,7 @@ impl ServeFrontEnd {
 mod tests {
     use super::*;
     use cim_sim::BatchPolicy;
+    use proptest::prelude::*;
 
     fn front_end(rows: u32, cols: u32, threads: usize) -> ServeFrontEnd {
         ServeFrontEnd {
@@ -976,6 +993,70 @@ mod tests {
             );
             assert!(rendered.contains(needle), "{rendered}");
             assert!(rendered.contains("cim-fabric"), "{rendered}");
+        }
+    }
+
+    fn serve_with_gap(mean_gap_ps: u64, queries: u64) -> Result<ServeReport, SimError> {
+        let mut fe = front_end(1, 1, 1);
+        fe.config.mean_gap_ps = mean_gap_ps;
+        fe.serve(&TrafficSpec::sustained(queries, 1))
+    }
+
+    #[test]
+    fn maximal_mean_gap_is_rejected_instead_of_overflowing_the_gap_span() {
+        let err = serve_with_gap(u64::MAX, 10).expect_err("must reject");
+        assert!(
+            matches!(err, SimError::InvalidConfig { .. }),
+            "wrong variant: {err}"
+        );
+        assert!(err.to_string().contains("mean_gap_ps"), "{err}");
+    }
+
+    #[test]
+    fn large_mean_gap_is_rejected_instead_of_overflowing_the_arrival_clock() {
+        let err = serve_with_gap(1 << 61, 100).expect_err("must reject");
+        assert!(
+            matches!(err, SimError::InvalidConfig { .. }),
+            "wrong variant: {err}"
+        );
+        assert!(err.to_string().contains("mean_gap_ps"), "{err}");
+        // The largest gap whose worst-case clock fits still serves: one
+        // query may draw any arrival in `[1, 2^64 − 1]` ps.
+        let report = serve_with_gap(1 << 63, 1).expect("fits in u64");
+        assert_eq!(report.completed, 1);
+        assert!(report.conserves());
+    }
+
+    /// A `ServeConfig` size knob: both degenerate ends, small values
+    /// where admission and batching bind, and anything in between.
+    fn config_size() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), Just(usize::MAX), 0usize..64, any::<usize>()]
+    }
+
+    proptest! {
+        #[test]
+        fn any_serve_config_serves_conservatively_or_is_rejected(
+            queue_depth in config_size(),
+            tenant_quota in config_size(),
+            max_batch in config_size(),
+            mean_gap_ps in prop_oneof![any::<u64>(), 0u64..10_000, (u64::MAX >> 8)..=u64::MAX],
+            queries in 0u64..48,
+            seed in any::<u64>(),
+        ) {
+            let mut fe = front_end(1, 2, 1);
+            fe.config = ServeConfig { queue_depth, tenant_quota, max_batch, mean_gap_ps };
+            fe.policy = DispatchPolicy::hybrid(DispatchObjective::Energy);
+            match fe.serve(&TrafficSpec::sustained(queries, seed)) {
+                Ok(report) => {
+                    prop_assert!(report.conserves(), "conservation failed");
+                    prop_assert_eq!(report.completed, report.admitted);
+                    prop_assert_eq!(report.submitted, queries);
+                }
+                Err(err) => prop_assert!(
+                    matches!(err, SimError::InvalidConfig { .. }),
+                    "unexpected error: {}", err
+                ),
+            }
         }
     }
 
