@@ -10,23 +10,24 @@
 //! ```
 //!
 //! `--check` validates the checked-in snapshot against the
-//! `cim-bench-solver/3` schema without re-measuring **and gates the
+//! `cim-bench-solver/4` schema without re-measuring **and gates the
 //! parallelism headline** (`batch_solves_speedup > 2.0`); `--quick`
 //! trims the sample count for smoke runs.
 //!
 //! ## What the parallelism numbers mean
 //!
-//! * `distributed_serial_ns` / `distributed_threads4_ns` — raw wall
-//!   clock of one warm flip-solve on the persistent crew at 1 and 4
-//!   workers. Whether 4 workers win depends on free cores, so read them
-//!   against `host_cores`; no gate applies.
+//! * `distributed_serial_ns` / `distributed_pooled_ns` — raw wall
+//!   clock of one warm flip-solve on the persistent crew at 1 worker and
+//!   at `pool_workers = min(4, host_cores)`, so the pooled number never
+//!   measures oversubscription; no gate applies.
+//! * `batch_serial_ns` / `batch_pooled_ns` — wall clock of the batch of
+//!   independent solves at 1 and `pool_workers` workers.
 //! * `batch_solves_speedup` — concurrency exposed by
-//!   `cim_crossbar::solve_batch` over a batch of independent per-array
-//!   solves: measured total busy time divided by the measured critical
-//!   path (the largest per-worker share under the batch driver's
-//!   round-robin banding at 4 workers). This is the speedup the batch
-//!   realises when every worker holds a core; `batch_threads4_ns`
-//!   records what this host's wall clock actually did.
+//!   `cim_crossbar::solve_batch` over that batch: measured total busy
+//!   time divided by the measured critical path (the largest per-worker
+//!   share under the batch driver's round-robin banding at 4 workers,
+//!   whatever the host). This is the speedup the batch realises when
+//!   every worker holds a core, so it is comparable across hosts.
 
 use std::time::Instant;
 
@@ -34,29 +35,34 @@ use cim_bench::{repo_root_file, snapshot_number, Args};
 use cim_crossbar::{solve_batch, BiasScheme, Crossbar, Geometry, ResistiveCell};
 use cim_device::DeviceParams;
 
-const SCHEMA: &str = "cim-bench-solver/3";
+const SCHEMA: &str = "cim-bench-solver/4";
 const N: usize = 64;
+
+/// Workers whose banding defines the exposed-concurrency critical path,
+/// and the cap on the wall-clock pool size.
+const BANDED_WORKERS: usize = 4;
 
 /// Arrays in the batch-of-solves measurement (two rounds per worker at
 /// four workers).
 const BATCH_ARRAYS: usize = 8;
 
 /// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 18] = [
+const REQUIRED_FIELDS: [&str; 19] = [
     "schema",
     "array",
     "samples",
     "host_cores",
+    "pool_workers",
     "cold_solve_ns",
     "warm_same_ns",
     "warm_after_flip_ns",
     "warm_same_speedup",
     "warm_after_flip_speedup",
     "distributed_serial_ns",
-    "distributed_threads4_ns",
+    "distributed_pooled_ns",
     "batch_arrays",
     "batch_serial_ns",
-    "batch_threads4_ns",
+    "batch_pooled_ns",
     "batch_total_busy_ns",
     "batch_critical_path_ns",
     "batch_solves_speedup",
@@ -104,7 +110,8 @@ fn check(path: &std::path::Path) -> Result<(), String> {
     if batch <= 2.0 {
         return Err(format!(
             "batch_solves_speedup {batch} is at or below the 2.0 gate: the batch driver \
-             must expose more than 2x concurrency over {BATCH_ARRAYS} solves at 4 workers"
+             must expose more than 2x concurrency over {BATCH_ARRAYS} solves at \
+             {BANDED_WORKERS} workers"
         ));
     }
     Ok(())
@@ -130,6 +137,7 @@ fn main() {
 
     let samples = if args.has("--quick") { 20 } else { 200 };
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let pool_workers = BANDED_WORKERS.min(host_cores);
     let p = DeviceParams::table1_cim();
     let v = p.v_set * 0.5;
 
@@ -156,8 +164,8 @@ fn main() {
         std::hint::black_box(flip_arr.solve_access(0, N - 1, v, BiasScheme::HalfV));
     });
 
-    // Distributed line relaxation on the persistent crew, serial and at
-    // 4 workers, on the identical solve.
+    // Distributed line relaxation on the persistent crew, serial and
+    // pooled, on the identical solve.
     let dist_samples = samples.div_ceil(10).max(5);
     let dist = |threads: usize| {
         let mut a = array()
@@ -172,12 +180,12 @@ fn main() {
         })
     };
     let dist_serial = dist(1);
-    let dist_pooled = dist(4);
+    let dist_pooled = dist(pool_workers);
 
     // Batch-of-solves: BATCH_ARRAYS independent warm flip-solves driven
     // through `solve_batch`. Busy time is measured per solve inside the
     // batch; the critical path is the largest per-worker share under the
-    // driver's round-robin banding at 4 workers.
+    // driver's round-robin banding at `BANDED_WORKERS`.
     let batch_arrays = || -> Vec<Crossbar<ResistiveCell>> {
         (0..BATCH_ARRAYS)
             .map(|k| {
@@ -201,7 +209,7 @@ fn main() {
         })
     };
     let batch_serial = batch_wall(1);
-    let batch_par = batch_wall(4);
+    let batch_pooled = batch_wall(pool_workers);
     // Per-solve busy times, measured one solve at a time (no contention).
     let busy_ns: Vec<f64> = {
         let mut arrays = batch_arrays();
@@ -220,8 +228,8 @@ fn main() {
             .collect()
     };
     let batch_busy: f64 = busy_ns.iter().sum();
-    let batch_critical = (0..4)
-        .map(|w| busy_ns.iter().skip(w).step_by(4).sum::<f64>())
+    let batch_critical = (0..BANDED_WORKERS)
+        .map(|w| busy_ns.iter().skip(w).step_by(BANDED_WORKERS).sum::<f64>())
         .fold(0.0f64, f64::max);
     let batch_speedup = batch_busy / batch_critical.max(1.0);
 
@@ -234,14 +242,17 @@ fn main() {
     let warm_same_speedup = cold / warm_same;
     let warm_flip_speedup = cold / warm_flip;
 
-    println!("== solver snapshot ({N}x{N}, {samples} samples, median ns, {host_cores} cores) ==");
+    println!(
+        "== solver snapshot ({N}x{N}, {samples} samples, median ns, {host_cores} cores, \
+         pooled at {pool_workers}) =="
+    );
     println!("cold (seed path)        {cold:>12.0}");
     println!("warm, same access       {warm_same:>12.0}   ({warm_same_speedup:.1}x)");
     println!("warm, after cell flip   {warm_flip:>12.0}   ({warm_flip_speedup:.1}x)");
     println!("distributed serial      {dist_serial:>12.0}");
-    println!("distributed pooled x4   {dist_pooled:>12.0}");
+    println!("distributed pooled      {dist_pooled:>12.0}");
     println!("batch x{BATCH_ARRAYS} serial        {batch_serial:>12.0}");
-    println!("batch x{BATCH_ARRAYS} pooled x4     {batch_par:>12.0}");
+    println!("batch x{BATCH_ARRAYS} pooled        {batch_pooled:>12.0}");
     println!("batch busy / critical   {batch_busy:>12.0} / {batch_critical:.0}   ({batch_speedup:.1}x exposed)");
     println!("full read               {read_ns:>12.0}");
 
@@ -249,15 +260,15 @@ fn main() {
     // hand; `--check` validates exactly this shape.
     let json = format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"array\": {N},\n  \"samples\": {samples},\n  \
-         \"host_cores\": {host_cores},\n  \
+         \"host_cores\": {host_cores},\n  \"pool_workers\": {pool_workers},\n  \
          \"cold_solve_ns\": {cold:.0},\n  \"warm_same_ns\": {warm_same:.0},\n  \
          \"warm_after_flip_ns\": {warm_flip:.0},\n  \"warm_same_speedup\": {warm_same_speedup:.2},\n  \
          \"warm_after_flip_speedup\": {warm_flip_speedup:.2},\n  \
          \"distributed_serial_ns\": {dist_serial:.0},\n  \
-         \"distributed_threads4_ns\": {dist_pooled:.0},\n  \
+         \"distributed_pooled_ns\": {dist_pooled:.0},\n  \
          \"batch_arrays\": {BATCH_ARRAYS},\n  \
          \"batch_serial_ns\": {batch_serial:.0},\n  \
-         \"batch_threads4_ns\": {batch_par:.0},\n  \
+         \"batch_pooled_ns\": {batch_pooled:.0},\n  \
          \"batch_total_busy_ns\": {batch_busy:.0},\n  \
          \"batch_critical_path_ns\": {batch_critical:.0},\n  \
          \"batch_solves_speedup\": {batch_speedup:.2},\n  \"read_ns\": {read_ns:.0}\n}}\n"

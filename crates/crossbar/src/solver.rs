@@ -46,7 +46,7 @@
 
 use std::sync::Mutex;
 
-use cim_pool::{band, run_crew, SharedF64};
+use cim_pool::{band, resolve_workers, run_crew, SharedF64};
 use cim_units::{Current, Power, Voltage};
 use serde::{Deserialize, Serialize};
 
@@ -111,19 +111,6 @@ impl Default for SolverConfig {
             conductance_blend: 0.1,
             threads: 1,
         }
-    }
-}
-
-impl SolverConfig {
-    /// Worker count for a half-sweep over `lines` independent lines:
-    /// resolves `0` to the OS parallelism, never exceeds the line count.
-    fn workers(&self, lines: usize) -> usize {
-        let requested = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-        } else {
-            self.threads
-        };
-        requested.clamp(1, lines.max(1))
     }
 }
 
@@ -350,7 +337,7 @@ impl LumpedSolver {
         };
 
         let warm = ws.begin(SolverKind::Lumped, rows, cols);
-        let workers = self.config.workers(rows.max(cols));
+        let workers = resolve_workers(self.config.threads, rows.max(cols));
         let out = ws.take_voltage_buffer(rows * cols);
         let SolverWorkspace { w, b, g, g_t, .. } = ws;
         let (w, b, g, g_t) = (&*w, &*b, &*g, &*g_t);
@@ -573,7 +560,7 @@ impl DistributedSolver {
         };
 
         let warm = ws.begin(SolverKind::Distributed, rows, cols);
-        let workers = self.config.workers(rows.max(cols));
+        let workers = resolve_workers(self.config.threads, rows.max(cols));
         ws.grow_lanes(workers, rows.max(cols));
         let out = ws.take_voltage_buffer(rows * cols);
         let SolverWorkspace {
@@ -733,20 +720,44 @@ impl DistributedSolver {
 /// Conductance floor that keeps log-space damping well defined.
 const G_FLOOR: f64 = 1e-18;
 
+/// Slots in [`refresh_band`]'s per-call memo of damped secants (a power
+/// of two: the slot is the top bits of a multiplicative hash).
+const SECANT_MEMO_SLOTS: usize = 16;
+
+/// Damped secant refresh: moves the stored conductance `old` a fraction
+/// `blend` of the way to `secant` in log space. `blend = 0.5` is the
+/// geometric mean, natural for power-law selector I-V curves.
+fn damped_secant(old: f64, secant: f64, blend: f64) -> f64 {
+    (old.ln() * (1.0 - blend) + secant.ln() * blend).exp()
+}
+
+/// Direct-mapped memo slot of an `(old, secant)` bit pair.
+fn secant_memo_slot(old_bits: u64, secant_bits: u64) -> usize {
+    let mixed = (old_bits ^ secant_bits.rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (mixed >> (64 - SECANT_MEMO_SLOTS.trailing_zeros())) as usize
+}
+
 /// Refreshes one crew member's band of rows of the damped secant
 /// conductances in `g` and its transpose `g_t`; `blend = 1.0`
-/// overwrites, `blend = 0.5` takes the geometric mean of old and new
-/// (log-space damping, natural for power-law selector I-V curves).
-/// Returns the band's largest relative conductance change.
+/// overwrites, anything smaller applies [`damped_secant`]. Returns the
+/// band's largest relative conductance change.
 ///
-/// Cells whose secant already equals the stored value are skipped: the
-/// damping round-trip `exp(ln(g))` is not the bit-exact identity, so
-/// without the short-circuit every *linear* (constant-conductance) cell
-/// would wobble by an ulp and pay two transcendentals per sweep for
-/// nothing — the serial O(n²) relinearisation that used to dominate the
-/// distributed solve and made threads a net loss. The extra `g_t`
-/// comparison keeps the transpose consistent even if a workspace is
-/// reused across grids whose shape reinterprets the index mapping.
+/// Two shortcuts keep the transcendentals off the hot path, and neither
+/// can change a bit. Cells whose secant already equals the stored value
+/// are skipped outright; the extra `g_t` comparison keeps the transpose
+/// consistent even if a workspace is reused across grids whose shape
+/// reinterprets the index mapping. That alone is not enough: the secant
+/// `|i(v)/v|` of a *linear* cell wobbles by an ulp with `v`, and on the
+/// 64×64 1T1R array of the `crossbar_rw` benchmark about 60% of all cell
+/// refreshes miss the short-circuit. They collapse onto a handful of
+/// distinct `(old, secant)` bit pairs per call (about five on that
+/// array), so the damped value comes from a small direct-mapped table
+/// keyed by those bits and `ln`/`exp` run only on a miss; there 99.8% of
+/// the lookups hit. The
+/// table is a local of each call and [`damped_secant`] is a pure
+/// function of `(old, secant, blend)` with `blend` fixed per call, so a
+/// hit returns exactly the bits a recomputation would, nothing is shared
+/// between crew members, and thread counts stay bit-invisible.
 #[allow(clippy::too_many_arguments)]
 fn refresh_band<C: Cell>(
     cells: &[C],
@@ -759,6 +770,9 @@ fn refresh_band<C: Cell>(
     dv: impl Fn(usize, usize) -> f64,
     blend: f64,
 ) -> f64 {
+    // `(old bits, secant bits, damped)`. The empty key's old bits are a
+    // NaN pattern, which `max(G_FLOOR)` never produces.
+    let mut memo = [(u64::MAX, 0u64, 0.0f64); SECANT_MEMO_SLOTS];
     let mut max_rel = 0.0f64;
     for i in rows_band {
         for j in 0..cols {
@@ -777,7 +791,12 @@ fn refresh_band<C: Cell>(
                 // the identity at blend = 1.0, so skip it.
                 secant
             } else {
-                (old.ln() * (1.0 - blend) + secant.ln() * blend).exp()
+                let (old_bits, secant_bits) = (old.to_bits(), secant.to_bits());
+                let slot = &mut memo[secant_memo_slot(old_bits, secant_bits)];
+                if slot.0 != old_bits || slot.1 != secant_bits {
+                    *slot = (old_bits, secant_bits, damped_secant(old, secant, blend));
+                }
+                slot.2
             };
             max_rel = max_rel.max((next / old - 1.0).abs());
             g.set(idx, next);
@@ -940,6 +959,7 @@ mod tests {
     use crate::cell::ResistiveCell;
     use cim_device::DeviceParams;
     use cim_units::{Area, Resistance};
+    use proptest::prelude::*;
 
     fn grid(rows: usize, cols: usize, bits: impl Fn(usize, usize) -> bool) -> Vec<ResistiveCell> {
         let p = DeviceParams::table1_cim();
@@ -1136,6 +1156,137 @@ mod tests {
         ws.invalidate();
         let recold = solver.solve_in(&mut ws, &cells, n, n, (2, 3), bias, &geometry());
         assert_eq!(recold.iterations, cold.iterations);
+    }
+
+    /// A linear cell of any conductance, zero included; a closed gate
+    /// scales it down a thousandfold.
+    #[derive(Debug, Clone)]
+    struct FixedCell {
+        siemens: f64,
+        params: DeviceParams,
+    }
+
+    impl Cell for FixedCell {
+        fn junction(&self) -> crate::JunctionKind {
+            crate::JunctionKind::OneT1R
+        }
+
+        fn current(&self, v: Voltage, gate_on: bool) -> Current {
+            let g = if gate_on {
+                self.siemens
+            } else {
+                self.siemens * 1e-3
+            };
+            Current::new(v.get() * g)
+        }
+
+        fn stress(&mut self, _v: Voltage, _dt: cim_units::Time, _gate_on: bool) {}
+
+        fn stored(&self) -> bool {
+            self.siemens > 0.0
+        }
+
+        fn program(&mut self, _bit: bool) {}
+
+        fn params(&self) -> &DeviceParams {
+            &self.params
+        }
+    }
+
+    /// Conductances of one grid: zero (floored to `G_FLOOR`), the two
+    /// table-1 states, or anything log-uniform between.
+    fn any_conductance() -> impl Strategy<Value = f64> {
+        let p = DeviceParams::table1_cim();
+        prop_oneof![
+            Just(0.0),
+            Just(1.0 / p.r_on.get()),
+            Just(1.0 / p.r_off.get()),
+            (-20.0f64..-2.0).prop_map(|decade| 10f64.powf(decade)),
+        ]
+    }
+
+    /// Line potentials: exact zero (the probe path), a half rail, or any.
+    fn any_potential() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.0), Just(0.5), -1.0f64..1.0]
+    }
+
+    proptest! {
+        /// The memoised refresh writes exactly the bits, and returns
+        /// exactly the `max_rel`, of applying `damped_secant` cell by cell.
+        #[test]
+        fn memoised_refresh_matches_damped_secant_per_cell(
+            rows in 1usize..10,
+            cols in 1usize..10,
+            conductances in prop::collection::vec(any_conductance(), 81),
+            stored_kinds in prop::collection::vec(0usize..5, 81),
+            stored_free in prop::collection::vec(any_conductance(), 81),
+            w in prop::collection::vec(any_potential(), 9),
+            b in prop::collection::vec(any_potential(), 9),
+            gate_row in 0usize..10,
+            blend in prop_oneof![Just(1.0), Just(0.5), Just(0.1)],
+        ) {
+            let p = DeviceParams::table1_cim();
+            let n = rows * cols;
+            let cells: Vec<FixedCell> = conductances[..n]
+                .iter()
+                .map(|&siemens| FixedCell { siemens, params: p.clone() })
+                .collect();
+            let gate_on = |i: usize| i == gate_row;
+            let dv = |i: usize, j: usize| w[i] - b[j];
+            let secant = |idx: usize| {
+                let (i, j) = (idx / cols, idx % cols);
+                cells[idx]
+                    .conductance_at(Voltage::new(dv(i, j)), gate_on(i))
+                    .max(G_FLOOR)
+            };
+            // Stored values: the secant itself (skipped), the secant with
+            // a stale transpose (an `old == secant` pair), zero and
+            // `G_FLOOR` (both damp from the floor), or unrelated.
+            let mut g0 = vec![0.0; n];
+            let mut g0_t = vec![0.0; n];
+            for idx in 0..n {
+                let value = match stored_kinds[idx] {
+                    0 | 1 => secant(idx),
+                    2 => 0.0,
+                    3 => G_FLOOR,
+                    _ => stored_free[idx],
+                };
+                g0[idx] = value;
+                let t_idx = (idx % cols) * rows + idx / cols;
+                g0_t[t_idx] = if stored_kinds[idx] == 1 { 0.0 } else { value };
+            }
+
+            let (g, g_t) = (SharedF64::new(n), SharedF64::new(n));
+            g.store_range(0, &g0);
+            g_t.store_range(0, &g0_t);
+            let max_rel = refresh_band(&cells, rows, cols, 0..rows, &g, &g_t, gate_on, dv, blend);
+
+            let (mut expect, mut expect_t) = (g0.clone(), g0_t.clone());
+            let mut expect_rel = 0.0f64;
+            for idx in 0..n {
+                let t_idx = (idx % cols) * rows + idx / cols;
+                let (stored, secant) = (g0[idx], secant(idx));
+                if secant == stored && g0_t[t_idx] == stored {
+                    continue;
+                }
+                let old = stored.max(G_FLOOR);
+                let next = if blend >= 1.0 {
+                    secant
+                } else {
+                    damped_secant(old, secant, blend)
+                };
+                expect_rel = expect_rel.max((next / old - 1.0).abs());
+                expect[idx] = next;
+                expect_t[t_idx] = next;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let (mut got, mut got_t) = (vec![0.0; n], vec![0.0; n]);
+            g.store_to(&mut got);
+            g_t.store_to(&mut got_t);
+            prop_assert_eq!(bits(&got), bits(&expect), "g");
+            prop_assert_eq!(bits(&got_t), bits(&expect_t), "g_t");
+            prop_assert_eq!(max_rel.to_bits(), expect_rel.to_bits(), "max_rel");
+        }
     }
 
     #[test]

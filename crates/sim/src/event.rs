@@ -1,104 +1,14 @@
-//! A minimal discrete-event core.
+//! List scheduling of data-dependent task durations over parallel
+//! workers.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use cim_units::Time;
 
-/// A time-ordered event queue with deterministic FIFO tie-breaking.
-///
-/// Times are kept in integer femtoseconds internally so the ordering is
-/// total (no NaN corner cases) and insertion order breaks ties.
-#[derive(Debug, Clone)]
-pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(u64, u64, EventSlot<E>)>>,
-    seq: u64,
-    now: Time,
-}
-
-/// Wrapper that exempts the payload from the ordering.
-#[derive(Debug, Clone)]
-struct EventSlot<E>(E);
-
-impl<E> PartialEq for EventSlot<E> {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-impl<E> Eq for EventSlot<E> {}
-impl<E> PartialOrd for EventSlot<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for EventSlot<E> {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
-    }
-}
-
+/// Femtoseconds per second: durations are summed as integers so the
+/// worker ordering is total (no NaN corner cases).
 const FEMTO: f64 = 1e15;
-
-impl<E> EventQueue<E> {
-    /// An empty queue at time zero.
-    pub fn new() -> Self {
-        Self {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            now: Time::ZERO,
-        }
-    }
-
-    /// Current simulation time (the timestamp of the last popped event).
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` precedes the current time (causality violation).
-    pub fn schedule(&mut self, at: Time, event: E) {
-        assert!(
-            at.get() >= self.now.get(),
-            "cannot schedule into the past ({at} < {})",
-            self.now
-        );
-        let key = (at.get() * FEMTO).round() as u64;
-        self.heap.push(Reverse((key, self.seq, EventSlot(event))));
-        self.seq += 1;
-    }
-
-    /// Schedules `event` after a delay from now.
-    pub fn schedule_after(&mut self, delay: Time, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
-    /// Pops the next event, advancing the clock.
-    pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|Reverse((key, _, EventSlot(e)))| {
-            self.now = Time::new(key as f64 / FEMTO);
-            (self.now, e)
-        })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Completion time of a list of data-dependent task durations executed
 /// greedily by `workers` parallel workers (list scheduling: each task
@@ -124,41 +34,6 @@ pub fn makespan(durations: impl IntoIterator<Item = Time>, workers: usize) -> Ti
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_pop_in_time_order_with_fifo_ties() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_nano_seconds(5.0), "late");
-        q.schedule(Time::from_nano_seconds(1.0), "early-a");
-        q.schedule(Time::from_nano_seconds(1.0), "early-b");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().expect("event").1, "early-a");
-        assert_eq!(q.pop().expect("event").1, "early-b");
-        let (t, e) = q.pop().expect("event");
-        assert_eq!(e, "late");
-        assert!((t.as_nano_seconds() - 5.0).abs() < 1e-9);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn clock_advances_with_pops() {
-        let mut q = EventQueue::new();
-        q.schedule_after(Time::from_nano_seconds(2.0), ());
-        let _ = q.pop();
-        assert!((q.now().as_nano_seconds() - 2.0).abs() < 1e-9);
-        q.schedule_after(Time::from_nano_seconds(3.0), ());
-        let (t, ()) = q.pop().expect("event");
-        assert!((t.as_nano_seconds() - 5.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "into the past")]
-    fn rejects_causality_violations() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_nano_seconds(5.0), ());
-        let _ = q.pop();
-        q.schedule(Time::from_nano_seconds(1.0), ());
-    }
 
     #[test]
     fn makespan_single_worker_is_the_sum() {

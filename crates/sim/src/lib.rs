@@ -9,8 +9,8 @@
 //! * [`CacheSim`] — a set-associative LRU cache driven by the workloads'
 //!   memory traces, so the 50% / 98% hit ratios Table 1 *assumes* are
 //!   *measured* here;
-//! * [`EventQueue`] / [`makespan`] — a small discrete-event core used to
-//!   schedule data-dependent task durations over parallel workers;
+//! * [`makespan`] — list scheduling of data-dependent task durations
+//!   over parallel workers;
 //! * [`ConventionalExecutor`] — runs the DNA pipeline (for real, at a
 //!   scaled size) and the additions workload on the FinFET multi-core
 //!   model, measuring per-task durations through the cache simulator;
@@ -41,5 +41,5 @@ pub use batch::{
 pub use cache::{CacheConfig, CacheSim};
 pub use cim_exec::{CimExecutor, KernelPolicy};
 pub use conventional::ConventionalExecutor;
-pub use event::{makespan, EventQueue};
+pub use event::makespan;
 pub use hierarchy::{HierarchyAccess, MemoryHierarchy, MemoryLevel};
