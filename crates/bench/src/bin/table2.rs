@@ -15,7 +15,8 @@
 //! `--breakdown` additionally renders the per-component cost-ledger
 //! tables (where every joule and picosecond of each Table-2 cell landed)
 //! and writes `results/table2_breakdown.csv`. `--smoke` shrinks both
-//! workloads for CI-speed runs.
+//! workloads for CI-speed runs and writes its CSVs under
+//! `results/smoke/` instead, leaving the full-scale ones untouched.
 
 use cim_arch::{
     ByteComparator, Controller, ConventionalMachine, FunctionalUnit, Interconnect, Metrics,
@@ -116,10 +117,16 @@ fn main() {
     .expect("additions experiment executes");
     let table = Table2 { dna, math };
     println!("{}", table.to_markdown());
-    write_csv("table2.csv", &table.to_csv());
+    // Smoke-scale rows go to the untracked `results/smoke/`, so a smoke
+    // run can never overwrite the checked-in full-scale CSVs.
+    let dir = if smoke { "smoke/" } else { "" };
+    write_csv(&format!("{dir}table2.csv"), &table.to_csv());
     if args.has("--breakdown") {
         println!("{}", table.breakdown_markdown());
-        write_csv("table2_breakdown.csv", &table.breakdown_csv());
+        write_csv(
+            &format!("{dir}table2_breakdown.csv"),
+            &table.breakdown_csv(),
+        );
     }
 }
 

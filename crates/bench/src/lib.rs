@@ -27,13 +27,18 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes `contents` to `results/<name>` and reports the path on stdout.
+/// Writes `contents` to `results/<name>` and reports the path on stdout;
+/// `name` may lead with a subdirectory (`smoke/table2.csv`), created if
+/// needed.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors — benches should fail loudly.
 pub fn write_csv(name: &str, contents: &str) {
     let path = results_dir().join(name);
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir).expect("create results subdirectory");
+    }
     fs::write(&path, contents).expect("write results csv");
     println!("\n[written] {}", path.display());
 }

@@ -5,22 +5,20 @@
 //! issues one `FALSE`/`IMP` step and *every crossbar row* responds in
 //! the same write time. This module mirrors that semantics inside the
 //! simulator. A [`CompiledProgram`] lowers a [`Program`] once into a
-//! flat, register-indexed op stream; a [`BitSliceEngine`] then holds
-//! each register as a `u64` whose 64 bits are 64 independent lanes
-//! (≡ 64 crossbar rows), so
+//! folded OR-netlist: symbolic execution of the step stream tracks
+//! each register as a possibly negated *literal*, so
 //!
 //! ```text
-//! Imply(p, q)  ⇒  regs[q] = !regs[p] | regs[q]
+//! Imply(p, q)  ⇒  reg[q] = or(¬reg[p], reg[q])
 //! ```
 //!
-//! executes 64 rows of the array in one Rust instruction. Wider
-//! workloads run more 64-lane passes; [`transpose64`] converts 64
-//! operand-major words to slice-major form and back. Programs with
-//! at most [`LUT_MAX_INPUTS`] inputs additionally compile to a
-//! truth-table fast path: each output's full truth table fits in one
-//! `u64` mask, and a Shannon-expansion combine evaluates all 64 lanes
-//! in at most `2ⁿ − 1` bitwise mux nodes — fewer than the op stream for
-//! small kernels like the 4-input DNA eq-comparator.
+//! costs one gate only when neither operand is a constant, equal or
+//! complementary — moves, NOTs and clears fold away. A
+//! [`BitSliceEngine`] then evaluates the surviving gates in SSA order
+//! over `u64` slices whose 64 bits are 64 independent lanes
+//! (≡ 64 crossbar rows), one Rust instruction per gate. Wider workloads
+//! run more 64-lane passes; [`transpose64`] converts 64 operand-major
+//! words to slice-major form and back.
 //!
 //! Results are bit-identical to [`Program::evaluate`] lane by lane; the
 //! equivalence suite in `tests/bitslice_equivalence.rs` cross-checks
@@ -33,47 +31,21 @@ use crate::program::{Program, ProgramError, Step};
 /// Lanes per slice: one `u64` register bit per crossbar row.
 pub const LANES: usize = 64;
 
-/// Largest input arity compiled to the truth-table fast path (a `2⁶`
-/// entry table exactly fills one `u64` mask per output).
-pub const LUT_MAX_INPUTS: usize = 6;
-
-/// One lowered micro-operation over `u64` register slices.
-///
-/// Register indices are `u32` so the op stream stays dense (8 bytes per
-/// op) — a compiled program is validated, so the narrowing is lossless
-/// for any program that fits in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SliceOp {
-    /// `regs[q] = 0` across all lanes.
-    False(u32),
-    /// `regs[q] = !regs[p] | regs[q]` across all lanes.
-    Imply(u32, u32),
-}
-
-/// How a compiled program executes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-enum Kernel {
-    /// The lowered step stream plus input-load / output-store plans.
-    Ops {
-        /// Register receiving each input slot, in input order.
-        loads: Vec<u32>,
-        /// The step stream.
-        ops: Vec<SliceOp>,
-        /// Register read for each output slot, in output order.
-        stores: Vec<u32>,
-    },
-    /// One 2ⁿ-bit truth-table mask per output (bit `t` = the output for
-    /// input word `t`, input `i` = bit `i` of `t`).
-    TruthTable(Vec<u64>),
-}
+/// The constant-0 literal (slot 0, not negated); `ZERO ^ 1` is the
+/// constant 1.
+const ZERO: u32 = 0;
 
 /// A [`Program`] lowered for bit-sliced execution.
 ///
-/// Compile once, run many: the artifact is immutable and shares freely
-/// across threads. The *modelled hardware* cost is unchanged by the
-/// lowering — [`CompiledProgram::steps`] reports the source program's
-/// step count, which is what latency/energy accounting charges, even
-/// when the truth-table kernel executes fewer host instructions.
+/// The kernel is an OR-netlist in SSA form over *literals*
+/// `slot << 1 | negated`: slot 0 is the constant 0, slots `1..=n` are
+/// the inputs and slot `n + 1 + k` is gate `k`, the OR of two earlier
+/// literals. Compile once, run many: the artifact is immutable and
+/// shares freely across threads. The *modelled hardware* cost is
+/// unchanged by the lowering — [`CompiledProgram::steps`] and
+/// [`CompiledProgram::step_targets`] report the source program, which
+/// is what latency, energy and wear accounting charge, even though the
+/// host evaluates only [`CompiledProgram::gates`] ORs.
 ///
 /// ```
 /// use cim_logic::{BitSliceEngine, CompiledProgram, ProgramBuilder};
@@ -85,78 +57,113 @@ enum Kernel {
 /// let program = b.finish(vec![out]);
 ///
 /// let compiled = CompiledProgram::compile(&program).unwrap();
+/// // NAND(p, q) = ¬p ∨ ¬q: one gate for the whole step sequence.
+/// assert_eq!(compiled.gates(), 1);
 /// let mut engine = BitSliceEngine::new();
 /// let mut outs = [0u64];
-/// // Lane k computes NAND(p_k, q_k): 64 gates in a handful of ops.
+/// // Lane k computes NAND(p_k, q_k): 64 gates in one OR.
 /// engine.run(&compiled, &[0b1100, 0b1010], &mut outs);
 /// assert_eq!(outs[0] & 0xF, 0b0111);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledProgram {
-    kernel: Kernel,
+    /// Operand literals of each live gate, in evaluation order.
+    gates: Vec<[u32; 2]>,
+    /// The literal read for each output slot, in output order.
+    outputs: Vec<u32>,
     registers: usize,
     num_inputs: usize,
-    num_outputs: usize,
-    steps: usize,
-    /// Register written by each source step, in program order — kept
-    /// even for the truth-table kernel, because the *modelled hardware*
-    /// pulses every source step regardless of how the host executes.
+    /// Register written by each source step, in program order: the
+    /// *modelled hardware* pulses every source step, however few gates
+    /// the host executes.
     targets: Vec<u32>,
+}
+
+/// `a ∨ b` over literals, folding constants, equal and complementary
+/// operands; any other pair appends a gate numbered after `first_gate`.
+fn or(gates: &mut Vec<[u32; 2]>, first_gate: usize, a: u32, b: u32) -> u32 {
+    if a == ZERO ^ 1 || b == ZERO ^ 1 || a == b ^ 1 {
+        return ZERO ^ 1;
+    }
+    if a == ZERO || a == b {
+        return b;
+    }
+    if b == ZERO {
+        return a;
+    }
+    gates.push([a, b]);
+    ((first_gate + gates.len() - 1) as u32) << 1
 }
 
 impl CompiledProgram {
     /// Lowers `program`, validating it first (see [`Program::validate`]).
     pub fn compile(program: &Program) -> Result<Self, ProgramError> {
         program.validate()?;
-        let kernel = if program.inputs.len() <= LUT_MAX_INPUTS {
-            Kernel::TruthTable(Self::tabulate(program))
-        } else {
-            Kernel::Ops {
-                loads: program.inputs.iter().map(|&r| r as u32).collect(),
-                ops: program
-                    .steps
-                    .iter()
-                    .map(|&s| match s {
-                        Step::False(q) => SliceOp::False(q as u32),
-                        Step::Imply(p, q) => SliceOp::Imply(p as u32, q as u32),
-                    })
-                    .collect(),
-                stores: program.outputs.iter().map(|&r| r as u32).collect(),
+        let first_gate = program.inputs.len() + 1;
+        // Scratch registers start at the constant 0, as the engines
+        // clear them; input `i` is slot `i + 1`.
+        let mut regs = vec![ZERO; program.registers];
+        for (i, &reg) in program.inputs.iter().enumerate() {
+            regs[reg] = ((i + 1) as u32) << 1;
+        }
+        // Sized for one gate per step and compacted in place below: with
+        // glibc's allocator a right-sized list measured 14 MB more peak
+        // RSS on the 10⁶-addition run (it moves where later large
+        // buffers land in the heap), for no speed gain.
+        let mut gates = Vec::with_capacity(program.len());
+        for &step in &program.steps {
+            match step {
+                Step::False(q) => regs[q] = ZERO,
+                Step::Imply(p, q) => regs[q] = or(&mut gates, first_gate, regs[p] ^ 1, regs[q]),
             }
-        };
+        }
+        // Drop the gates no output reaches, then renumber the rest.
+        let mut slot: Vec<u32> = (0..first_gate as u32).collect();
+        slot.resize(first_gate + gates.len(), u32::MAX);
+        let mut live = vec![false; slot.len()];
+        for &out in &program.outputs {
+            live[(regs[out] >> 1) as usize] = true;
+        }
+        for k in (0..gates.len()).rev() {
+            if live[first_gate + k] {
+                for lit in gates[k] {
+                    live[(lit >> 1) as usize] = true;
+                }
+            }
+        }
+        let relabel = |slot: &[u32], lit: u32| slot[(lit >> 1) as usize] << 1 | (lit & 1);
+        let mut kept = 0;
+        for k in 0..gates.len() {
+            if live[first_gate + k] {
+                slot[first_gate + k] = (first_gate + kept) as u32;
+                gates[kept] = gates[k].map(|lit| relabel(&slot, lit));
+                kept += 1;
+            }
+        }
+        gates.truncate(kept);
+        let outputs = program
+            .outputs
+            .iter()
+            .map(|&r| relabel(&slot, regs[r]))
+            .collect();
         Ok(Self {
-            kernel,
+            gates,
+            outputs,
             registers: program.registers,
             num_inputs: program.inputs.len(),
-            num_outputs: program.outputs.len(),
-            steps: program.len(),
             targets: program.steps.iter().map(|&s| s.target() as u32).collect(),
         })
     }
 
-    /// Exhaustively evaluates the scalar semantics over all `2ⁿ` input
-    /// words to build one mask per output.
-    fn tabulate(program: &Program) -> Vec<u64> {
-        let n = program.inputs.len();
-        let mut masks = vec![0u64; program.outputs.len()];
-        let mut inputs = vec![false; n];
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        for word in 0..(1u64 << n) {
-            for (i, bit) in inputs.iter_mut().enumerate() {
-                *bit = (word >> i) & 1 == 1;
-            }
-            program.evaluate_into(&inputs, &mut scratch, &mut out);
-            for (mask, &bit) in masks.iter_mut().zip(&out) {
-                *mask |= u64::from(bit) << word;
-            }
-        }
-        masks
-    }
-
     /// Source-program step count (the hardware latency in write times).
     pub fn steps(&self) -> usize {
-        self.steps
+        self.targets.len()
+    }
+
+    /// OR gates the host evaluates per run — at most [`Self::steps`],
+    /// and usually far fewer, since moves, NOTs and clears fold away.
+    pub fn gates(&self) -> usize {
+        self.gates.len()
     }
 
     /// Source-program register (memristor) footprint per row.
@@ -171,60 +178,39 @@ impl CompiledProgram {
 
     /// Number of output slices [`BitSliceEngine::run`] produces.
     pub fn num_outputs(&self) -> usize {
-        self.num_outputs
-    }
-
-    /// True when the truth-table fast path was selected.
-    pub fn is_lut(&self) -> bool {
-        matches!(self.kernel, Kernel::TruthTable(_))
+        self.outputs.len()
     }
 
     /// The register each source step writes, in program order: the
-    /// write-pulse trace wear accounting charges. The truth-table
-    /// kernel executes fewer host instructions, but the modelled array
-    /// still issues (and ages under) every source step.
+    /// write-pulse trace wear accounting charges. The netlist executes
+    /// fewer host instructions, but the modelled array still issues
+    /// (and ages under) every source step.
     pub fn step_targets(&self) -> &[u32] {
         &self.targets
     }
 }
 
-/// Evaluates a truth-table mask over input slices by Shannon expansion:
-/// split the table on the last input, recurse, and mux the halves with
-/// `(!x & lo) | (x & hi)`. At most `2ⁿ − 1` mux nodes; equal halves
-/// collapse, so constant and input-independent cofactors cost nothing.
-fn shannon(mask: u64, inputs: &[u64]) -> u64 {
-    let Some((&x, rest)) = inputs.split_last() else {
-        return if mask & 1 == 1 { u64::MAX } else { 0 };
-    };
-    let half = 1u32 << rest.len();
-    let low = if half >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << half) - 1
-    };
-    let lo = shannon(mask & low, rest);
-    let hi = shannon(mask >> half, rest);
-    if lo == hi {
-        lo
-    } else {
-        (!x & lo) | (x & hi)
-    }
+/// The lane values of literal `lit` in slot file `slots`.
+#[inline]
+fn literal(slots: &[u64], lit: u32) -> u64 {
+    slots[(lit >> 1) as usize] ^ 0u64.wrapping_sub(u64::from(lit & 1))
 }
 
 /// Executes [`CompiledProgram`]s, [`LANES`] lanes at a time.
 ///
-/// The engine owns the register file (one `u64` slice per register) and
-/// reuses it across runs, so steady-state execution is allocation-free.
-/// Unused high lanes are harmless: every lane computes independently,
-/// and callers mask the result down to the lanes they populated.
+/// The engine owns the slot file (one `u64` slice per constant, input
+/// and gate) and reuses it across runs, so steady-state execution is
+/// allocation-free. Unused high lanes are harmless: every lane computes
+/// independently, and callers mask the result down to the lanes they
+/// populated.
 #[derive(Debug, Clone, Default)]
 pub struct BitSliceEngine {
-    regs: Vec<u64>,
+    slots: Vec<u64>,
 }
 
 impl BitSliceEngine {
-    /// Creates the 64-lane engine; the register file grows lazily on
-    /// first run.
+    /// Creates the 64-lane engine; the slot file grows lazily on first
+    /// run.
     pub fn new() -> Self {
         Self::default()
     }
@@ -245,33 +231,19 @@ impl BitSliceEngine {
         );
         assert_eq!(
             outputs.len(),
-            compiled.num_outputs,
+            compiled.outputs.len(),
             "wrong number of output slices"
         );
-        match &compiled.kernel {
-            Kernel::TruthTable(masks) => {
-                for (out, &mask) in outputs.iter_mut().zip(masks) {
-                    *out = shannon(mask, inputs);
-                }
-            }
-            Kernel::Ops { loads, ops, stores } => {
-                self.regs.clear();
-                self.regs.resize(compiled.registers, 0);
-                for (&reg, &slice) in loads.iter().zip(inputs) {
-                    self.regs[reg as usize] = slice;
-                }
-                for &op in ops {
-                    match op {
-                        SliceOp::False(q) => self.regs[q as usize] = 0,
-                        SliceOp::Imply(p, q) => {
-                            self.regs[q as usize] |= !self.regs[p as usize];
-                        }
-                    }
-                }
-                for (out, &reg) in outputs.iter_mut().zip(stores) {
-                    *out = self.regs[reg as usize];
-                }
-            }
+        let first_gate = inputs.len() + 1;
+        let slots = &mut self.slots;
+        slots.resize(first_gate + compiled.gates.len(), 0);
+        slots[0] = 0;
+        slots[1..first_gate].copy_from_slice(inputs);
+        for (k, &[a, b]) in compiled.gates.iter().enumerate() {
+            slots[first_gate + k] = literal(slots, a) | literal(slots, b);
+        }
+        for (out, &lit) in outputs.iter_mut().zip(&compiled.outputs) {
+            *out = literal(slots, lit);
         }
     }
 }
@@ -290,14 +262,12 @@ pub fn transpose64(m: &mut [u64; 64]) {
     while j != 0 {
         // Bits whose column index has bit `j` clear.
         let mask = u64::MAX / ((1u64 << j) + 1);
-        let mut k = 0;
-        while k < 64 {
-            if k & j == 0 {
+        for block in (0..64).step_by(2 * j) {
+            for k in block..block + j {
                 let t = ((m[k] >> j) ^ m[k + j]) & mask;
                 m[k] ^= t << j;
                 m[k + j] ^= t;
             }
-            k += 1;
         }
         j >>= 1;
     }
@@ -318,7 +288,8 @@ mod tests {
     fn truth_table_kernel_matches_scalar_on_all_words() {
         let cmp = Comparator::new();
         let compiled = CompiledProgram::compile(cmp.eq_program()).unwrap();
-        assert!(compiled.is_lut());
+        // The 29-step eq-comparator folds to a 7-gate netlist.
+        assert_eq!(compiled.gates(), 7);
         assert_eq!(compiled.steps(), cmp.eq_program().len());
         let mut engine = BitSliceEngine::new();
         let mut outs = [0u64];
@@ -332,7 +303,7 @@ mod tests {
 
     #[test]
     fn ops_kernel_matches_scalar_per_lane() {
-        // 7 inputs forces the op-stream kernel (> LUT_MAX_INPUTS).
+        // A 7-input chain of XOR/AND/OR gates over 64 distinct lanes.
         let mut b = ProgramBuilder::new();
         let ins: Vec<_> = (0..7).map(|_| b.input()).collect();
         let mut acc = b.xor(ins[0], ins[1]);
@@ -343,7 +314,7 @@ mod tests {
         }
         let program = b.finish(vec![acc]);
         let compiled = CompiledProgram::compile(&program).unwrap();
-        assert!(!compiled.is_lut());
+        assert!(compiled.gates() <= compiled.steps());
 
         // 64 distinct lanes: lane k carries the input word k * 2 + 1.
         let mut slices = vec![0u64; 7];
@@ -426,8 +397,29 @@ mod tests {
     }
 
     #[test]
-    fn shannon_collapses_constant_functions() {
-        assert_eq!(shannon(0, &[0xDEAD, 0xBEEF]), 0);
-        assert_eq!(shannon(0xF, &[0xDEAD, 0xBEEF]), u64::MAX);
+    fn lowering_folds_constants_and_negations() {
+        // r1 = ¬x; r2 = ¬¬x = x, then ¬x ∨ x = 1; r3 = ¬x ∨ ¬x = ¬x,
+        // cleared, then ¬¬x ∨ 0 = x; r4 is never written (constant 0).
+        let program = Program {
+            steps: vec![
+                Step::Imply(0, 1),
+                Step::Imply(1, 2),
+                Step::Imply(0, 2),
+                Step::Imply(0, 3),
+                Step::Imply(0, 3),
+                Step::False(3),
+                Step::Imply(1, 3),
+            ],
+            registers: 5,
+            inputs: vec![0],
+            outputs: vec![1, 2, 3, 4],
+        };
+        let compiled = CompiledProgram::compile(&program).unwrap();
+        assert_eq!(compiled.gates(), 0, "every step folds");
+        assert_eq!(compiled.steps(), 7);
+        let x = 0xDEAD_BEEF_0123_4567u64;
+        let mut outs = [0u64; 4];
+        BitSliceEngine::new().run(&compiled, &[x], &mut outs);
+        assert_eq!(outs, [!x, u64::MAX, x, 0]);
     }
 }

@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn sliced_comparison_matches_scalar_for_all_pairs() {
         let cmp = Comparator::new();
-        assert!(cmp.eq_compiled().is_lut());
+        assert!(cmp.eq_compiled().gates() <= cmp.eq_program().len());
         // All 16 symbol pairs in the low 16 lanes: lane = a * 4 + b.
         let (mut a0, mut a1, mut b0, mut b1) = (0u64, 0u64, 0u64, 0u64);
         for a in 0..4u64 {

@@ -21,10 +21,12 @@
 //! * [`synthesize`]: compilation of Boolean [`Expr`]essions to IMPLY
 //!   microcode;
 //! * a **bit-sliced executor**: [`CompiledProgram`] lowers a program
-//!   once (flat op stream, or a ≤6-input truth-table fast path) and
-//!   [`BitSliceEngine`] runs 64 lanes per host instruction — the
-//!   paper's row-broadcast parallelism mirrored in the simulator, bit
-//!   identical to the scalar and electrical paths;
+//!   once, by symbolic execution, to a folded OR-netlist (moves, NOTs
+//!   and clears cost nothing; the 32-bit adder's 1,564 steps become 283
+//!   gates) and [`BitSliceEngine`] runs it 64 lanes per host
+//!   instruction — the paper's row-broadcast parallelism mirrored in
+//!   the simulator, bit identical to the scalar and electrical paths,
+//!   while the modelled cost still counts every source step;
 //! * the paper's circuit blocks: the DNA [`Comparator`] ("2 XOR and a
 //!   NAND … 13 memristors … 16 steps") and ripple adders —
 //!   [`ImplyAdder`] (bit-exact, electrically executed) plus the
@@ -64,7 +66,7 @@ mod synthesis;
 mod wear;
 
 pub use adder::{CrsAdder, ImplyAdder, TcAdderModel};
-pub use bitslice::{transpose64, BitSliceEngine, CompiledProgram, SliceOp, LANES, LUT_MAX_INPUTS};
+pub use bitslice::{transpose64, BitSliceEngine, CompiledProgram, LANES};
 pub use comparator::Comparator;
 pub use cost::LogicCost;
 pub use crs_logic::{CrsImp, Level};

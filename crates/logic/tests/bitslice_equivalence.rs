@@ -4,18 +4,23 @@
 //! ([`ImplyEngine`]), lane by lane, on random programs × random 64-lane
 //! inputs.
 //!
-//! Random expressions with ≤ 6 variables synthesize to programs that
-//! compile down the truth-table fast path; the adder programs (≥ 8
-//! inputs) exercise the op-stream kernel. Both kernels must agree with
-//! the scalar semantics on every one of the 64 lanes, and the scalar
-//! semantics must in turn agree with the device-physics engine — so a
-//! defect anywhere in the lowering, the Shannon combine, or the lane
+//! Every program runs through one kernel: the folded OR-netlist that
+//! [`CompiledProgram::compile`] derives by symbolic execution. Three
+//! program families feed it — raw step streams (recycled-register
+//! `FALSE`s, outputs that fold to a constant or a negated input, `IMP`
+//! onto a cleared target), synthesized expressions over up to 9
+//! variables, and the adder — and the netlist must agree with the
+//! scalar semantics on every one of the 64 lanes, while still reporting
+//! the source program's steps and write targets to the cost model. The
+//! scalar semantics must in turn agree with the device-physics engine,
+//! so a defect anywhere in the lowering, the folding, or the lane
 //! packing cannot hide. [`ImplyAdder::add_sliced`] closes the loop on
 //! the transpose: any pass of 1–64 operand pairs, at any word width up
 //! to the 64-bit carry wrap, must equal the scalar adder pair by pair.
 
 use cim_logic::{
-    synthesize, BitSliceEngine, CompiledProgram, Expr, ImplyAdder, ImplyEngine, Program, LANES,
+    synthesize, transpose64, BitSliceEngine, Comparator, CompiledProgram, Expr, ImplyAdder,
+    ImplyEngine, Program, Step, LANES,
 };
 use proptest::prelude::*;
 
@@ -36,10 +41,63 @@ fn arb_expr(vars: usize) -> impl Strategy<Value = Expr> {
     })
 }
 
+/// Raw step streams that pass [`Program::validate`] by construction:
+/// 1–12 inputs at rotated register positions, 1–8 scratch registers,
+/// up to 64 steps (one in four a `FALSE`) whose `IMP` antecedents are
+/// already defined, and 1–4 outputs on scratch registers, which may
+/// never be written at all.
+fn arb_raw_program() -> impl Strategy<Value = Program> {
+    let step = (0u32..4, any::<u32>(), any::<u32>());
+    (
+        1usize..=12,
+        1usize..=8,
+        any::<usize>(),
+        prop::collection::vec(step, 0..=64),
+        prop::collection::vec(any::<u32>(), 1..=4),
+    )
+        .prop_map(|(n, scratch, rot, draws, outs)| {
+            let registers = n + scratch;
+            let reg = |k: usize| (k + rot % registers) % registers;
+            let scratch_reg = |draw: u32| reg(n + draw as usize % scratch);
+            let mut defined: Vec<usize> = (0..n).map(reg).collect();
+            let mut steps = Vec::new();
+            for (kind, p, q) in draws {
+                let (p, q) = (defined[p as usize % defined.len()], scratch_reg(q));
+                steps.push(if kind == 0 || p == q {
+                    Step::False(q)
+                } else {
+                    Step::Imply(p, q)
+                });
+                if !defined.contains(&q) {
+                    defined.push(q);
+                }
+            }
+            Program {
+                steps,
+                registers,
+                inputs: (0..n).map(reg).collect(),
+                outputs: outs.into_iter().map(scratch_reg).collect(),
+            }
+        })
+}
+
 /// Runs the scalar reference on lane `lane` of `slices`.
 fn scalar_lane(program: &Program, slices: &[u64], lane: usize) -> Vec<bool> {
     let bits: Vec<bool> = slices.iter().map(|&s| (s >> lane) & 1 == 1).collect();
     program.evaluate(&bits)
+}
+
+/// Asserts that `compiled` still reports `program`'s modelled cost:
+/// its step count and write targets, with no more gates than steps.
+fn check_source_cost(
+    program: &Program,
+    compiled: &CompiledProgram,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    prop_assert_eq!(compiled.steps(), program.len());
+    let targets: Vec<u32> = program.steps.iter().map(|s| s.target() as u32).collect();
+    prop_assert_eq!(compiled.step_targets(), &targets[..]);
+    prop_assert!(compiled.gates() <= compiled.steps());
+    Ok(())
 }
 
 /// Asserts sliced == scalar on every lane, returning the sliced output.
@@ -59,15 +117,45 @@ fn check_sliced_vs_scalar(
     Ok(outs)
 }
 
+#[test]
+fn lowering_reports_the_source_programs_cost() {
+    let cmp = Comparator::new();
+    let (adder8, adder32) = (ImplyAdder::new(8), ImplyAdder::new(32));
+    let shipped = [
+        cmp.eq_program(),
+        cmp.nand_program(),
+        adder8.program(),
+        adder32.program(),
+    ];
+    for program in shipped {
+        let compiled = CompiledProgram::compile(program).expect("valid program");
+        check_source_cost(program, &compiled).unwrap();
+    }
+    // The 1,564-step 32-bit ripple adder folds to 283 ORs.
+    assert_eq!(adder32.program().len(), 1564);
+    assert_eq!(adder32.compiled().gates(), 283);
+}
+
 proptest! {
     #[test]
-    fn lut_kernel_matches_scalar_on_random_programs(
-        expr in arb_expr(5),
-        raw in prop::collection::vec(any::<u64>(), 5),
+    fn kernel_matches_scalar_on_raw_step_streams(
+        program in arb_raw_program(),
+        raw in prop::collection::vec(any::<u64>(), 12),
+    ) {
+        prop_assert_eq!(program.validate(), Ok(()));
+        let compiled = CompiledProgram::compile(&program).expect("valid program");
+        check_source_cost(&program, &compiled)?;
+        check_sliced_vs_scalar(&program, &compiled, &raw[..program.inputs.len()])?;
+    }
+
+    #[test]
+    fn kernel_matches_scalar_on_synthesized_programs(
+        expr in arb_expr(9),
+        raw in prop::collection::vec(any::<u64>(), 9),
     ) {
         let program = synthesize(&expr);
         let compiled = CompiledProgram::compile(&program).expect("valid program");
-        prop_assert!(compiled.is_lut(), "≤ 6 inputs must take the LUT path");
+        check_source_cost(&program, &compiled)?;
         let slices = &raw[..program.inputs.len()];
         check_sliced_vs_scalar(&program, &compiled, slices)?;
     }
@@ -78,16 +166,25 @@ proptest! {
         b in any::<u64>(),
         salt in any::<u64>(),
     ) {
-        // The 8-bit adder has 16 inputs — well past the LUT threshold —
-        // and its program stresses register reuse (recycled scratch).
+        // The 8-bit adder has 16 inputs, and its program stresses
+        // register reuse (recycled scratch).
         let adder = ImplyAdder::new(8);
         let compiled = CompiledProgram::compile(adder.program()).expect("valid program");
-        prop_assert!(!compiled.is_lut(), "16 inputs must take the op stream");
+        check_source_cost(adder.program(), &compiled)?;
         // 16 input slices derived from the three random words.
         let slices: Vec<u64> = (0..16u64)
             .map(|i| a.rotate_left(i as u32) ^ b.wrapping_mul(i | 1) ^ salt)
             .collect();
         check_sliced_vs_scalar(adder.program(), &compiled, &slices)?;
+    }
+
+    #[test]
+    fn transpose_is_an_involution(raw in prop::collection::vec(any::<u64>(), 64)) {
+        let original: [u64; 64] = raw.try_into().expect("64 rows");
+        let mut m = original;
+        transpose64(&mut m);
+        transpose64(&mut m);
+        prop_assert_eq!(m, original);
     }
 
     #[test]
