@@ -141,38 +141,36 @@ impl CimMachine {
         self.op.cost(&self.tech).energy + self.controller_energy_per_op
     }
 
-    /// Attributes the dynamic energy of `n_ops` in-array operations: the
-    /// op's own component ([`Component::ImplyStep`] for the comparator,
+    /// Attributes `n_ops` in-array operations executed in `rounds`
+    /// crossbar rounds. The op's own component
+    /// ([`Component::ImplyStep`] for the comparator,
     /// [`Component::CrossbarWrite`] for the CRS adder) takes the
-    /// switching energy; [`Component::Controller`] the per-op CMOS
-    /// overhead (zero in the paper's model).
-    pub fn charge_op_energy(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
+    /// switching energy and the compute share of the makespan
+    /// `op_latency × rounds`; [`Component::DramAccess`] takes the
+    /// expected operand stream-in residual (Table 1 quotes no energy for
+    /// it, so only time lands there); [`Component::Controller`] takes the
+    /// per-op CMOS overhead and static power over the makespan (both
+    /// zero in the paper's model — "practically zero leakage"). Time
+    /// charges sum to the makespan exactly.
+    ///
+    /// The round count is explicit so a crossbar scaled with its problem
+    /// (the executed DNA pass) prices its own rounds on this machine's
+    /// per-op costs; [`charge_batched`](Self::charge_batched) is the
+    /// `⌈n_ops / parallel_ops⌉` case.
+    pub fn charge_rounds(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64, rounds: u64) {
         let n = n_ops as f64;
+        let rounds = rounds as f64;
         let cost = self.op.cost(&self.tech);
-        ledger.charge_energy(cost.component, phase, cost.energy * n, n_ops);
+        let makespan = self.op_latency() * rounds;
+        let compute_time = cost.latency * rounds;
+        ledger.charge(cost.component, phase, cost.energy * n, compute_time, n_ops);
         ledger.charge_energy(
             Component::Controller,
             phase,
             self.controller_energy_per_op * n,
             0,
         );
-    }
-
-    /// Attributes the makespan of `n_ops` operations over the crossbar's
-    /// parallel slots: the compute share to the op's component, the
-    /// expected operand stream-in residual to [`Component::DramAccess`]
-    /// (Table 1 quotes no energy for it, so only time lands there), and
-    /// static power over the makespan to [`Component::Controller`] (zero
-    /// — "practically zero leakage"). Time charges sum to
-    /// `op_latency × ⌈n_ops / parallel_ops⌉` exactly.
-    pub fn charge_makespan(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
-        let cost = self.op.cost(&self.tech);
-        let rounds = n_ops.div_ceil(self.parallel_ops().max(1)) as f64;
-        let makespan = self.op_latency() * rounds;
-        let compute_time = cost.latency * rounds;
-        let stream_time = makespan - compute_time;
-        ledger.charge_time(cost.component, phase, compute_time);
-        ledger.charge_time(Component::DramAccess, phase, stream_time);
+        ledger.charge_time(Component::DramAccess, phase, makespan - compute_time);
         ledger.charge_energy(
             Component::Controller,
             phase,
@@ -181,12 +179,12 @@ impl CimMachine {
         );
     }
 
-    /// Attributes a full batch of `n_ops` in-array operations:
-    /// [`charge_op_energy`](Self::charge_op_energy) plus
-    /// [`charge_makespan`](Self::charge_makespan).
+    /// Attributes a full batch of `n_ops` in-array operations over the
+    /// crossbar's parallel slots: [`charge_rounds`](Self::charge_rounds)
+    /// at `⌈n_ops / parallel_ops⌉` rounds.
     pub fn charge_batched(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
-        self.charge_op_energy(ledger, phase, n_ops);
-        self.charge_makespan(ledger, phase, n_ops);
+        let rounds = n_ops.div_ceil(self.parallel_ops().max(1));
+        self.charge_rounds(ledger, phase, n_ops, rounds);
     }
 }
 

@@ -153,31 +153,29 @@ impl ConventionalMachine {
         self.unit.dynamic_energy(&self.tech) + self.cache.expected_access_energy()
     }
 
-    /// Attributes the dynamic energy of `n_ops` uniform operations:
-    /// [`Component::GateDynamic`] takes the functional-unit switching,
-    /// [`Component::CacheAccess`] the expected hit energy, and
-    /// [`Component::DramAccess`] the miss residual — so the three sum to
-    /// `op_dynamic_energy × n_ops`.
-    pub fn charge_op_energy(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
+    /// Attributes a full batch of `n_ops` uniform operations into the
+    /// ledger — the component-wise decomposition of the DESIGN.md §4
+    /// aggregation ([`RunReport::batched`] with this machine's
+    /// parameters).
+    ///
+    /// Dynamic energy: [`Component::GateDynamic`] takes the
+    /// functional-unit switching, [`Component::CacheAccess`] the
+    /// expected hit energy, and [`Component::DramAccess`] the miss
+    /// residual, so the three sum to `op_dynamic_energy × n_ops`. Time
+    /// charges are shares of the makespan
+    /// `op_latency × ⌈n_ops / parallel_units⌉` — compute cycles,
+    /// expected hit cycles, and the miss residual, in the same three
+    /// components — and sum to it exactly. Statics over the makespan
+    /// split into [`Component::GateLeakage`], with
+    /// [`Component::CacheStatic`] taking the residual.
+    ///
+    /// [`RunReport::batched`]: crate::RunReport::batched
+    pub fn charge_batched(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
         let n = n_ops as f64;
         let gate_energy = self.unit.dynamic_energy(&self.tech) * n;
         let hit_energy = self.cache.hit_energy * self.cache.hit_ratio * n;
         let miss_energy = self.op_dynamic_energy() * n - gate_energy - hit_energy;
-        ledger.charge_energy(Component::GateDynamic, phase, gate_energy, n_ops);
-        ledger.charge_energy(Component::CacheAccess, phase, hit_energy, n_ops);
-        ledger.charge_energy(Component::DramAccess, phase, miss_energy, 0);
-    }
 
-    /// Attributes the makespan of `n_ops` operations scheduled over the
-    /// machine's units, plus static power over that makespan. Time
-    /// charges are makespan *shares* — compute cycles to
-    /// [`Component::GateDynamic`], expected hit cycles to
-    /// [`Component::CacheAccess`], the miss residual to
-    /// [`Component::DramAccess`] — and sum to
-    /// `op_latency × ⌈n_ops / parallel_units⌉` exactly. Statics split
-    /// into [`Component::GateLeakage`] with [`Component::CacheStatic`]
-    /// taking the residual.
-    pub fn charge_makespan(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
         let rounds = n_ops.div_ceil(self.parallel_units().max(1)) as f64;
         let makespan = self.op_latency() * rounds;
         let compute_cycles = self
@@ -189,28 +187,21 @@ impl ConventionalMachine {
         let hit_time =
             self.tech.cycle() * self.cache.hit_ratio * self.cache.hit_cycles as f64 * rounds;
         let miss_time = makespan - compute_time - hit_time;
-        ledger.charge_time(Component::GateDynamic, phase, compute_time);
-        ledger.charge_time(Component::CacheAccess, phase, hit_time);
-        ledger.charge_time(Component::DramAccess, phase, miss_time);
+        ledger.charge(
+            Component::GateDynamic,
+            phase,
+            gate_energy,
+            compute_time,
+            n_ops,
+        );
+        ledger.charge(Component::CacheAccess, phase, hit_energy, hit_time, n_ops);
+        ledger.charge(Component::DramAccess, phase, miss_energy, miss_time, 0);
 
         let gate_leak =
             self.unit.leakage_power(&self.tech) * self.parallel_units() as f64 * makespan;
         let cache_static = self.static_power() * makespan - gate_leak;
         ledger.charge_energy(Component::GateLeakage, phase, gate_leak, 0);
         ledger.charge_energy(Component::CacheStatic, phase, cache_static, 0);
-    }
-
-    /// Attributes a full batch of `n_ops` uniform operations into the
-    /// ledger — the component-wise decomposition of the DESIGN.md §4
-    /// aggregation ([`RunReport::batched`] with this machine's
-    /// parameters): [`charge_op_energy`](Self::charge_op_energy) for the
-    /// dynamic side, [`charge_makespan`](Self::charge_makespan) for time
-    /// and statics.
-    ///
-    /// [`RunReport::batched`]: crate::RunReport::batched
-    pub fn charge_batched(&self, ledger: &mut CostLedger, phase: Phase, n_ops: u64) {
-        self.charge_op_energy(ledger, phase, n_ops);
-        self.charge_makespan(ledger, phase, n_ops);
     }
 }
 

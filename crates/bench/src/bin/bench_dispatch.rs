@@ -7,7 +7,7 @@
 //! ```bash
 //! cargo run --release -p cim-bench --bin bench_dispatch              # full run
 //! cargo run --release -p cim-bench --bin bench_dispatch -- --quick   # CI-sized
-//! cargo run --release -p cim-bench --bin bench_dispatch -- --check   # schema + gate
+//! cargo run --release -p cim-bench --bin bench_dispatch -- --check   # schema + gate + regenerate
 //! cargo run --release -p cim-bench --bin bench_dispatch -- --objective edp
 //! cargo run --release -p cim-bench --bin bench_dispatch -- --calibration cal.txt
 //! ```
@@ -26,6 +26,12 @@
 //! (either machine solo — the whole-workload hybrid picks one of them)
 //! divided by the split makespan, and `--check` gates it at ≥ 1.1×.
 //!
+//! `--check` validates the checked-in snapshot (schema and split gate),
+//! then regenerates it in memory with the same flags (the defaults
+//! reproduce the checked-in full-scale run) and requires every field to
+//! be byte-identical to the checked-in one. It writes nothing, so a
+//! change to the model fails it until the snapshot is regenerated.
+//!
 //! `--calibration <path>` carries calibrator state across sessions: the
 //! file is loaded before the run when it exists (exact dyadic
 //! round-trip; see `cim_dispatch::Calibrator::save`) and rewritten
@@ -37,7 +43,7 @@
 //! exactly, the split claim certifies clean, the hybrid lands within 5%
 //! of the oracle, and each pure policy loses at least one scenario.
 
-use cim_bench::{repo_root_file, snapshot_number, Args};
+use cim_bench::{compare_modelled_fields, repo_root_file, snapshot_number, Args};
 use cim_dispatch::{split_claim, Calibrator, HybridExecutor};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
@@ -79,9 +85,7 @@ const REQUIRED_FIELDS: [&str; 22] = [
     "mispredictions",
 ];
 
-fn check(path: &std::path::Path) -> Result<(), String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+fn check(body: &str) -> Result<(), String> {
     if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
         return Err("snapshot is not a JSON object".into());
     }
@@ -95,7 +99,7 @@ fn check(path: &std::path::Path) -> Result<(), String> {
     }
     // The split gate is numeric, not just present: parse the value and
     // require the measured concurrency win.
-    let speedup = snapshot_number(&body, "split_speedup").ok_or("split_speedup is not a number")?;
+    let speedup = snapshot_number(body, "split_speedup").ok_or("split_speedup is not a number")?;
     if speedup < SPLIT_SPEEDUP_GATE {
         return Err(format!(
             "split_speedup {speedup:.4} is below the {SPLIT_SPEEDUP_GATE}x gate"
@@ -411,9 +415,16 @@ fn main() {
     let path = repo_root_file("BENCH_dispatch.json");
 
     if args.has("--check") {
-        match check(&path) {
+        let verdict = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|body| {
+                check(&body)?;
+                compare_modelled_fields(&body, &snapshot(&args))
+            });
+        match verdict {
             Ok(()) => println!(
-                "[ok] {} matches schema {SCHEMA} (split_speedup >= {SPLIT_SPEEDUP_GATE})",
+                "[ok] {} matches schema {SCHEMA} (split_speedup >= {SPLIT_SPEEDUP_GATE}), \
+                 and a fresh run reproduces every field",
                 path.display()
             ),
             Err(e) => {
@@ -424,9 +435,17 @@ fn main() {
         return;
     }
 
+    let json = snapshot(&args);
+    std::fs::write(&path, &json).expect("write BENCH_dispatch.json");
+    println!("\n[written] {}", path.display());
+}
+
+/// Runs every dispatch scenario under `args`, proves the contracts,
+/// prints the summary, and returns the snapshot body.
+fn snapshot(args: &Args) -> String {
     let quick = args.has("--quick");
-    let objective = objective_flag(&args);
-    let calibration = calibration_flag(&args);
+    let objective = objective_flag(args);
+    let calibration = calibration_flag(args);
     let threads = args.numeric("--threads", 4);
     let ref_len = args.numeric("--ref-len", if quick { 1 << 12 } else { 1 << 14 });
     let n_ops = args.numeric("--ops", if quick { 1 << 12 } else { 1 << 14 });
@@ -504,7 +523,7 @@ fn main() {
         || "frozen-identity".to_string(),
         |p| p.display().to_string(),
     );
-    let json = format!(
+    format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"objective\": \"{objective}\",\n  \
          \"calibration\": \"{calibration_label}\",\n{},\n{},\n{},\n  \
          \"split_cim_units\": {},\n  \"split_host_units\": {},\n  \
@@ -519,7 +538,5 @@ fn main() {
         split.split_makespan.get() * 1e12,
         split.whole_best.get() * 1e12,
         split.speedup,
-    );
-    std::fs::write(&path, &json).expect("write BENCH_dispatch.json");
-    println!("\n[written] {}", path.display());
+    )
 }

@@ -7,7 +7,7 @@
 //! ```bash
 //! cargo run --release -p cim-bench --bin bench_serve              # full run
 //! cargo run --release -p cim-bench --bin bench_serve -- --quick   # CI-sized
-//! cargo run --release -p cim-bench --bin bench_serve -- --check   # schema only
+//! cargo run --release -p cim-bench --bin bench_serve -- --check   # regenerate + compare
 //! cargo run --release -p cim-bench --bin bench_serve -- \
 //!     --tiles 4 --threads 4 --queue-depth 256 --tenant-quota 96
 //! ```
@@ -19,12 +19,16 @@
 //!
 //! The `host_*` fields are wall clocks of the machine that ran the
 //! snapshot, recorded with its `host_cores`; every other field is
-//! modelled and host-independent. `--check` requires every field to be
-//! present and every field but `schema` numeric.
+//! modelled and host-independent. `--check` requires every field of the
+//! checked-in snapshot to be present and every field but `schema`
+//! numeric, then regenerates the snapshot in memory (same flags, so the
+//! defaults reproduce the checked-in full run) and requires every
+//! non-`host_*` field to be byte-identical to the checked-in one. It
+//! writes nothing.
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, snapshot_number, Args};
+use cim_bench::{compare_modelled_fields, repo_root_file, snapshot_number, Args};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
 };
@@ -58,9 +62,7 @@ const REQUIRED_FIELDS: [&str; 21] = [
     "fabric_energy_j",
 ];
 
-fn check(path: &std::path::Path) -> Result<(), String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+fn check(body: &str) -> Result<(), String> {
     if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
         return Err("snapshot is not a JSON object".into());
     }
@@ -71,7 +73,7 @@ fn check(path: &std::path::Path) -> Result<(), String> {
         if !body.contains(&format!("\"{field}\":")) {
             return Err(format!("snapshot is missing required field '{field}'"));
         }
-        if field != "schema" && snapshot_number(&body, field).is_none() {
+        if field != "schema" && snapshot_number(body, field).is_none() {
             return Err(format!("field '{field}' is not numeric"));
         }
     }
@@ -136,8 +138,18 @@ fn main() {
     let path = repo_root_file("BENCH_serve.json");
 
     if args.has("--check") {
-        match check(&path) {
-            Ok(()) => println!("[ok] {} matches schema {SCHEMA}", path.display()),
+        let verdict = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))
+            .and_then(|body| {
+                check(&body)?;
+                compare_modelled_fields(&body, &snapshot(&args))
+            });
+        match verdict {
+            Ok(()) => println!(
+                "[ok] {} matches schema {SCHEMA}, and a fresh run reproduces every \
+                 non-host field",
+                path.display()
+            ),
             Err(e) => {
                 eprintln!("[fail] {e}");
                 std::process::exit(1);
@@ -146,6 +158,14 @@ fn main() {
         return;
     }
 
+    let json = snapshot(&args);
+    std::fs::write(&path, &json).expect("write BENCH_serve.json");
+    println!("\n[written] {}", path.display());
+}
+
+/// Runs the serving snapshot under `args`, proves its contracts, prints
+/// the summary, and returns the snapshot body.
+fn snapshot(args: &Args) -> String {
     let quick = args.has("--quick");
     let queries = args.numeric("--queries", if quick { 4_000 } else { 20_000 });
     let tiles = args.numeric("--tiles", 4).max(1);
@@ -202,7 +222,7 @@ fn main() {
 
     // The vendored serde is a no-op stub, so the snapshot is written by
     // hand; `--check` validates exactly this shape.
-    let json = format!(
+    format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"queries\": {queries},\n  \
          \"tenants\": {},\n  \"tiles\": {tiles},\n  \"threads\": {threads},\n  \
          \"host_cores\": {host_cores},\n  \
@@ -223,7 +243,5 @@ fn main() {
         report.batches,
         report.peak_queue,
         report.throughput_qps,
-    );
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("\n[written] {}", path.display());
+    )
 }

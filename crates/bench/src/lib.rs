@@ -69,6 +69,47 @@ pub fn snapshot_number(body: &str, field: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
+/// The `"field": value` pairs of a hand-written `BENCH_*.json`
+/// snapshot, in file order, each value as its raw text (a trailing comma
+/// dropped).
+fn snapshot_fields(body: &str) -> Vec<(&str, &str)> {
+    body.lines()
+        .filter_map(|line| {
+            let (key, value) = line.trim().strip_prefix('"')?.split_once("\":")?;
+            Some((key, value.trim().trim_end_matches(',')))
+        })
+        .collect()
+}
+
+/// Compares a freshly regenerated snapshot against the checked-in one:
+/// every field except the `host_*` wall clocks and core counts must be
+/// byte-identical, and both bodies must carry the same fields.
+///
+/// # Errors
+///
+/// Names the first field (in checked-in order, then any field only the
+/// fresh run has) whose raw text differs, with both values.
+pub fn compare_modelled_fields(checked_in: &str, fresh: &str) -> Result<(), String> {
+    fn lookup<'a>(fields: &[(&str, &'a str)], key: &str) -> &'a str {
+        fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map_or("<absent>", |(_, v)| v)
+    }
+    let ours = snapshot_fields(checked_in);
+    let theirs = snapshot_fields(fresh);
+    let keys = ours.iter().chain(&theirs).map(|(k, _)| *k);
+    for key in keys.filter(|k| !k.starts_with("host_")) {
+        let (old, new) = (lookup(&ours, key), lookup(&theirs, key));
+        if old != new {
+            return Err(format!(
+                "field '{key}' differs: checked-in {old}, fresh {new}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Minimal flag scanner for the bench binaries: `has("--flag")` and
 /// `value("--key")`.
 #[derive(Debug, Clone)]
@@ -139,6 +180,30 @@ mod tests {
         assert_eq!(snapshot_number(body, "energy_j"), Some(6.677e-8));
         assert_eq!(snapshot_number(body, "schema"), None);
         assert_eq!(snapshot_number(body, "missing"), None);
+    }
+
+    #[test]
+    fn modelled_comparison_ignores_host_fields_and_names_the_first_difference() {
+        let checked_in =
+            "{\n  \"schema\": \"x/1\",\n  \"host_wall_ns\": 10,\n  \"p50_ns\": 49.2,\n  \"energy_j\": 6.677e-8\n}\n";
+        let host_only = checked_in.replace("10,", "99,");
+        assert_eq!(compare_modelled_fields(checked_in, &host_only), Ok(()));
+        let drifted = checked_in.replace("49.2", "49.3");
+        let err = compare_modelled_fields(checked_in, &drifted).expect_err("p50 drifted");
+        assert!(err.contains("'p50_ns'") && err.contains("49.2") && err.contains("49.3"));
+        // Same number, different text: still a difference.
+        let respelled = checked_in.replace("6.677e-8", "6.6770e-8");
+        assert!(compare_modelled_fields(checked_in, &respelled)
+            .expect_err("respelled")
+            .contains("'energy_j'"));
+        let missing = checked_in.replace("  \"p50_ns\": 49.2,\n", "");
+        assert!(compare_modelled_fields(checked_in, &missing)
+            .expect_err("missing field")
+            .contains("<absent>"));
+        let extra = checked_in.replace("{\n", "{\n  \"added\": 1,\n");
+        assert!(compare_modelled_fields(checked_in, &extra)
+            .expect_err("extra field")
+            .contains("'added'"));
     }
 
     #[test]

@@ -535,6 +535,128 @@ mod tests {
         }
     }
 
+    /// A positive factor covering every finite exponent (subnormals and
+    /// zero included; `ScaleTable::set` maps zero to 1) from raw bits.
+    fn factor_from_bits(bits: u64) -> f64 {
+        const MANTISSA: u64 = (1 << 52) - 1;
+        f64::from_bits(((bits >> 53) % 0x7ff) << 52 | (bits & MANTISSA))
+    }
+
+    /// A calibrator whose scale tables hold `cells`, each a raw
+    /// `(cell selector, energy bits, time bits)` draw.
+    fn calibrator_with(online: bool, cells: &[(u64, u64, u64)]) -> Calibrator {
+        let mut calibrator = if online {
+            Calibrator::online()
+        } else {
+            Calibrator::frozen()
+        };
+        for &(selector, energy, time) in cells {
+            let component = Component::ALL[selector as usize % Component::ALL.len()];
+            let phase = Phase::ALL[(selector >> 8) as usize % Phase::ALL.len()];
+            let scales = if selector >> 16 & 1 == 0 {
+                &mut calibrator.cim
+            } else {
+                &mut calibrator.host
+            };
+            scales.set(
+                component,
+                phase,
+                factor_from_bits(energy),
+                factor_from_bits(time),
+            );
+        }
+        calibrator
+    }
+
+    /// A non-empty line no calibrator field can parse: the first token
+    /// carries `#`, which is in no label and is not a hex digit.
+    fn garbage_line(bytes: &[u8]) -> String {
+        const ALPHABET: [char; 24] = [
+            'a', 'c', 'f', 'i', 'm', 'p', 's', 't', '0', '1', '7', '9', '_', '-', '/', '.', 'x',
+            'é', 'λ', ' ', ' ', '\t', '\r', '#',
+        ];
+        let tail: String = bytes
+            .iter()
+            .map(|&b| ALPHABET[b as usize % ALPHABET.len()])
+            .collect();
+        format!("#{tail}")
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn garbage_calibrator_text_is_an_error_never_a_panic(
+            corruption in 0u64..4,
+            position in proptest::prelude::any::<u64>(),
+            garbage in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..24),
+            bad_bits in proptest::prelude::any::<u64>(),
+            cells in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                ),
+                0..6,
+            ),
+        ) {
+            // A valid file with at least one factor line, then one
+            // corruption: a garbage header, a garbage mode line, a
+            // garbage line anywhere in the body, or one factor field
+            // replaced by garbage, an overflowing hex run, or the bits of
+            // a non-finite or non-positive factor.
+            let mut calibrator = calibrator_with(position & 1 == 1, &cells);
+            calibrator.cim.set(Component::ImplyStep, Phase::Map, 1.5, 0.75);
+            let mut lines: Vec<String> =
+                calibrator.save_string().lines().map(str::to_string).collect();
+            let garbage = garbage_line(&garbage);
+            match corruption {
+                0 => lines[0] = garbage,
+                1 => lines[1] = garbage,
+                2 => {
+                    let at = 2 + position as usize % (lines.len() - 1);
+                    lines.insert(at, garbage);
+                }
+                _ => {
+                    let at = 2 + position as usize % (lines.len() - 2);
+                    let mut fields: Vec<String> =
+                        lines[at].split(' ').map(str::to_string).collect();
+                    let bad = match bad_bits % 5 {
+                        0 => garbage,
+                        1 => format!("1{bad_bits:016x}"),
+                        2 => format!("{:016x}", bad_bits | 1 << 63),
+                        3 => format!("{:016x}", bad_bits | 0x7ff << 52),
+                        _ => "0000000000000000".to_string(),
+                    };
+                    fields[3 + (position >> 1) as usize % 2] = bad;
+                    lines[at] = fields.join(" ");
+                }
+            }
+            let text = lines.join("\n");
+            match Calibrator::load_string(&text) {
+                Ok(_) => proptest::prop_assert!(false, "garbage loaded:\n{text}"),
+                Err(err) => proptest::prop_assert!(!err.is_empty()),
+            }
+        }
+
+        #[test]
+        fn dyadic_scale_tables_round_trip_exactly(
+            online in proptest::prelude::any::<bool>(),
+            cells in proptest::collection::vec(
+                (
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                    proptest::prelude::any::<u64>(),
+                ),
+                0..40,
+            ),
+        ) {
+            let calibrator = calibrator_with(online, &cells);
+            let text = calibrator.save_string();
+            let loaded = Calibrator::load_string(&text).expect("saved text loads");
+            proptest::prop_assert_eq!(&loaded, &calibrator);
+            proptest::prop_assert_eq!(loaded.save_string(), text);
+        }
+    }
+
     #[test]
     fn calibrator_save_load_round_trips_through_a_file() {
         let est = estimate(512, 45.0, 0.27);

@@ -128,7 +128,8 @@ pub enum SimError {
         detail: String,
     },
     /// A configuration that can only produce degenerate traffic (zero
-    /// queue depth, zero tenant quota, an empty tile set, …) was
+    /// queue depth, zero tenant quota, an empty tile set, …) or that the
+    /// machine cannot execute (an adder width outside `1..=64`) was
     /// rejected up front instead of being served.
     InvalidConfig {
         /// The machine refusing the configuration.
@@ -164,6 +165,20 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
+
+/// Rejects adder widths the executors cannot run: the IMPLY adder and
+/// the operand masks support `1..=64` bits. Checked before any operand
+/// is generated.
+pub(crate) fn check_adder_width(machine: &'static str, bits: u32) -> Result<(), SimError> {
+    if (1..=64).contains(&bits) {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig {
+            machine,
+            detail: format!("adder width {bits} is outside 1..=64 bits"),
+        })
+    }
+}
 
 /// A machine model that can execute workloads of type `W`.
 pub trait ExecutionBackend<W: Workload> {

@@ -26,7 +26,6 @@
 //! solves through [`cim_pool::run_exclusive`] — so electrical results
 //! are likewise bit-identical at any thread count (DESIGN.md §5).
 
-use cim_units::CostLedger;
 use serde::{Deserialize, Serialize};
 
 /// Items per chunk. Fixed — NOT derived from the thread count — so the
@@ -124,36 +123,6 @@ where
 {
     let chunk_results = run_chunks(policy, items, |chunk| fold(init(), chunk));
     chunk_results.into_iter().fold(init(), merge)
-}
-
-/// Charges every item into a [`CostLedger`], merging per-chunk
-/// sub-ledgers in chunk order.
-///
-/// This is the ledger-shaped instance of the chunked fold: each chunk
-/// accumulates into its own sub-ledger serially, and the sub-ledgers
-/// merge left-to-right ([`CostLedger::merge`] is element-wise in
-/// canonical slot order). Like [`par_fold_chunks`], the result is
-/// equivalent to `items.chunks(CHUNK_SIZE)` charged serially and merged
-/// in order — and bit-identical to that at any thread count. (It is NOT
-/// bit-identical to charging all items into one ledger without chunking:
-/// the per-chunk sub-sums reassociate the f64 additions.)
-pub fn par_charge_chunks<T, F>(policy: BatchPolicy, items: &[T], charge: F) -> CostLedger
-where
-    T: Sync,
-    F: Fn(&mut CostLedger, &T) + Sync,
-{
-    let chunk_ledgers = run_chunks(policy, items, |chunk| {
-        let mut sub = CostLedger::new();
-        for item in chunk {
-            charge(&mut sub, item);
-        }
-        sub
-    });
-    let mut ledger = CostLedger::new();
-    for sub in &chunk_ledgers {
-        ledger.merge(sub);
-    }
-    ledger
 }
 
 /// Maps every item, preserving item order in the output.
@@ -321,93 +290,6 @@ mod tests {
         assert_eq!(sum, 0);
     }
 
-    /// Serial reference for [`par_charge_chunks`]: charge every item in
-    /// order into one ledger.
-    fn serial_charge(items: &[f64]) -> CostLedger {
-        use cim_units::{Component, Energy, Phase, Time};
-        let mut ledger = CostLedger::new();
-        for &x in items {
-            ledger.charge(
-                Component::ImplyStep,
-                Phase::Map,
-                Energy::new(x),
-                Time::new(x / 3.0),
-                1,
-            );
-        }
-        ledger
-    }
-
-    // `&f64` is dictated by the `par_charge_chunks` callback signature.
-    #[allow(clippy::trivially_copy_pass_by_ref)]
-    fn charge_one(ledger: &mut CostLedger, x: &f64) {
-        use cim_units::{Component, Energy, Phase, Time};
-        ledger.charge(
-            Component::ImplyStep,
-            Phase::Map,
-            Energy::new(*x),
-            Time::new(*x / 3.0),
-            1,
-        );
-    }
-
-    #[test]
-    fn charge_empty_batch_yields_empty_ledger() {
-        let empty: Vec<f64> = Vec::new();
-        for policy in policies() {
-            let ledger = par_charge_chunks(policy, &empty, charge_one);
-            assert!(ledger.is_empty(), "policy {policy:?}");
-            assert_eq!(ledger, serial_charge(&empty));
-        }
-    }
-
-    #[test]
-    fn charge_below_one_chunk_is_thread_count_invariant() {
-        // Fewer items than CHUNK_SIZE: a single chunk, so every policy
-        // degrades to the serial walk.
-        let items: Vec<f64> = (0..CHUNK_SIZE / 3)
-            .map(|i| 1.0 / (i as f64 + 1.0))
-            .collect();
-        let reference = serial_charge(&items);
-        for policy in policies() {
-            let ledger = par_charge_chunks(policy, &items, charge_one);
-            assert_eq!(ledger, reference, "policy {policy:?}");
-        }
-    }
-
-    #[test]
-    fn charge_with_ragged_tail_chunk_is_bit_identical() {
-        // A count that is NOT a multiple of CHUNK_SIZE: the last chunk is
-        // short, and the non-associative f64 charges make any merge-order
-        // deviation visible in the bits. The reference is the chunked
-        // single-threaded walk — the decomposition is fixed by CHUNK_SIZE,
-        // so every thread count must reproduce its bits exactly.
-        let count = 3 * CHUNK_SIZE + 517;
-        let items: Vec<f64> = (0..count).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reference = par_charge_chunks(BatchPolicy::SERIAL, &items, charge_one);
-        // The unchunked walk agrees on every count and to 1 part in 1e12
-        // on the totals (reassociated f64 sums), but not bit-for-bit.
-        let unchunked = serial_charge(&items);
-        assert_eq!(reference.total_count(), unchunked.total_count());
-        let rel = reference.total_energy().get() / unchunked.total_energy().get() - 1.0;
-        assert!(rel.abs() < 1e-12, "chunked vs unchunked drifted: {rel}");
-        for policy in policies() {
-            let ledger = par_charge_chunks(policy, &items, charge_one);
-            assert_eq!(
-                ledger.total_energy().get().to_bits(),
-                reference.total_energy().get().to_bits(),
-                "energy bits diverged under {policy:?}"
-            );
-            assert_eq!(
-                ledger.total_time().get().to_bits(),
-                reference.total_time().get().to_bits(),
-                "time bits diverged under {policy:?}"
-            );
-            assert_eq!(ledger.total_count(), count as u64);
-            assert_eq!(ledger, reference, "policy {policy:?}");
-        }
-    }
-
     #[test]
     fn unit_dispatch_preserves_unit_order_at_every_policy() {
         // Coarse units (a fabric's tiles): results must come back in
@@ -422,7 +304,7 @@ mod tests {
 
     #[test]
     fn unit_dispatch_is_thread_count_invariant_for_ledgers() {
-        use cim_units::{Component, Energy, Phase};
+        use cim_units::{Component, CostLedger, Energy, Phase};
         // Each unit builds a sub-ledger; merging in unit order must be
         // bit-identical across policies (non-associative f64 energies).
         let build = |policy: BatchPolicy| {

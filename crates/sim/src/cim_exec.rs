@@ -8,18 +8,17 @@ use cim_workloads::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use crate::batch::{par_charge_chunks, par_fold_slices, BatchPolicy};
+use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutcome, SimError};
+use crate::batch::{par_fold_slices, BatchPolicy};
 use crate::conventional::dna_sampler;
-use crate::event::makespan;
 
 /// Which functional kernel executes the hot loops.
 ///
 /// Both kernels run the same IMPLY semantics and produce bit-identical
 /// digests, checksums, and ledgers (asserted by the equivalence tests);
-/// they differ only in host throughput. The ledger is computed from the
-/// workload shape by the batch driver either way, so costs cannot drift
-/// between kernels by construction.
+/// they differ only in host throughput. The ledger is charged once from
+/// the executed count either way, so costs cannot drift between kernels
+/// by construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelPolicy {
     /// Compile each microprogram once and execute 64 lanes per host
@@ -96,16 +95,6 @@ impl CimExecutor {
     /// Projects the paper-scale DNA run, totals only.
     pub fn project_dna(&self, memory_hit_ratio: f64) -> RunReport {
         self.project_dna_attributed(memory_hit_ratio).0
-    }
-
-    fn additions_attributed(&self, workload: &AdditionWorkload) -> (RunReport, CostLedger) {
-        let machine = CimMachine::math_paper(workload.n_ops, workload.bits);
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Add, workload.n_ops);
-        (
-            RunReport::from_ledger(workload.n_ops, machine.area(), &ledger),
-            ledger,
-        )
     }
 
     /// Reference DNA pass: one comparator evaluation per character,
@@ -258,23 +247,21 @@ impl CimExecutor {
 
     /// Shared additions driver for whole workloads and shards: executes
     /// `operands` through the selected kernel on a crossbar sized for
-    /// `machine_ops` operations, charging per-op energy and the
-    /// rounds-based makespan for the executed count. A whole-workload
-    /// run is the full-range case (`machine_ops == operands.len()`), so
-    /// whole and full-range-shard outcomes are bit-identical by
-    /// construction — they run this exact code path.
+    /// `machine_ops` operations, then charges the executed count once
+    /// through [`additions_attributed`] — the projection's own call. A
+    /// whole-workload run is the full-range case
+    /// (`machine_ops == operands.len()`), so whole and full-range-shard
+    /// outcomes are bit-identical by construction — they run this exact
+    /// code path.
     fn additions_outcome(
         &self,
         bits: u32,
         machine_ops: u64,
         operands: &[(u64, u64)],
     ) -> RunOutcome {
-        let mask = if bits == 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        };
-        let sum_mask = (mask << 1) | 1;
+        // The `bits + 1`-bit sum, saturating at 64 bits (`run` has
+        // checked `bits` is in 1..=64).
+        let sum_mask = ((u64::MAX >> (64 - bits)) << 1) | 1;
         let (count, checksum) = match self.kernel {
             KernelPolicy::BitSliced => self.additions_pass_bitsliced(bits, sum_mask, operands),
             KernelPolicy::Scalar => {
@@ -292,12 +279,7 @@ impl CimExecutor {
                 )
             }
         };
-        let machine = CimMachine::math_paper(machine_ops, bits);
-        let mut ledger = par_charge_chunks(self.batch, operands, |sub, _| {
-            machine.charge_op_energy(sub, Phase::Add, 1);
-        });
-        machine.charge_makespan(&mut ledger, Phase::Add, count);
-        let report = RunReport::from_ledger(count, machine.area(), &ledger);
+        let (report, ledger) = additions_attributed(bits, machine_ops, count);
         RunOutcome {
             machine: Self::MACHINE,
             report,
@@ -315,6 +297,26 @@ impl CimExecutor {
             )],
         }
     }
+}
+
+/// Charges `n_ops` `bits`-wide additions on a crossbar sized for
+/// `machine_ops` operations. Executed runs and projections, of whole
+/// workloads and of shards, all price through this one call, so a run's
+/// ledger equals its projection's by construction.
+fn additions_attributed(bits: u32, machine_ops: u64, n_ops: u64) -> (RunReport, CostLedger) {
+    let machine = CimMachine::math_paper(machine_ops, bits);
+    let mut ledger = CostLedger::new();
+    machine.charge_batched(&mut ledger, Phase::Add, n_ops);
+    (
+        RunReport::from_ledger(n_ops, machine.area(), &ledger),
+        ledger,
+    )
+}
+
+/// Parallel comparator slots of the DNA crossbar scaled with the
+/// executed problem, as the conventional executor scales its clusters.
+fn dna_parallel_scaled(machine: &CimMachine, spec: &DnaSpec) -> u64 {
+    ((machine.parallel_ops() as f64 * spec.scale_vs_paper()).round() as u64).max(1)
 }
 
 /// Closed-form CIM cost certificate for `n_ops` uniform in-array
@@ -402,33 +404,15 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
             });
         }
 
+        // The executed comparisons are charged once, in rounds of the
+        // crossbar scaled with the problem.
         let machine = CimMachine::dna_paper();
-        // Scale the crossbar with the problem, as the conventional
-        // executor scales its clusters.
-        let scale = spec.scale_vs_paper();
-        let parallel_scaled = ((machine.parallel_ops() as f64 * scale).round() as u64).max(1);
-        let rounds = comparisons.div_ceil(parallel_scaled);
-        let durations = (0..rounds).map(|_| machine.op_latency());
-        let total_time = makespan(durations, 1);
-
-        // Per-read dynamic energy (one IMPLY comparator invocation per
-        // character) flows through the batch driver's deterministic
-        // ledger merge; the makespan is then attributed once — the
-        // compute share to the array, the stream-in residual to DRAM.
-        let mut ledger = par_charge_chunks(self.batch, &reads, |sub, read| {
-            machine.charge_op_energy(sub, Phase::Map, read.symbols.len() as u64);
-        });
-        let cost = machine.op.cost(&machine.tech);
-        let compute_time = cost.latency * rounds as f64;
-        ledger.charge_time(cost.component, Phase::Map, compute_time);
-        ledger.charge_time(
-            cim_units::Component::DramAccess,
-            Phase::Map,
-            total_time - compute_time,
-        );
+        let rounds = comparisons.div_ceil(dna_parallel_scaled(&machine, &spec));
+        let mut ledger = CostLedger::new();
+        machine.charge_rounds(&mut ledger, Phase::Map, comparisons, rounds);
         let report = RunReport::from_ledger(
             comparisons,
-            machine.area() * scale.max(f64::MIN_POSITIVE),
+            machine.area() * spec.scale_vs_paper().max(f64::MIN_POSITIVE),
             &ledger,
         );
 
@@ -467,8 +451,7 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
     fn estimate(&self, workload: &DnaWorkload) -> CostEstimate {
         let spec = workload.executable_spec(Self::DNA_EXEC_CAP);
         let machine = CimMachine::dna_paper();
-        let parallel =
-            ((machine.parallel_ops() as f64 * spec.scale_vs_paper()).round() as u64).max(1);
+        let parallel = dna_parallel_scaled(&machine, &spec);
         cim_estimate(&machine, Phase::Map, spec.comparisons(), parallel)
     }
 }
@@ -487,7 +470,10 @@ impl ExecutionBackend<AdditionWorkload> for CimExecutor {
     /// construction: a `bits`-wide exact sum masked to `bits + 1` bits
     /// equals the wrapping sum masked the same way (for `bits == 64`
     /// the dropped carry slice *is* the wrap).
+    ///
+    /// Widths outside `1..=64` are a [`SimError::InvalidConfig`].
     fn run(&self, workload: &AdditionWorkload) -> Result<RunOutcome, SimError> {
+        check_adder_width(Self::MACHINE, workload.bits)?;
         let operands: Vec<(u64, u64)> = workload.operands().collect();
         Ok(self.additions_outcome(workload.bits, workload.n_ops, &operands))
     }
@@ -497,7 +483,7 @@ impl ExecutionBackend<AdditionWorkload> for CimExecutor {
         workload: &AdditionWorkload,
         _hit_ratio: f64,
     ) -> (RunReport, CostLedger) {
-        self.additions_attributed(workload)
+        additions_attributed(workload.bits, workload.n_ops, workload.n_ops)
     }
 
     /// Certifies the addition batch: exactly `n_ops` CRS-adder
@@ -519,6 +505,7 @@ impl ExecutionBackend<AdditionShard> for CimExecutor {
     /// sized for the shard's `machine_ops` capacity (not for its
     /// length) — the split contract's fixed-capacity machine.
     fn run(&self, shard: &AdditionShard) -> Result<RunOutcome, SimError> {
+        check_adder_width(Self::MACHINE, shard.bits)?;
         let operands: Vec<(u64, u64)> = shard.operands().collect();
         Ok(self.additions_outcome(shard.bits, shard.machine_ops, &operands))
     }
@@ -528,13 +515,7 @@ impl ExecutionBackend<AdditionShard> for CimExecutor {
         shard: &AdditionShard,
         _hit_ratio: f64,
     ) -> (RunReport, CostLedger) {
-        let machine = CimMachine::math_paper(shard.machine_ops, shard.bits);
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Add, shard.len);
-        (
-            RunReport::from_ledger(shard.len, machine.area(), &ledger),
-            ledger,
-        )
+        additions_attributed(shard.bits, shard.machine_ops, shard.len)
     }
 
     /// Certifies the shard: exactly `len` adder invocations on the

@@ -8,8 +8,8 @@ use cim_workloads::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use crate::batch::{par_charge_chunks, par_fold_chunks, par_map, BatchPolicy};
+use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutcome, SimError};
+use crate::batch::{par_fold_chunks, par_map, BatchPolicy};
 use crate::cache::{CacheConfig, CacheSim};
 use crate::event::makespan;
 use crate::hierarchy::MemoryHierarchy;
@@ -96,21 +96,12 @@ impl ConventionalExecutor {
         self.project_dna_attributed(hit_ratio).0
     }
 
-    fn additions_attributed(self, workload: &AdditionWorkload) -> (RunReport, CostLedger) {
-        let machine = ConventionalMachine::math_paper(workload.n_ops);
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Add, workload.n_ops);
-        (
-            RunReport::from_ledger(workload.n_ops, machine.area(), &ledger),
-            ledger,
-        )
-    }
-
     /// Shared additions driver for whole workloads and shards: executes
-    /// `operands` on a host sized for `machine_ops` operations. A
-    /// whole-workload run is the full-range case
-    /// (`machine_ops == operands.len()`), so whole and full-range-shard
-    /// outcomes are bit-identical by construction.
+    /// `operands` on a host sized for `machine_ops` operations, then
+    /// charges the executed count once through [`additions_attributed`]
+    /// — the projection's own call. A whole-workload run is the
+    /// full-range case (`machine_ops == operands.len()`), so whole and
+    /// full-range-shard outcomes are bit-identical by construction.
     fn additions_outcome(self, machine_ops: u64, operands: &[(u64, u64)]) -> RunOutcome {
         let (count, checksum) = par_fold_chunks(
             self.batch,
@@ -119,12 +110,7 @@ impl ConventionalExecutor {
             |(count, sum), &(a, b)| (count + 1, sum.wrapping_add(a.wrapping_add(b))),
             |(c1, s1), (c2, s2)| (c1 + c2, s1.wrapping_add(s2)),
         );
-        let machine = ConventionalMachine::math_paper(machine_ops);
-        let mut ledger = par_charge_chunks(self.batch, operands, |sub, _| {
-            machine.charge_op_energy(sub, Phase::Add, 1);
-        });
-        machine.charge_makespan(&mut ledger, Phase::Add, count);
-        let report = RunReport::from_ledger(count, machine.area(), &ledger);
+        let (report, ledger) = additions_attributed(machine_ops, count);
         RunOutcome {
             machine: Self::MACHINE,
             report,
@@ -140,6 +126,20 @@ impl ConventionalExecutor {
             notes: vec![format!("checksum {checksum:#018x} over {count} additions")],
         }
     }
+}
+
+/// Charges `n_ops` additions on a host sized for `machine_ops`
+/// operations. Executed runs and projections, of whole workloads and of
+/// shards, all price through this one call, so a run's ledger equals its
+/// projection's by construction.
+fn additions_attributed(machine_ops: u64, n_ops: u64) -> (RunReport, CostLedger) {
+    let machine = ConventionalMachine::math_paper(machine_ops);
+    let mut ledger = CostLedger::new();
+    machine.charge_batched(&mut ledger, Phase::Add, n_ops);
+    (
+        RunReport::from_ledger(n_ops, machine.area(), &ledger),
+        ledger,
+    )
 }
 
 /// Closed-form host cost model for `n_ops` uniform operations amortised
@@ -436,13 +436,16 @@ impl ExecutionBackend<AdditionWorkload> for ConventionalExecutor {
     }
 
     /// Executes every addition (checksumming the results for
-    /// [`Workload::verify`](cim_workloads::Workload::verify)), then reports via the batch model on the
-    /// paper machine. The wrapping checksum merges associatively, so the
-    /// chunked fold is exact at any thread count; the per-item dynamic
-    /// energy flows through the batch driver's deterministic ledger merge
-    /// ([`par_charge_chunks`]), with the makespan and statics attributed
-    /// once at the end.
+    /// [`Workload::verify`](cim_workloads::Workload::verify)), then
+    /// charges the executed count once through the paper machine's
+    /// batch model — the same call the projection makes. The wrapping
+    /// checksum merges associatively, so the chunked fold is exact at any
+    /// thread count, and the ledger depends on the count alone, so it is
+    /// thread-invariant by construction.
+    ///
+    /// Widths outside `1..=64` are a [`SimError::InvalidConfig`].
     fn run(&self, workload: &AdditionWorkload) -> Result<RunOutcome, SimError> {
+        check_adder_width(Self::MACHINE, workload.bits)?;
         let operands: Vec<(u64, u64)> = workload.operands().collect();
         Ok(self.additions_outcome(workload.n_ops, &operands))
     }
@@ -452,7 +455,7 @@ impl ExecutionBackend<AdditionWorkload> for ConventionalExecutor {
         workload: &AdditionWorkload,
         _hit_ratio: f64,
     ) -> (RunReport, CostLedger) {
-        self.additions_attributed(workload)
+        additions_attributed(workload.n_ops, workload.n_ops)
     }
 
     /// Certifies the addition batch: exactly `n_ops` adder invocations
@@ -481,6 +484,7 @@ impl ExecutionBackend<AdditionShard> for ConventionalExecutor {
     /// for the shard's `machine_ops` capacity (not for its length) —
     /// the split contract's fixed-capacity machine.
     fn run(&self, shard: &AdditionShard) -> Result<RunOutcome, SimError> {
+        check_adder_width(Self::MACHINE, shard.bits)?;
         let operands: Vec<(u64, u64)> = shard.operands().collect();
         Ok(self.additions_outcome(shard.machine_ops, &operands))
     }
@@ -490,13 +494,7 @@ impl ExecutionBackend<AdditionShard> for ConventionalExecutor {
         shard: &AdditionShard,
         _hit_ratio: f64,
     ) -> (RunReport, CostLedger) {
-        let machine = ConventionalMachine::math_paper(shard.machine_ops);
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Add, shard.len);
-        (
-            RunReport::from_ledger(shard.len, machine.area(), &ledger),
-            ledger,
-        )
+        additions_attributed(shard.machine_ops, shard.len)
     }
 
     /// Certifies the shard: exactly `len` adder invocations on the

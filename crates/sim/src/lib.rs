@@ -34,10 +34,7 @@ mod event;
 mod hierarchy;
 
 pub use backend::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
-pub use batch::{
-    par_charge_chunks, par_fold_chunks, par_fold_slices, par_map, par_units, BatchPolicy,
-    CHUNK_SIZE,
-};
+pub use batch::{par_fold_chunks, par_fold_slices, par_map, par_units, BatchPolicy, CHUNK_SIZE};
 pub use cache::{CacheConfig, CacheSim};
 pub use cim_exec::{CimExecutor, KernelPolicy};
 pub use conventional::ConventionalExecutor;

@@ -13,9 +13,9 @@
 //! Determinism: the ledger is a dense table over the fixed
 //! [`Component`] × [`Phase`] taxonomy, so iteration, merging
 //! ([`CostLedger::merge`]) and totalling ([`CostLedger::total_energy`])
-//! all walk one canonical slot order. Merging per-chunk sub-ledgers in
-//! chunk order (the batch driver's contract) therefore reproduces the
-//! serial accumulation bit-for-bit at any thread count.
+//! all walk one canonical slot order. Merging per-unit sub-ledgers (a
+//! fabric's tiles, a split's shards) in unit order therefore reproduces
+//! the serial accumulation bit-for-bit at any thread count.
 
 use serde::{Deserialize, Serialize};
 
@@ -284,9 +284,9 @@ impl CostLedger {
 
     /// Element-wise merge in canonical slot order.
     ///
-    /// This is the batch driver's reduction: per-chunk sub-ledgers merged
-    /// in chunk order reproduce the serial charge sequence bit-for-bit,
-    /// because each cell's additions happen in the same order either way.
+    /// This is the per-unit reduction: sub-ledgers merged in unit order
+    /// reproduce the serial charge sequence bit-for-bit, because each
+    /// cell's additions happen in the same order either way.
     pub fn merge(&mut self, other: &CostLedger) {
         for (mine, theirs) in self.cells.iter_mut().zip(&other.cells) {
             mine.energy += theirs.energy;

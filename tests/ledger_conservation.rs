@@ -9,9 +9,13 @@
 //! 2. **thread invariance** — the ledger itself (not just the totals) is
 //!    identical at every thread count;
 //! 3. **decomposition** — re-summing the per-component subtotals
-//!    reproduces the totals (up to f64 reassociation).
+//!    reproduces the totals (up to f64 reassociation);
+//! 4. **run ≡ projection** — an executed addition run (whole workload or
+//!    shard) charges its count through the projection's own call, so its
+//!    ledger and report equal `project_attributed`'s bit for bit.
 
 use cim::prelude::*;
+use cim::workloads::Shardable;
 use proptest::prelude::*;
 
 fn dna_workload(ref_len: u64, seed: u64) -> DnaWorkload {
@@ -51,6 +55,41 @@ fn check_outcome(run: &RunOutcome, context: &str) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Guarantee 4 for one executor on one workload: the run's ledger and
+/// report are exactly the projection's.
+fn check_run_is_projection<W, B>(exec: &B, workload: &W, context: &str) -> Result<(), TestCaseError>
+where
+    W: Workload,
+    B: ExecutionBackend<W>,
+{
+    let run = exec.run(workload).expect("runs");
+    let (report, ledger) = exec.project_attributed(workload, 0.5);
+    prop_assert_eq!(
+        &run.ledger,
+        &ledger,
+        "{}: run ledger != projection",
+        context
+    );
+    prop_assert_eq!(
+        &run.report,
+        &report,
+        "{}: run report != projection",
+        context
+    );
+    for (ours, theirs) in [
+        (run.ledger.total_energy().get(), ledger.total_energy().get()),
+        (run.ledger.total_time().get(), ledger.total_time().get()),
+    ] {
+        prop_assert_eq!(
+            ours.to_bits(),
+            theirs.to_bits(),
+            "{}: totals' bits",
+            context
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -59,6 +98,8 @@ proptest! {
         seed in 0u64..500,
         n_ops in 500u64..4_000,
         ref_len in 20_000u64..40_000,
+        cut_a in 0.0f64..1.0,
+        cut_b in 0.0f64..1.0,
     ) {
         let additions = AdditionWorkload::scaled(n_ops, seed);
         let dna = dna_workload(ref_len, seed);
@@ -108,6 +149,32 @@ proptest! {
                 one_thread.report.total_time.get().to_bits(),
                 four_threads.report.total_time.get().to_bits()
             );
+        }
+
+        // Guarantee 4 on both machines, for the whole workload and for
+        // every shard of a three-way split (empty shards included) on the
+        // split's fixed-capacity machine.
+        let (lo, hi) = (cut_a.min(cut_b), cut_a.max(cut_b));
+        let cuts = [0, (lo * n_ops as f64) as u64, (hi * n_ops as f64) as u64, n_ops];
+        let shards: Vec<_> = cuts
+            .windows(2)
+            .map(|w| additions.shard(w[0], w[1] - w[0], n_ops))
+            .collect();
+        for threads in [1usize, 4] {
+            let batch = BatchPolicy::with_threads(threads);
+            let host = ConventionalExecutor::with_batch(batch);
+            check_run_is_projection(&host, &additions, "conventional/whole")?;
+            for shard in &shards {
+                check_run_is_projection(&host, shard, &format!("conventional/{}", shard.name()))?;
+            }
+            for kernel in [KernelPolicy::Scalar, KernelPolicy::BitSliced] {
+                let cim = CimExecutor::with_policies(batch, kernel);
+                check_run_is_projection(&cim, &additions, &format!("cim/whole/{kernel:?}"))?;
+                for shard in &shards {
+                    let context = format!("cim/{}/{kernel:?}", shard.name());
+                    check_run_is_projection(&cim, shard, &context)?;
+                }
+            }
         }
     }
 

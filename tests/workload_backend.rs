@@ -130,6 +130,34 @@ fn full_experiments_are_batch_invariant() {
 }
 
 #[test]
+fn unsupported_adder_widths_are_typed_errors_on_both_backends() {
+    use cim::workloads::{AdditionShard, Shardable};
+    for bits in [0u32, 65, 100] {
+        let workload = AdditionWorkload {
+            n_ops: 10,
+            bits,
+            seed: 3,
+        };
+        let shard = workload.shard(2, 5, workload.n_ops);
+        let runs = [
+            ConventionalExecutor::new().run(&workload),
+            CimExecutor::new().run(&workload),
+            ExecutionBackend::<AdditionShard>::run(&ConventionalExecutor::new(), &shard),
+            ExecutionBackend::<AdditionShard>::run(&CimExecutor::new(), &shard),
+        ];
+        for (run, machine) in runs.into_iter().zip(["conventional", "cim"].repeat(2)) {
+            match run {
+                Err(SimError::InvalidConfig { machine: m, detail }) => {
+                    assert_eq!(m, machine);
+                    assert!(detail.contains(&bits.to_string()), "{detail}");
+                }
+                other => panic!("{machine} at {bits} bits: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn oversized_dna_specs_error_on_conventional_and_clamp_on_cim() {
     // The two machines take different stances on paper-scale inputs:
     // conventional refuses (typed error), CIM clamps to its cap.
