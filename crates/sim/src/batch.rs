@@ -15,8 +15,10 @@
 //!
 //! Floating-point accumulation order is therefore a pure function of the
 //! item order and chunk size — never of scheduling. Stateful phases that
-//! genuinely need global order (e.g. cache replay) stay sequential; see
-//! `ConventionalExecutor`'s two-phase DNA run.
+//! genuinely need global order stay sequential: `ConventionalExecutor`'s
+//! DNA run maps fixed blocks of chunks through [`par_units`], then
+//! streams each block, chunk by chunk, through one serial cache replay
+//! that keeps integer event counts and prices them once at the end.
 //!
 //! The same contract governs parallelism below this layer:
 //! `cim-crossbar`'s opt-in parallel line relaxation

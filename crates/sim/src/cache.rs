@@ -38,8 +38,10 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if any parameter is zero, not a power of two where needed,
-    /// or the capacity is not divisible into sets.
+    /// Panics if any parameter is zero, the line size or the set count
+    /// is not a power of two, the capacity is not divisible into sets,
+    /// or a one-byte line in a single set leaves a tag no spare value
+    /// for an empty way.
     pub fn validate(&self) {
         assert!(self.line_bytes > 0 && self.line_bytes.is_power_of_two());
         assert!(self.ways > 0, "associativity must be non-zero");
@@ -49,17 +51,40 @@ impl CacheConfig {
             "capacity must divide into whole sets"
         );
         assert!(self.sets() > 0, "cache must have at least one set");
+        assert!(
+            self.sets().is_power_of_two(),
+            "set count must be a power of two"
+        );
+        assert!(
+            self.line_bytes * self.sets() > 1,
+            "a one-byte line in a single set leaves no empty-way tag"
+        );
     }
 }
+
+/// Tag of a way that holds no line. A tag is `address >> (line bits +
+/// set bits)`, and `validate` keeps that shift above zero, so no address
+/// produces it.
+const EMPTY: u64 = u64::MAX;
 
 /// A set-associative LRU cache with hit/miss counters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CacheSim {
     config: CacheConfig,
-    /// Per-set, per-way tags (`None` = invalid).
-    tags: Vec<Option<u64>>,
+    /// `log2(line_bytes)`: an address's line is `address >> line_shift`.
+    line_shift: u32,
+    /// `sets - 1`: a line's set is `line & set_mask`.
+    set_mask: u64,
+    /// `log2(sets)`: a line's tag is `line >> set_shift`.
+    set_shift: u32,
+    /// Per-set, per-way tags ([`EMPTY`] = invalid).
+    tags: Vec<u64>,
     /// Per-set, per-way last-use stamps.
     stamps: Vec<u64>,
+    /// The previous access's line, still the most recently used way of
+    /// its set.
+    last_line: Option<u64>,
+    /// Stamp source: counts the accesses that take the full lookup.
     clock: u64,
     hits: u64,
     misses: u64,
@@ -76,8 +101,12 @@ impl CacheSim {
         let slots = config.sets() * config.ways;
         Self {
             config,
-            tags: vec![None; slots],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: config.sets() as u64 - 1,
+            set_shift: config.sets().trailing_zeros(),
+            tags: vec![EMPTY; slots],
             stamps: vec![0; slots],
+            last_line: None,
             clock: 0,
             hits: 0,
             misses: 0,
@@ -90,26 +119,37 @@ impl CacheSim {
     }
 
     /// Performs one access; returns true on a hit.
+    #[inline]
     pub fn access(&mut self, address: u64) -> bool {
-        self.clock += 1;
-        let line = address / self.config.line_bytes as u64;
-        let set = (line % self.config.sets() as u64) as usize;
-        let tag = line / self.config.sets() as u64;
-        let base = set * self.config.ways;
-        let ways = &mut self.tags[base..base + self.config.ways];
-        if let Some(way) = ways.iter().position(|t| *t == Some(tag)) {
-            self.stamps[base + way] = self.clock;
+        let line = address >> self.line_shift;
+        // Same line as the previous access: the full lookup would hit the
+        // way that access left most recently used, and re-stamping it
+        // would keep every stamp's order as it is (no other way was
+        // stamped in between), so only the hit is counted.
+        if self.last_line == Some(line) {
             self.hits += 1;
             return true;
         }
-        // Miss: fill the LRU way.
-        let lru = (0..self.config.ways)
-            .min_by_key(|&w| self.stamps[base + w])
-            .expect("ways is non-zero");
-        self.tags[base + lru] = Some(tag);
-        self.stamps[base + lru] = self.clock;
-        self.misses += 1;
-        false
+        self.last_line = Some(line);
+        self.clock += 1;
+        let ways = self.config.ways;
+        let base = (line & self.set_mask) as usize * ways;
+        let tag = line >> self.set_shift;
+        let hit = self.tags[base..base + ways].iter().position(|&t| t == tag);
+        let slot = if let Some(way) = hit {
+            self.hits += 1;
+            base + way
+        } else {
+            // Miss: fill the LRU way.
+            let lru = (0..ways)
+                .min_by_key(|&w| self.stamps[base + w])
+                .expect("ways is non-zero");
+            self.tags[base + lru] = tag;
+            self.misses += 1;
+            base + lru
+        };
+        self.stamps[slot] = self.clock;
+        hit.is_some()
     }
 
     /// Replays a trace; returns the hit ratio over it.

@@ -3,13 +3,13 @@
 use cim_arch::{ConventionalMachine, RunReport};
 use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, Time, UnitCosts};
 use cim_workloads::{
-    AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, MemoryTrace,
-    ReadSampler, SortedKmerIndex,
+    AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, ReadSampler,
+    ShortRead, SortedKmerIndex,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use crate::batch::{par_fold_chunks, par_map, BatchPolicy};
+use crate::batch::{par_fold_chunks, BatchPolicy, CHUNK_SIZE};
 use crate::cache::{CacheConfig, CacheSim};
 use crate::event::makespan;
 use crate::hierarchy::MemoryHierarchy;
@@ -43,10 +43,12 @@ impl ConventionalExecutor {
         Self { batch }
     }
 
-    /// Replays the DNA mapper's memory trace through an arbitrary
-    /// [`MemoryHierarchy`], returning `(avg cycles/access, DRAM ratio,
-    /// per-level hit ratios)` — the hierarchy-sensitivity study the
-    /// paper's flat 165-cycle model cannot express.
+    /// Feeds the DNA mapper's memory references through an arbitrary
+    /// [`MemoryHierarchy`] as they happen, returning `(avg cycles/access,
+    /// DRAM ratio, per-level hit ratios)` — the hierarchy-sensitivity
+    /// study the paper's flat 165-cycle model cannot express. The
+    /// average covers this run's accesses; the ratios are the
+    /// hierarchy's lifetime figures.
     ///
     /// # Panics
     ///
@@ -63,12 +65,16 @@ impl ConventionalExecutor {
         );
         let genome = Genome::generate(spec.ref_len as usize, seed);
         let index = SortedKmerIndex::build(&genome, 16);
-        let sampler = dna_sampler(&spec, seed);
-        let mut trace = MemoryTrace::new();
-        for read in sampler.sample(&genome) {
-            let _ = index.map_read(&genome, &read, &mut trace);
+        let (accesses, cycles) = (hierarchy.accesses(), hierarchy.cycles());
+        for read in dna_sampler(&spec, seed).stream(&genome) {
+            let _ = index.map_read(&genome, &read, hierarchy);
         }
-        let avg_cycles = hierarchy.run_trace(&trace);
+        let accesses = hierarchy.accesses() - accesses;
+        let avg_cycles = if accesses == 0 {
+            0.0
+        } else {
+            (hierarchy.cycles() - cycles) as f64 / accesses as f64
+        };
         (
             avg_cycles,
             hierarchy.dram_ratio(),
@@ -225,6 +231,59 @@ pub(crate) fn dna_sampler(spec: &DnaSpec, seed: u64) -> ReadSampler {
     }
 }
 
+/// [`CHUNK_SIZE`] chunks per streamed block of the DNA run. Fixed — not
+/// derived from the thread count — so the block boundaries are the same
+/// on every machine.
+const BLOCK_CHUNKS: usize = 4;
+
+/// One read's index lookup, as the cache replay needs it.
+struct MappedRead {
+    /// Character comparisons (index probes + verification).
+    comparisons: u64,
+    /// Whether the read mapped back to its true position.
+    mapped: bool,
+    /// End of the read's accesses in its chunk's address buffer; they
+    /// start where the previous read's end.
+    end: usize,
+}
+
+/// A chunk of reads mapped through the index: every read's accesses back
+/// to back in read order, plus one record per read. The run keeps one per
+/// chunk of a block and refills it block after block, so its buffers are
+/// allocated once.
+struct MappedChunk {
+    addresses: Vec<u64>,
+    reads: Vec<MappedRead>,
+}
+
+impl MappedChunk {
+    /// Buffers sized for `reads` reads of `read_len` characters: room
+    /// per read for one candidate's verify walk plus the binary search's
+    /// probes (at most 29 at the executable cap); a chunk with more
+    /// candidates grows its buffer. The calling thread allocates them,
+    /// so pool workers that fill them hold no heap of their own.
+    fn with_capacity(reads: usize, read_len: usize) -> Self {
+        Self {
+            addresses: Vec::with_capacity(reads * (read_len + 32)),
+            reads: Vec::with_capacity(reads),
+        }
+    }
+
+    /// Maps `reads` in order, replacing what the chunk held.
+    fn map(&mut self, index: &SortedKmerIndex, genome: &Genome, reads: &[ShortRead]) {
+        self.addresses.clear();
+        self.reads.clear();
+        for read in reads {
+            let outcome = index.map_read(genome, read, &mut self.addresses);
+            self.reads.push(MappedRead {
+                comparisons: outcome.comparisons,
+                mapped: outcome.mapped_positions.contains(&read.true_position),
+                end: self.addresses.len(),
+            });
+        }
+    }
+}
+
 impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
     fn machine(&self) -> &'static str {
         Self::MACHINE
@@ -236,10 +295,15 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
     /// trace, and schedules the per-read durations over the scaled
     /// machine's clusters.
     ///
-    /// Two phases keep the parallel run bit-identical to the serial one:
-    /// the pure per-read index lookups fan out over the batch driver,
-    /// then the stateful cache replay and f64 energy accumulation walk
-    /// the results sequentially in read order.
+    /// The reads stream through in blocks of 4 × [`CHUNK_SIZE`], a size
+    /// fixed apart from the thread count. Each block's chunks map over
+    /// the batch driver (pure index lookups, each chunk into one flat
+    /// address buffer); then one [`CacheSim`] replays the block serially
+    /// in read order, carrying its state across blocks, exactly as a
+    /// serial walk of the whole trace would. The replay counts events
+    /// per (component, phase) in integers, which are priced once at the
+    /// end, so no whole-run trace is held and the ledger is the same at
+    /// every thread count.
     fn run(&self, workload: &DnaWorkload) -> Result<RunOutcome, SimError> {
         let spec = workload.spec;
         if spec.ref_len > Self::DNA_EXEC_CAP {
@@ -251,118 +315,111 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
         }
         let genome = Genome::generate(spec.ref_len as usize, workload.seed);
         let index = SortedKmerIndex::build(&genome, 16);
-        let reads = dna_sampler(&spec, workload.seed).sample(&genome);
+        let sampler = dna_sampler(&spec, workload.seed);
+        let chunk_reads = CHUNK_SIZE.min(sampler.read_count(&genome));
+        let mut reads = sampler.stream(&genome);
 
         let machine = ConventionalMachine::dna_paper();
         let clusters_scaled =
             ((machine.clusters as f64 * spec.scale_vs_paper()).round() as u64).max(1);
         let workers = (clusters_scaled * machine.units_per_cluster) as usize;
 
-        // Phase 1 — parallel map: per-read index lookups are pure, so
-        // they fan out; each yields the lookup outcome plus the memory
-        // trace the sequential phase will replay.
-        let lookups = par_map(self.batch, &reads, |read| {
-            let mut trace = MemoryTrace::new();
-            let outcome = index.map_read(&genome, read, &mut trace);
-            (outcome, trace)
-        });
-
-        // Phase 2 — sequential replay: the cache is one shared stateful
-        // resource and the energy sums are order-sensitive f64, so this
-        // walks the reads in order, exactly as a serial run would. Costs
-        // accumulate into per-(component, phase) buckets: index probes
-        // (addresses past the genome) land in `Phase::Index`, data
-        // accesses and comparisons in `Phase::Map`; hits charge the
-        // cache, misses the DRAM behind it.
-        let mut cache = CacheSim::new(CacheConfig::table1_8kb());
-        let cycle = machine.tech.cycle();
-        let mut durations = Vec::with_capacity(reads.len());
-        let mut comparisons = 0u64;
-        let mut mapped = 0u64;
-        let mut index_hits = 0u64;
-        let mut index_misses = 0u64;
-        // Attribution buckets of (cycles, energy, count); `BUCKET_CELLS`
-        // below names the (component, phase) each one lands in. The
-        // compare bucket sits last so it absorbs the makespan-share
-        // residual.
+        // Event buckets: index probes (addresses past the genome) land in
+        // `Phase::Index`, data accesses and comparisons in `Phase::Map`;
+        // hits charge the cache, misses the DRAM behind it. Each access
+        // costs 1 cycle on a hit, 1 + 165 on a miss; every comparison
+        // costs one compute cycle (overlapped with the next access issue
+        // in a real pipeline — we charge it, staying conservative for
+        // the CMOS side). The compare bucket sits last so it absorbs the
+        // makespan-share residual.
         const HIT_INDEX: usize = 0;
         const HIT_MAP: usize = 1;
         const MISS_INDEX: usize = 2;
         const MISS_MAP: usize = 3;
         const COMPARE: usize = 4;
-        let mut buckets = [(0u64, Energy::ZERO, 0u64); 5];
         let hit_cost = machine.cache.hit_cycles;
         let miss_cost = machine.cache.hit_cycles + machine.cache.miss_penalty_cycles;
-        for (read, (outcome, trace)) in reads.iter().zip(&lookups) {
-            comparisons += outcome.comparisons;
-            if outcome.mapped_positions.contains(&read.true_position) {
-                mapped += 1;
+        let (hit_energy, miss_energy) = (machine.cache.hit_energy, machine.cache.miss_energy);
+        let buckets: [(Component, Phase, u64, Energy); 5] = [
+            (Component::CacheAccess, Phase::Index, hit_cost, hit_energy),
+            (Component::CacheAccess, Phase::Map, hit_cost, hit_energy),
+            (Component::DramAccess, Phase::Index, miss_cost, miss_energy),
+            (Component::DramAccess, Phase::Map, miss_cost, miss_energy),
+            (
+                Component::GateDynamic,
+                Phase::Map,
+                1,
+                machine.unit.dynamic_energy(&machine.tech),
+            ),
+        ];
+
+        let index_base = genome.len() as u64;
+        let mut cache = CacheSim::new(CacheConfig::table1_8kb());
+        let cycle = machine.tech.cycle();
+        let mut counts = [0u64; 5];
+        let mut durations = Vec::new();
+        let mut mapped = 0u64;
+        let mut block = Vec::with_capacity(BLOCK_CHUNKS * CHUNK_SIZE);
+        let mut mapped_chunks: Vec<MappedChunk> = (0..BLOCK_CHUNKS)
+            .map(|_| MappedChunk::with_capacity(chunk_reads, spec.read_len as usize))
+            .collect();
+        loop {
+            block.clear();
+            block.extend(reads.by_ref().take(BLOCK_CHUNKS * CHUNK_SIZE));
+            if block.is_empty() {
+                break;
             }
-            // Replay the trace: each access costs 1 cycle on a hit,
-            // 1 + 165 on a miss; every comparison costs one compute cycle
-            // (overlapped with the next access issue in a real pipeline —
-            // we charge it, staying conservative for the CMOS side).
-            let mut cycles = outcome.comparisons;
-            for access in trace.accesses() {
-                let is_index_probe = access.address >= genome.len() as u64;
-                let slot = if cache.access(access.address) {
-                    cycles += hit_cost;
-                    index_hits += u64::from(is_index_probe);
-                    if is_index_probe {
-                        HIT_INDEX
-                    } else {
-                        HIT_MAP
+            let chunks: Vec<&[ShortRead]> = block.chunks(CHUNK_SIZE).collect();
+            let mapped_chunks = &mut mapped_chunks[..chunks.len()];
+            cim_pool::run_exclusive(self.batch.threads, mapped_chunks, |c, chunk| {
+                chunk.map(&index, &genome, chunks[c]);
+            });
+            for chunk in mapped_chunks.iter() {
+                let mut start = 0;
+                for read in &chunk.reads {
+                    let accesses = &chunk.addresses[start..read.end];
+                    start = read.end;
+                    let (mut hits, mut probes, mut probe_hits) = (0u64, 0u64, 0u64);
+                    for &address in accesses {
+                        let hit = cache.access(address);
+                        let probe = address >= index_base;
+                        hits += u64::from(hit);
+                        probes += u64::from(probe);
+                        probe_hits += u64::from(hit & probe);
                     }
-                } else {
-                    cycles += miss_cost;
-                    index_misses += u64::from(is_index_probe);
-                    if is_index_probe {
-                        MISS_INDEX
-                    } else {
-                        MISS_MAP
-                    }
-                };
-                let (access_cycles, access_energy) = if slot <= HIT_MAP {
-                    (hit_cost, machine.cache.hit_energy)
-                } else {
-                    (miss_cost, machine.cache.miss_energy)
-                };
-                buckets[slot].0 += access_cycles;
-                buckets[slot].1 += access_energy;
-                buckets[slot].2 += 1;
+                    let misses = accesses.len() as u64 - hits;
+                    counts[HIT_INDEX] += probe_hits;
+                    counts[HIT_MAP] += hits - probe_hits;
+                    counts[MISS_INDEX] += probes - probe_hits;
+                    counts[MISS_MAP] += misses - (probes - probe_hits);
+                    counts[COMPARE] += read.comparisons;
+                    mapped += u64::from(read.mapped);
+                    durations.push(
+                        cycle * (read.comparisons + hits * hit_cost + misses * miss_cost) as f64,
+                    );
+                }
             }
-            buckets[COMPARE].0 += outcome.comparisons;
-            buckets[COMPARE].1 +=
-                machine.unit.dynamic_energy(&machine.tech) * outcome.comparisons as f64;
-            buckets[COMPARE].2 += outcome.comparisons;
-            durations.push(cycle * cycles as f64);
         }
 
         let total_time = makespan(durations.iter().copied(), workers);
 
-        // Charge the buckets: dynamic energy as accumulated, the measured
-        // makespan split across buckets proportionally to their cycle
-        // weights (the compare bucket, last, absorbs the residual so the
-        // shares sum to `total_time` exactly).
-        const BUCKET_CELLS: [(Component, Phase); 5] = [
-            (Component::CacheAccess, Phase::Index),
-            (Component::CacheAccess, Phase::Map),
-            (Component::DramAccess, Phase::Index),
-            (Component::DramAccess, Phase::Map),
-            (Component::GateDynamic, Phase::Map),
-        ];
-        let total_cycles: u64 = buckets.iter().map(|b| b.0).sum();
+        // Charge the buckets: dynamic energy priced once per bucket, the
+        // measured makespan split across buckets proportionally to their
+        // cycle weights (the compare bucket, last, absorbs the residual
+        // so the shares sum to `total_time` exactly).
+        let total_cycles: u64 = buckets.iter().zip(counts).map(|(b, n)| n * b.2).sum();
         let mut ledger = CostLedger::new();
         let mut attributed = Time::ZERO;
-        for (slot, &(component, phase)) in BUCKET_CELLS.iter().enumerate() {
-            let (cycles, energy, count) = buckets[slot];
+        for (slot, (&(component, phase, cycles, price), count)) in
+            buckets.iter().zip(counts).enumerate()
+        {
             let share = if slot == COMPARE {
                 total_time - attributed
             } else {
-                total_time * (cycles as f64 / total_cycles.max(1) as f64)
+                total_time * ((count * cycles) as f64 / total_cycles.max(1) as f64)
             };
             attributed += share;
-            ledger.charge(component, phase, energy, share, count);
+            ledger.charge(component, phase, price * count as f64, share, count);
         }
 
         // Statics over the makespan, scaled with the cluster count: gate
@@ -375,9 +432,12 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
         ledger.charge_energy(Component::CacheStatic, Phase::Map, cache_static, 0);
 
         let area_scaled = machine.area() * (clusters_scaled as f64 / machine.clusters as f64);
+        let comparisons = counts[COMPARE];
         let report = RunReport::from_ledger(comparisons, area_scaled, &ledger);
 
+        let items_total = durations.len();
         let measured_hit_ratio = cache.hit_ratio();
+        let (index_hits, index_misses) = (counts[HIT_INDEX], counts[MISS_INDEX]);
         let index_hit_ratio = index_hits as f64 / (index_hits + index_misses).max(1) as f64;
 
         Ok(RunOutcome {
@@ -385,7 +445,7 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
             report,
             ledger,
             digest: ExecutionDigest {
-                items_total: reads.len() as u64,
+                items_total: items_total as u64,
                 items_verified: mapped,
                 operations: comparisons,
                 checksum: None,
@@ -395,7 +455,7 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
             notes: vec![format!(
                 "scaled run: {mapped}/{} reads mapped, measured hit ratio {measured_hit_ratio:.3} \
                  (index probes alone: {index_hit_ratio:.3})",
-                reads.len(),
+                items_total,
             )],
         })
     }
@@ -678,6 +738,20 @@ mod tests {
             "L2 must reduce average latency: {deep_cycles} vs {flat_cycles}"
         );
         assert_eq!(levels.len(), 2);
+
+        // Streaming the references is exact: a whole trace replayed
+        // through a fresh hierarchy gives the same figures to the bit.
+        let genome = Genome::generate(spec.ref_len as usize, 4);
+        let index = SortedKmerIndex::build(&genome, 16);
+        let mut trace = cim_workloads::MemoryTrace::new();
+        for read in dna_sampler(&spec, 4).sample(&genome) {
+            let _ = index.map_read(&genome, &read, &mut trace);
+        }
+        let mut replayed = crate::hierarchy::MemoryHierarchy::table1_with_l2();
+        let replayed_cycles = replayed.run_trace(&trace);
+        assert_eq!(deep_cycles.to_bits(), replayed_cycles.to_bits());
+        assert_eq!(deep_dram.to_bits(), replayed.dram_ratio().to_bits());
+        assert_eq!(levels, replayed.level_hit_ratios());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use cim_units::Energy;
 use serde::{Deserialize, Serialize};
 
-use cim_workloads::MemoryTrace;
+use cim_workloads::{AccessSink, MemoryTrace};
 
 use crate::cache::{CacheConfig, CacheSim};
 
@@ -55,6 +55,8 @@ pub struct MemoryHierarchy {
     pub dram_energy: Energy,
     accesses: u64,
     dram_accesses: u64,
+    /// Lifetime cycles over every access.
+    cycles: u64,
 }
 
 impl MemoryHierarchy {
@@ -71,6 +73,7 @@ impl MemoryHierarchy {
             dram_energy,
             accesses: 0,
             dram_accesses: 0,
+            cycles: 0,
         }
     }
 
@@ -136,6 +139,7 @@ impl MemoryHierarchy {
             energy += self.dram_energy;
             self.dram_accesses += 1;
         }
+        self.cycles += cycles;
         HierarchyAccess {
             cycles,
             energy,
@@ -156,6 +160,16 @@ impl MemoryHierarchy {
         total as f64 / trace.len() as f64
     }
 
+    /// Lifetime accesses.
+    pub fn accesses(&self) -> u64 {
+        self.accesses
+    }
+
+    /// Lifetime cycles, summed over every access.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
+    }
+
     /// Fraction of accesses that fell through to DRAM.
     pub fn dram_ratio(&self) -> f64 {
         if self.accesses == 0 {
@@ -168,6 +182,14 @@ impl MemoryHierarchy {
     /// Per-level lifetime hit ratios.
     pub fn level_hit_ratios(&self) -> Vec<f64> {
         self.levels.iter().map(|l| l.cache.hit_ratio()).collect()
+    }
+}
+
+/// Feeds a workload's references straight into the hierarchy, one
+/// [`access`](MemoryHierarchy::access) each, so no trace is held.
+impl AccessSink for MemoryHierarchy {
+    fn read(&mut self, address: u64) {
+        self.access(address);
     }
 }
 

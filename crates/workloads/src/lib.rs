@@ -8,8 +8,10 @@
 //! the 50% cache-hit ratio Table 1 assumes. This crate implements the
 //! real pipeline — [`Genome`] generation, [`ReadSampler`] short-read
 //! sampling with errors, a [`SortedKmerIndex`] with binary-search lookup —
-//! and every operation emits a [`MemoryTrace`] so `cim-sim`'s cache
-//! simulator can *measure* that hit ratio instead of assuming it.
+//! and every lookup emits its memory references into an [`AccessSink`]
+//! (a [`MemoryTrace`], a flat address buffer, or a cache model) so
+//! `cim-sim`'s cache simulator can *measure* that hit ratio instead of
+//! assuming it.
 //!
 //! **Mathematics** (Section III.B.2): bulk parallel additions —
 //! [`AdditionWorkload`] generates the operand streams.
@@ -37,5 +39,5 @@ pub use dna::{DnaSpec, DnaWorkload};
 pub use genome::{Genome, Nucleotide};
 pub use index::{LookupOutcome, SortedKmerIndex};
 pub use reads::{ReadSampler, ShortRead};
-pub use trace::{Access, MemoryTrace};
+pub use trace::{Access, AccessSink, MemoryTrace};
 pub use workload::{ExecutionDigest, ProjectionKind, Workload, WorkloadError};

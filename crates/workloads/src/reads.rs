@@ -60,13 +60,23 @@ impl ReadSampler {
     ///
     /// Panics if the genome is shorter than one read.
     pub fn sample(&self, genome: &Genome) -> Vec<ShortRead> {
+        self.stream(genome).collect()
+    }
+
+    /// The reads [`sample`](Self::sample) returns, generated one at a
+    /// time, so a consumer can hold a bounded window of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the genome is shorter than one read.
+    pub fn stream<'g>(&self, genome: &'g Genome) -> impl Iterator<Item = ShortRead> + 'g {
         assert!(
             genome.len() >= self.read_len,
             "genome shorter than read length"
         );
+        let sampler = *self;
         let mut rng = StdRng::seed_from_u64(self.seed);
-        let n = self.read_count(genome);
-        (0..n).map(|_| self.sample_one(genome, &mut rng)).collect()
+        (0..self.read_count(genome)).map(move |_| sampler.sample_one(genome, &mut rng))
     }
 
     fn sample_one(&self, genome: &Genome, rng: &mut StdRng) -> ShortRead {

@@ -2,6 +2,46 @@
 
 use serde::{Deserialize, Serialize};
 
+/// Where a workload's memory references go as they happen.
+///
+/// The DNA index emits its probes and reference reads through this
+/// trait, so a caller chooses what a reference costs: a whole
+/// [`MemoryTrace`] to keep, a flat address buffer to replay in bounded
+/// chunks, or a cache model fed directly.
+pub trait AccessSink {
+    /// Records a read at `address`.
+    fn read(&mut self, address: u64);
+
+    /// Records reads at `start, start + 1, …, start + len - 1`, in that
+    /// order — a sequential scan.
+    fn read_run(&mut self, start: u64, len: u64) {
+        for address in start..start + len {
+            self.read(address);
+        }
+    }
+}
+
+impl AccessSink for MemoryTrace {
+    fn read(&mut self, address: u64) {
+        self.push(Access::read(address));
+    }
+
+    fn read_run(&mut self, start: u64, len: u64) {
+        self.extend((start..start + len).map(Access::read));
+    }
+}
+
+/// A bare address stream: every reference the DNA mapper makes is a read.
+impl AccessSink for Vec<u64> {
+    fn read(&mut self, address: u64) {
+        self.push(address);
+    }
+
+    fn read_run(&mut self, start: u64, len: u64) {
+        self.extend(start..start + len);
+    }
+}
+
 /// One memory reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Access {

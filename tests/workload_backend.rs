@@ -6,8 +6,15 @@
 //!    seeds — the backends implement the same functional semantics;
 //! 2. the parallel batch driver is an optimisation, not a semantic knob:
 //!    its reports are bit-identical to a serial run at any thread count.
+//!
+//! The conventional DNA run streams its reads through a cache replay in
+//! bounded blocks; it is checked here against a whole-trace replay built
+//! from the public pieces.
 
 use cim::prelude::*;
+use cim::sim::{CacheConfig, CacheSim};
+use cim::units::{Component, Phase};
+use cim::workloads::{Genome, MemoryTrace, ReadSampler, SortedKmerIndex};
 use proptest::prelude::*;
 
 fn dna_workload(seed: u64) -> DnaWorkload {
@@ -170,4 +177,146 @@ fn oversized_dna_specs_error_on_conventional_and_clamp_on_cim() {
         .run(&workload)
         .expect("CIM clamps instead of erroring");
     assert!(run.digest.operations > 0);
+}
+
+/// What the conventional DNA run must report, recomputed without it:
+/// every read mapped into its own [`MemoryTrace`], the traces replayed in
+/// read order through one cache that starts cold and is never reset.
+struct ReplayedDna {
+    /// `(hits, misses)` of index probes (addresses past the genome).
+    index: (u64, u64),
+    /// `(hits, misses)` of reference reads.
+    data: (u64, u64),
+    comparisons: u64,
+    reads: u64,
+    mapped: u64,
+    hit_ratio: f64,
+}
+
+fn replay_dna(workload: &DnaWorkload) -> ReplayedDna {
+    let spec = workload.spec;
+    let genome = Genome::generate(spec.ref_len as usize, workload.seed);
+    let index = SortedKmerIndex::build(&genome, 16);
+    let reads = ReadSampler {
+        read_len: spec.read_len as usize,
+        coverage: spec.coverage as u32,
+        error_rate: 0.01,
+        seed: workload.seed ^ 0x5eed,
+    }
+    .sample(&genome);
+    // `stepped` classifies every access; `whole` replays each read's
+    // trace in one call. Both start cold.
+    let mut stepped = CacheSim::new(CacheConfig::table1_8kb());
+    let mut whole = CacheSim::new(CacheConfig::table1_8kb());
+    let mut out = ReplayedDna {
+        index: (0, 0),
+        data: (0, 0),
+        comparisons: 0,
+        reads: reads.len() as u64,
+        mapped: 0,
+        hit_ratio: 0.0,
+    };
+    for read in &reads {
+        let mut trace = MemoryTrace::new();
+        let outcome = index.map_read(&genome, read, &mut trace);
+        out.comparisons += outcome.comparisons;
+        out.mapped += u64::from(outcome.mapped_positions.contains(&read.true_position));
+        whole.run_trace(&trace);
+        for access in trace.accesses() {
+            let bucket = if access.address >= genome.len() as u64 {
+                &mut out.index
+            } else {
+                &mut out.data
+            };
+            if stepped.access(access.address) {
+                bucket.0 += 1;
+            } else {
+                bucket.1 += 1;
+            }
+        }
+    }
+    assert_eq!(whole.hit_ratio().to_bits(), stepped.hit_ratio().to_bits());
+    out.hit_ratio = whole.hit_ratio();
+    out
+}
+
+/// Runs the conventional DNA workload at 1, 2 and 5 threads and checks
+/// each run against [`replay_dna`] and against each other.
+fn check_streamed_dna_run(workload: &DnaWorkload) -> Result<(), TestCaseError> {
+    let expected = replay_dna(workload);
+    let serial = ConventionalExecutor::with_batch(BatchPolicy::SERIAL)
+        .run(workload)
+        .expect("in-cap spec executes");
+    let count = |component, phase| serial.ledger.entry(component, phase).count;
+    prop_assert_eq!(
+        count(Component::CacheAccess, Phase::Index),
+        expected.index.0
+    );
+    prop_assert_eq!(count(Component::DramAccess, Phase::Index), expected.index.1);
+    prop_assert_eq!(count(Component::CacheAccess, Phase::Map), expected.data.0);
+    prop_assert_eq!(count(Component::DramAccess, Phase::Map), expected.data.1);
+    prop_assert_eq!(
+        count(Component::GateDynamic, Phase::Map),
+        expected.comparisons
+    );
+    prop_assert_eq!(
+        serial.measured_hit_ratio.map(f64::to_bits),
+        Some(expected.hit_ratio.to_bits())
+    );
+    let (hits, misses) = expected.index;
+    let index_ratio = hits as f64 / (hits + misses).max(1) as f64;
+    prop_assert_eq!(
+        serial.index_hit_ratio.map(f64::to_bits),
+        Some(index_ratio.to_bits())
+    );
+    prop_assert_eq!(serial.digest.items_total, expected.reads);
+    prop_assert_eq!(serial.digest.items_verified, expected.mapped);
+    prop_assert_eq!(serial.digest.operations, expected.comparisons);
+    prop_assert_eq!(serial.digest.checksum, None);
+    for threads in [2, 5] {
+        let parallel = ConventionalExecutor::with_batch(BatchPolicy::with_threads(threads))
+            .run(workload)
+            .expect("in-cap spec executes");
+        prop_assert_eq!(&parallel.ledger, &serial.ledger, "{} threads", threads);
+        prop_assert_eq!(
+            parallel.ledger.total_energy().get().to_bits(),
+            serial.ledger.total_energy().get().to_bits()
+        );
+        prop_assert_eq!(&parallel, &serial, "{} threads", threads);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn streamed_dna_run_equals_a_whole_trace_replay(
+        ref_len in 2_000u64..8_000,
+        coverage in 1u64..40,
+        read_len in 24u64..100,
+        seed in any::<u64>(),
+    ) {
+        let workload = DnaWorkload {
+            spec: DnaSpec { ref_len, coverage, read_len },
+            seed,
+        };
+        check_streamed_dna_run(&workload)?;
+    }
+}
+
+#[test]
+fn streamed_dna_run_carries_the_cache_across_blocks() {
+    // 10,000 reads: two full streaming blocks of 4 × 1,024 reads and a
+    // ragged third, so a cache that restarted at a block boundary, or a
+    // block cut that depended on the thread count, would show.
+    let workload = DnaWorkload {
+        spec: DnaSpec {
+            ref_len: 6_000,
+            coverage: 50,
+            read_len: 30,
+        },
+        seed: 23,
+    };
+    check_streamed_dna_run(&workload).expect("streamed run matches the replay");
 }
