@@ -6,8 +6,7 @@
 //!
 //! ```bash
 //! cargo run --release -p cim-bench --bin bench_dispatch              # full run
-//! cargo run --release -p cim-bench --bin bench_dispatch -- --quick   # CI-sized
-//! cargo run --release -p cim-bench --bin bench_dispatch -- --check   # schema + gate + regenerate
+//! cargo run --release -p cim-bench --bin bench_dispatch -- --check   # gate + regenerate + compare
 //! cargo run --release -p cim-bench --bin bench_dispatch -- --objective edp
 //! cargo run --release -p cim-bench --bin bench_dispatch -- --calibration cal.txt
 //! ```
@@ -24,18 +23,21 @@
 //! [`cim_units::SplitPlan`], running the shards
 //! concurrently: `split_speedup` is the best whole-workload makespan
 //! (either machine solo — the whole-workload hybrid picks one of them)
-//! divided by the split makespan, and `--check` gates it at ≥ 1.1×.
+//! divided by the split makespan, and every run exits 1 when it falls
+//! below 1.1×.
 //!
-//! `--check` validates the checked-in snapshot (schema and split gate),
-//! then regenerates it in memory with the same flags (the defaults
-//! reproduce the checked-in full-scale run) and requires every field to
-//! be byte-identical to the checked-in one. It writes nothing, so a
-//! change to the model fails it until the snapshot is regenerated.
+//! Every field is modelled. `--check` regenerates the snapshot in memory
+//! with the same flags (the defaults reproduce the checked-in full-scale
+//! run), writes nothing, and requires the checked-in file to carry the
+//! same fields in the same order with every value byte-identical
+//! ([`cim_bench::Snapshot::check`]), so a change to the model fails it
+//! until the snapshot is regenerated. An unknown flag, or a value flag
+//! without its value, exits 2.
 //!
 //! `--calibration <path>` carries calibrator state across sessions: the
 //! file is loaded before the run when it exists (exact dyadic
 //! round-trip; see `cim_dispatch::Calibrator::save`) and rewritten
-//! after.
+//! after, except under `--check`.
 //!
 //! Every run re-proves the dispatch contracts before writing the
 //! snapshot: decision traces and split outcomes are bit-identical
@@ -43,7 +45,7 @@
 //! exactly, the split claim certifies clean, the hybrid lands within 5%
 //! of the oracle, and each pure policy loses at least one scenario.
 
-use cim_bench::{compare_modelled_fields, repo_root_file, snapshot_number, Args};
+use cim_bench::{repo_root_file, Args, Snapshot};
 use cim_dispatch::{split_claim, Calibrator, HybridExecutor};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
@@ -54,59 +56,10 @@ use cim_workloads::{AdditionWorkload, DnaWorkload, Shardable};
 
 const SCHEMA: &str = "cim-bench-dispatch/2";
 
-/// The `--check` gate on the measured split speedup: splitting one
-/// workload across both machines must beat the best whole-workload
-/// policy by at least this factor.
+/// The gate on the measured split speedup: splitting one workload
+/// across both machines must beat the best whole-workload policy by at
+/// least this factor.
 const SPLIT_SPEEDUP_GATE: f64 = 1.1;
-
-/// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 22] = [
-    "schema",
-    "objective",
-    "calibration",
-    "dna_hybrid",
-    "dna_always_cim",
-    "dna_always_host",
-    "dna_oracle",
-    "additions_hybrid",
-    "additions_always_cim",
-    "additions_always_host",
-    "additions_oracle",
-    "serve_hybrid",
-    "serve_always_cim",
-    "serve_always_host",
-    "serve_oracle",
-    "split_cim_units",
-    "split_host_units",
-    "split_makespan_ps",
-    "split_whole_best_ps",
-    "split_speedup",
-    "decisions",
-    "mispredictions",
-];
-
-fn check(body: &str) -> Result<(), String> {
-    if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
-        return Err("snapshot is not a JSON object".into());
-    }
-    if !body.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("snapshot does not declare schema {SCHEMA}"));
-    }
-    for field in REQUIRED_FIELDS {
-        if !body.contains(&format!("\"{field}\":")) {
-            return Err(format!("snapshot is missing required field '{field}'"));
-        }
-    }
-    // The split gate is numeric, not just present: parse the value and
-    // require the measured concurrency win.
-    let speedup = snapshot_number(body, "split_speedup").ok_or("split_speedup is not a number")?;
-    if speedup < SPLIT_SPEEDUP_GATE {
-        return Err(format!(
-            "split_speedup {speedup:.4} is below the {SPLIT_SPEEDUP_GATE}x gate"
-        ));
-    }
-    Ok(())
-}
 
 /// Strict objective flag: absent → energy, present-but-garbage → exit 2.
 fn objective_flag(args: &Args) -> DispatchObjective {
@@ -117,19 +70,6 @@ fn objective_flag(args: &Args) -> DispatchObjective {
             std::process::exit(2);
         }),
     }
-}
-
-/// Strict calibration flag: absent → no persistence, present without a
-/// path → exit 2.
-fn calibration_flag(args: &Args) -> Option<std::path::PathBuf> {
-    if !args.has("--calibration") {
-        return None;
-    }
-    let Some(raw) = args.value("--calibration") else {
-        eprintln!("error: --calibration expects a file path");
-        std::process::exit(2);
-    };
-    Some(std::path::PathBuf::from(raw))
 }
 
 /// The four scores of one scenario, all under the same objective.
@@ -411,49 +351,35 @@ fn prove_contracts(
 }
 
 fn main() {
-    let args = Args::capture();
-    let path = repo_root_file("BENCH_dispatch.json");
-
-    if args.has("--check") {
-        let verdict = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))
-            .and_then(|body| {
-                check(&body)?;
-                compare_modelled_fields(&body, &snapshot(&args))
-            });
-        match verdict {
-            Ok(()) => println!(
-                "[ok] {} matches schema {SCHEMA} (split_speedup >= {SPLIT_SPEEDUP_GATE}), \
-                 and a fresh run reproduces every field",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("[fail] {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let json = snapshot(&args);
-    std::fs::write(&path, &json).expect("write BENCH_dispatch.json");
-    println!("\n[written] {}", path.display());
+    let args = Args::capture_strict(
+        &["--check"],
+        &[
+            "--objective",
+            "--calibration",
+            "--threads",
+            "--ref-len",
+            "--ops",
+            "--queries",
+            "--split-ops",
+            "--split-capacity",
+        ],
+    );
+    snapshot(&args).finish(&repo_root_file("BENCH_dispatch.json"), &args);
 }
 
 /// Runs every dispatch scenario under `args`, proves the contracts,
-/// prints the summary, and returns the snapshot body.
-fn snapshot(args: &Args) -> String {
-    let quick = args.has("--quick");
+/// prints the summary, applies the split gate, and returns the snapshot.
+fn snapshot(args: &Args) -> Snapshot {
     let objective = objective_flag(args);
-    let calibration = calibration_flag(args);
+    let calibration = args.value("--calibration").map(std::path::PathBuf::from);
     let threads = args.numeric("--threads", 4);
-    let ref_len = args.numeric("--ref-len", if quick { 1 << 12 } else { 1 << 14 });
-    let n_ops = args.numeric("--ops", if quick { 1 << 12 } else { 1 << 14 });
-    let queries = args.numeric("--queries", if quick { 4_000 } else { 16_000 });
+    let ref_len = args.numeric("--ref-len", 1 << 14);
+    let n_ops = args.numeric("--ops", 1 << 14);
+    let queries = args.numeric("--queries", 16_000);
     // The split scenario's stream and the fixed machine capacity both
-    // shards are priced at; quick keeps the full run's 32:1 ratio.
-    let split_ops = args.numeric("--split-ops", if quick { 1 << 14 } else { 1 << 21 });
-    let split_capacity = args.numeric("--split-capacity", if quick { 1 << 9 } else { 1 << 16 });
+    // shards are priced at.
+    let split_ops = args.numeric("--split-ops", 1 << 21);
+    let split_capacity = args.numeric("--split-capacity", 1 << 16);
 
     let calibrator = match &calibration {
         Some(path) if path.exists() => Calibrator::load(path).unwrap_or_else(|e| {
@@ -480,7 +406,7 @@ fn snapshot(args: &Args) -> String {
     prove_contracts(&scenarios, &dna, &adds, &traffic, objective, &hybrid_serve);
     prove_split_contracts(&split_adds, split_capacity as u64);
 
-    if let Some(path) = &calibration {
+    if let Some(path) = calibration.as_ref().filter(|_| !args.has("--check")) {
         hybrid.calibrator().save(path).unwrap_or_else(|e| {
             eprintln!("error: cannot save calibrator to {}: {e}", path.display());
             std::process::exit(1);
@@ -510,33 +436,36 @@ fn snapshot(args: &Args) -> String {
     );
     println!("decisions {decisions}   mispredictions {mispredictions}");
 
-    // The vendored serde is a no-op stub, so the snapshot is written by
-    // hand; `--check` validates exactly this shape.
-    let row = |s: &Scenario| {
-        format!(
-            "  \"{0}_hybrid\": {1:.6e},\n  \"{0}_always_cim\": {2:.6e},\n  \
-             \"{0}_always_host\": {3:.6e},\n  \"{0}_oracle\": {4:.6e}",
-            s.name, s.hybrid, s.always_cim, s.always_host, s.oracle
-        )
-    };
-    let calibration_label = calibration.as_ref().map_or_else(
-        || "frozen-identity".to_string(),
-        |p| p.display().to_string(),
-    );
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"objective\": \"{objective}\",\n  \
-         \"calibration\": \"{calibration_label}\",\n{},\n{},\n{},\n  \
-         \"split_cim_units\": {},\n  \"split_host_units\": {},\n  \
-         \"split_makespan_ps\": {:.6e},\n  \"split_whole_best_ps\": {:.6e},\n  \
-         \"split_speedup\": {:.6},\n  \
-         \"decisions\": {decisions},\n  \"mispredictions\": {mispredictions}\n}}\n",
-        row(&scenarios[0]),
-        row(&scenarios[1]),
-        row(&scenarios[2]),
-        split.plan.cim_units(),
-        split.plan.host_units(),
-        split.split_makespan.get() * 1e12,
-        split.whole_best.get() * 1e12,
-        split.speedup,
-    )
+    if split.speedup < SPLIT_SPEEDUP_GATE {
+        eprintln!(
+            "[fail] split_speedup {:.4} is below the {SPLIT_SPEEDUP_GATE}x gate",
+            split.speedup
+        );
+        std::process::exit(1);
+    }
+
+    let mut snap = Snapshot::default();
+    snap.modelled("schema", SCHEMA)
+        .modelled("objective", objective.to_string())
+        .modelled(
+            "calibration",
+            calibration.as_ref().map_or_else(
+                || "frozen-identity".to_string(),
+                |p| p.display().to_string(),
+            ),
+        );
+    for s in &scenarios {
+        snap.modelled(&format!("{}_hybrid", s.name), s.hybrid)
+            .modelled(&format!("{}_always_cim", s.name), s.always_cim)
+            .modelled(&format!("{}_always_host", s.name), s.always_host)
+            .modelled(&format!("{}_oracle", s.name), s.oracle);
+    }
+    snap.modelled("split_cim_units", split.plan.cim_units())
+        .modelled("split_host_units", split.plan.host_units())
+        .modelled("split_makespan_ps", split.split_makespan.get() * 1e12)
+        .modelled("split_whole_best_ps", split.whole_best.get() * 1e12)
+        .modelled("split_speedup", split.speedup)
+        .modelled("decisions", decisions)
+        .modelled("mispredictions", mispredictions);
+    snap
 }

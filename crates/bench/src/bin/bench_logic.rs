@@ -6,24 +6,23 @@
 //! trajectory is tracked in-repo from PR to PR.
 //!
 //! ```bash
-//! cargo run --release -p cim-bench --bin bench_logic            # full run
-//! cargo run --release -p cim-bench --bin bench_logic -- --quick # CI-sized
-//! cargo run --release -p cim-bench --bin bench_logic -- --check # schema only
+//! cargo run --release -p cim-bench --bin bench_logic            # measure + write
+//! cargo run --release -p cim-bench --bin bench_logic -- --check # measure + compare
 //! ```
 //!
-//! `--check` validates the checked-in snapshot against the
-//! `cim-bench-logic/3` schema without re-measuring: every required field
-//! must be present and every field but `schema` numeric. The speedups
-//! are host wall-clock ratios, recorded with `host_cores`. A fresh run
-//! (full or `--quick`) gates the two kernel ratios, each measured
-//! against the scalar interpreter in the same process: it exits 1 when
-//! `comparator_speedup` or `adder_speedup` falls below its floor in
-//! [`SPEEDUP_FLOORS`] (a debug build skips the gate and says so).
-//! `--quick` trims workload sizes and sample counts for smoke runs.
+//! The speedups are host wall-clock ratios, recorded with `host_cores`.
+//! Every run measures afresh and gates the two kernel ratios, each
+//! measured against the scalar interpreter in the same process: it exits
+//! 1 when `comparator_speedup` or `adder_speedup` falls below its floor
+//! in [`SPEEDUP_FLOORS`] (a debug build skips the gate and says so).
+//! `--check` then writes nothing and requires the checked-in file to
+//! carry the same fields in the same order, the modelled ones (schema,
+//! sample and op counts) byte-identical and every host measurement
+//! numeric ([`cim_bench::Snapshot::check`]).
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, snapshot_number, Args};
+use cim_bench::{repo_root_file, Args, Snapshot};
 use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
 use cim_sim::{BatchPolicy, CimExecutor, ExecutionBackend, KernelPolicy};
 use cim_workloads::{AdditionWorkload, DnaWorkload};
@@ -31,29 +30,9 @@ use cim_workloads::{AdditionWorkload, DnaWorkload};
 const SCHEMA: &str = "cim-bench-logic/3";
 
 /// Floors of the within-run kernel ratios (sliced over scalar, same
-/// process), each at most half the smallest value measured over fresh
-/// full and `--quick` runs on a 2-core host (EXPERIMENTS.md).
+/// process), each at most half the smallest value measured over ten
+/// fresh runs on a 2-core host (EXPERIMENTS.md).
 const SPEEDUP_FLOORS: [(&str, f64); 2] = [("comparator_speedup", 60.0), ("adder_speedup", 55.0)];
-
-/// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 16] = [
-    "schema",
-    "samples",
-    "host_cores",
-    "comparator_ops",
-    "comparator_scalar_ns",
-    "comparator_sliced_ns",
-    "comparator_speedup",
-    "adder_ops",
-    "adder_scalar_ns",
-    "adder_sliced_ns",
-    "adder_speedup",
-    "million_adds_ops",
-    "million_adds_sliced_ns",
-    "e2e_scalar_ns",
-    "e2e_sliced_ns",
-    "e2e_speedup",
-];
 
 /// Median wall-clock nanoseconds of `routine` over `samples` runs (one
 /// un-timed warm-up first).
@@ -68,26 +47,6 @@ fn median_ns(samples: usize, mut routine: impl FnMut()) -> f64 {
         .collect();
     times.sort_unstable();
     times[times.len() / 2] as f64
-}
-
-fn check(path: &std::path::Path) -> Result<(), String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
-        return Err("snapshot is not a JSON object".into());
-    }
-    if !body.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("snapshot does not declare schema {SCHEMA}"));
-    }
-    for field in REQUIRED_FIELDS {
-        if !body.contains(&format!("\"{field}\":")) {
-            return Err(format!("snapshot is missing required field '{field}'"));
-        }
-        if field != "schema" && snapshot_number(&body, field).is_none() {
-            return Err(format!("field '{field}' is not numeric"));
-        }
-    }
-    Ok(())
 }
 
 /// Comparator pass over pre-packed 64-lane groups: returns median ns.
@@ -134,23 +93,9 @@ fn adder_pass(samples: usize, adder: &ImplyAdder, operands: &[(u64, u64)]) -> f6
 }
 
 fn main() {
-    let args = Args::capture();
-    let path = repo_root_file("BENCH_logic.json");
-
-    if args.has("--check") {
-        match check(&path) {
-            Ok(()) => println!("[ok] {} matches schema {SCHEMA}", path.display()),
-            Err(e) => {
-                eprintln!("[fail] {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let quick = args.has("--quick");
-    let samples = if quick { 10 } else { 50 };
-    let e2e_samples = if quick { 3 } else { 9 };
+    let args = Args::capture_strict(&["--check"], &[]);
+    let samples = 50;
+    let e2e_samples = 9;
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
     // ── Eq-comparator kernel: one pass over `cmp_ops` symbol pairs ──
@@ -158,7 +103,7 @@ fn main() {
     // the comparison isolates kernel execution (the e2e section below
     // charges packing/transposition at its real place in the pipeline).
     let cmp = Comparator::new();
-    let cmp_ops: usize = if quick { 1 << 14 } else { 1 << 17 };
+    let cmp_ops: usize = 1 << 17;
     let pairs: Vec<(u8, u8)> = (0..cmp_ops)
         .map(|k| ((k % 4) as u8, ((k / 4) % 4) as u8))
         .collect();
@@ -184,7 +129,7 @@ fn main() {
 
     // ── 32-bit ripple adder: one pass over `add_ops` operand pairs ──
     let adder = ImplyAdder::new(32);
-    let add_ops: usize = if quick { 1 << 10 } else { 1 << 13 };
+    let add_ops: usize = 1 << 13;
     let operands: Vec<(u64, u64)> = (0..add_ops as u64)
         .map(|k| {
             (
@@ -207,9 +152,9 @@ fn main() {
     // ── Full-scale 10⁶ parallel additions (the paper's headline
     // workload), measured — not projected — through the serial
     // bit-sliced executor ──
-    let million_ops: u64 = if quick { 100_000 } else { 1_000_000 };
+    let million_ops: u64 = 1_000_000;
     let million = AdditionWorkload::scaled(million_ops, 7);
-    let million_samples = if quick { 3 } else { 5 };
+    let million_samples = 5;
     let million_sliced = {
         let exec = CimExecutor::with_policies(BatchPolicy::SERIAL, KernelPolicy::BitSliced);
         median_ns(million_samples, || {
@@ -221,8 +166,8 @@ fn main() {
 
     // ── End-to-end: CimExecutor DNA + additions, scalar vs sliced ──
     // Serial batch isolates the kernel effect from thread scaling.
-    let dna = DnaWorkload::scaled(if quick { 8_000 } else { 40_000 }, 23);
-    let adds = AdditionWorkload::scaled(if quick { 20_000 } else { 50_000 }, 24);
+    let dna = DnaWorkload::scaled(40_000, 23);
+    let adds = AdditionWorkload::scaled(50_000, 24);
     let e2e = |kernel: KernelPolicy| {
         let exec = CimExecutor::with_policies(BatchPolicy::SERIAL, kernel);
         median_ns(e2e_samples, || {
@@ -259,41 +204,42 @@ fn main() {
     println!("e2e dna+adds scalar     {e2e_scalar:>12.0}");
     println!("e2e dna+adds sliced     {e2e_sliced:>12.0}   ({e2e_speedup:.1}x)");
 
-    // The vendored serde is a no-op stub, so the snapshot is written by
-    // hand; `--check` validates exactly this shape.
-    let json = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"samples\": {samples},\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"comparator_ops\": {cmp_ops},\n  \"comparator_scalar_ns\": {cmp_scalar:.0},\n  \
-         \"comparator_sliced_ns\": {cmp_sliced:.0},\n  \
-         \"comparator_speedup\": {cmp_speedup:.1},\n  \"adder_ops\": {add_ops},\n  \
-         \"adder_scalar_ns\": {add_scalar:.0},\n  \"adder_sliced_ns\": {add_sliced:.0},\n  \
-         \"adder_speedup\": {add_speedup:.1},\n  \
-         \"million_adds_ops\": {million_ops},\n  \
-         \"million_adds_sliced_ns\": {million_sliced:.0},\n  \
-         \"e2e_scalar_ns\": {e2e_scalar:.0},\n  \
-         \"e2e_sliced_ns\": {e2e_sliced:.0},\n  \"e2e_speedup\": {e2e_speedup:.1}\n}}\n"
-    );
-    std::fs::write(&path, &json).expect("write BENCH_logic.json");
-    println!("\n[written] {}", path.display());
-
     if e2e_speedup < 5.0 {
         eprintln!("[warn] end-to-end speedup {e2e_speedup:.1}x is below the 5x target");
     }
     if cfg!(debug_assertions) {
         println!("[skip] speedup floors: set for optimised builds, and this is a debug build");
-        return;
-    }
-    let mut below = false;
-    for ((name, floor), speedup) in SPEEDUP_FLOORS.into_iter().zip([cmp_speedup, add_speedup]) {
-        if speedup < floor {
-            eprintln!("[fail] {name} {speedup:.1}x is below its {floor}x floor");
-            below = true;
-        } else {
-            println!("[ok] {name} {speedup:.1}x >= {floor}x floor");
+    } else {
+        let mut below = false;
+        for ((name, floor), speedup) in SPEEDUP_FLOORS.into_iter().zip([cmp_speedup, add_speedup]) {
+            if speedup < floor {
+                eprintln!("[fail] {name} {speedup:.1}x is below its {floor}x floor");
+                below = true;
+            } else {
+                println!("[ok] {name} {speedup:.1}x >= {floor}x floor");
+            }
+        }
+        if below {
+            std::process::exit(1);
         }
     }
-    if below {
-        std::process::exit(1);
-    }
+
+    let mut snap = Snapshot::default();
+    snap.modelled("schema", SCHEMA)
+        .modelled("samples", samples)
+        .host("host_cores", host_cores)
+        .modelled("comparator_ops", cmp_ops)
+        .host("comparator_scalar_ns", cmp_scalar)
+        .host("comparator_sliced_ns", cmp_sliced)
+        .host("comparator_speedup", cmp_speedup)
+        .modelled("adder_ops", add_ops)
+        .host("adder_scalar_ns", add_scalar)
+        .host("adder_sliced_ns", add_sliced)
+        .host("adder_speedup", add_speedup)
+        .modelled("million_adds_ops", million_ops)
+        .host("million_adds_sliced_ns", million_sliced)
+        .host("e2e_scalar_ns", e2e_scalar)
+        .host("e2e_sliced_ns", e2e_sliced)
+        .host("e2e_speedup", e2e_speedup);
+    snap.finish(&repo_root_file("BENCH_logic.json"), &args);
 }

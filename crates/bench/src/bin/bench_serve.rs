@@ -6,7 +6,6 @@
 //!
 //! ```bash
 //! cargo run --release -p cim-bench --bin bench_serve              # full run
-//! cargo run --release -p cim-bench --bin bench_serve -- --quick   # CI-sized
 //! cargo run --release -p cim-bench --bin bench_serve -- --check   # regenerate + compare
 //! cargo run --release -p cim-bench --bin bench_serve -- \
 //!     --tiles 4 --threads 4 --queue-depth 256 --tenant-quota 96
@@ -19,16 +18,16 @@
 //!
 //! The `host_*` fields are wall clocks of the machine that ran the
 //! snapshot, recorded with its `host_cores`; every other field is
-//! modelled and host-independent. `--check` requires every field of the
-//! checked-in snapshot to be present and every field but `schema`
-//! numeric, then regenerates the snapshot in memory (same flags, so the
-//! defaults reproduce the checked-in full run) and requires every
-//! non-`host_*` field to be byte-identical to the checked-in one. It
-//! writes nothing.
+//! modelled and host-independent. `--check` regenerates the snapshot in
+//! memory (same flags, so the defaults reproduce the checked-in run),
+//! writes nothing, and requires the checked-in file to carry the same
+//! fields in the same order, every modelled value byte-identical and
+//! every host value numeric ([`cim_bench::Snapshot::check`]). An unknown
+//! flag, or a value flag without its value, exits 2.
 
 use std::time::Instant;
 
-use cim_bench::{compare_modelled_fields, repo_root_file, snapshot_number, Args};
+use cim_bench::{repo_root_file, Args, Snapshot};
 use cim_fabric::{
     DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, ServeReport, TrafficSpec,
 };
@@ -36,49 +35,6 @@ use cim_sim::BatchPolicy;
 use cim_verify::{certify_tiles, TileClaim};
 
 const SCHEMA: &str = "cim-bench-serve/2";
-
-/// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 21] = [
-    "schema",
-    "queries",
-    "tenants",
-    "tiles",
-    "threads",
-    "host_cores",
-    "queue_depth",
-    "tenant_quota",
-    "max_batch",
-    "admitted",
-    "rejected_queue_full",
-    "rejected_quota",
-    "batches",
-    "peak_queue",
-    "modelled_makespan_ns",
-    "modelled_throughput_qps",
-    "p50_ns",
-    "p99_ns",
-    "host_wall_ns",
-    "host_throughput_qps",
-    "fabric_energy_j",
-];
-
-fn check(body: &str) -> Result<(), String> {
-    if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
-        return Err("snapshot is not a JSON object".into());
-    }
-    if !body.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("snapshot does not declare schema {SCHEMA}"));
-    }
-    for field in REQUIRED_FIELDS {
-        if !body.contains(&format!("\"{field}\":")) {
-            return Err(format!("snapshot is missing required field '{field}'"));
-        }
-        if field != "schema" && snapshot_number(body, field).is_none() {
-            return Err(format!("field '{field}' is not numeric"));
-        }
-    }
-    Ok(())
-}
 
 fn front_end(tiles: usize, threads: usize, config: ServeConfig) -> ServeFrontEnd {
     ServeFrontEnd {
@@ -134,40 +90,24 @@ fn prove_contracts(
 }
 
 fn main() {
-    let args = Args::capture();
-    let path = repo_root_file("BENCH_serve.json");
-
-    if args.has("--check") {
-        let verdict = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))
-            .and_then(|body| {
-                check(&body)?;
-                compare_modelled_fields(&body, &snapshot(&args))
-            });
-        match verdict {
-            Ok(()) => println!(
-                "[ok] {} matches schema {SCHEMA}, and a fresh run reproduces every \
-                 non-host field",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("[fail] {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let json = snapshot(&args);
-    std::fs::write(&path, &json).expect("write BENCH_serve.json");
-    println!("\n[written] {}", path.display());
+    let args = Args::capture_strict(
+        &["--check"],
+        &[
+            "--queries",
+            "--tiles",
+            "--threads",
+            "--queue-depth",
+            "--tenant-quota",
+            "--max-batch",
+        ],
+    );
+    snapshot(&args).finish(&repo_root_file("BENCH_serve.json"), &args);
 }
 
 /// Runs the serving snapshot under `args`, proves its contracts, prints
-/// the summary, and returns the snapshot body.
-fn snapshot(args: &Args) -> String {
-    let quick = args.has("--quick");
-    let queries = args.numeric("--queries", if quick { 4_000 } else { 20_000 });
+/// the summary, and returns the snapshot.
+fn snapshot(args: &Args) -> Snapshot {
+    let queries = args.numeric("--queries", 20_000);
     let tiles = args.numeric("--tiles", 4).max(1);
     let threads = args.numeric("--threads", 4);
     let config = ServeConfig {
@@ -180,15 +120,15 @@ fn snapshot(args: &Args) -> String {
     let fe = front_end(tiles, threads, config);
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
 
-    // Host wall clock: median of a few full serve replays.
-    let samples = if quick { 3 } else { 7 };
-    let mut wall: Vec<u128> = Vec::with_capacity(samples);
+    // Host wall clock: median of seven full serve replays.
     let mut report = fe.serve(&traffic).expect("warm-up serve");
-    for _ in 0..samples {
-        let start = Instant::now();
-        report = fe.serve(&traffic).expect("timed serve");
-        wall.push(start.elapsed().as_nanos());
-    }
+    let mut wall: Vec<u128> = (0..7)
+        .map(|_| {
+            let start = Instant::now();
+            report = fe.serve(&traffic).expect("timed serve");
+            start.elapsed().as_nanos()
+        })
+        .collect();
     wall.sort_unstable();
     let host_wall_ns = wall[wall.len() / 2] as f64;
     let host_qps = report.completed as f64 * 1e9 / host_wall_ns;
@@ -220,28 +160,27 @@ fn snapshot(args: &Args) -> String {
     println!("host wall          {host_wall_ns:>12.0} ns   throughput {host_qps:>12.0} q/s");
     println!("fabric energy      {energy_j:>12.3e} J   (ledger conserves bit-for-bit)");
 
-    // The vendored serde is a no-op stub, so the snapshot is written by
-    // hand; `--check` validates exactly this shape.
-    format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"queries\": {queries},\n  \
-         \"tenants\": {},\n  \"tiles\": {tiles},\n  \"threads\": {threads},\n  \
-         \"host_cores\": {host_cores},\n  \
-         \"queue_depth\": {},\n  \"tenant_quota\": {},\n  \"max_batch\": {},\n  \
-         \"admitted\": {},\n  \"rejected_queue_full\": {},\n  \"rejected_quota\": {},\n  \
-         \"batches\": {},\n  \"peak_queue\": {},\n  \
-         \"modelled_makespan_ns\": {makespan_ns:.1},\n  \
-         \"modelled_throughput_qps\": {:.3e},\n  \"p50_ns\": {p50_ns:.1},\n  \
-         \"p99_ns\": {p99_ns:.1},\n  \"host_wall_ns\": {host_wall_ns:.0},\n  \
-         \"host_throughput_qps\": {host_qps:.0},\n  \"fabric_energy_j\": {energy_j:.3e}\n}}\n",
-        traffic.tenants,
-        config.queue_depth,
-        config.tenant_quota,
-        config.max_batch,
-        report.admitted,
-        report.rejected_queue_full,
-        report.rejected_quota,
-        report.batches,
-        report.peak_queue,
-        report.throughput_qps,
-    )
+    let mut snap = Snapshot::default();
+    snap.modelled("schema", SCHEMA)
+        .modelled("queries", queries)
+        .modelled("tenants", u64::from(traffic.tenants))
+        .modelled("tiles", tiles)
+        .modelled("threads", threads)
+        .host("host_cores", host_cores)
+        .modelled("queue_depth", config.queue_depth)
+        .modelled("tenant_quota", config.tenant_quota)
+        .modelled("max_batch", config.max_batch)
+        .modelled("admitted", report.admitted)
+        .modelled("rejected_queue_full", report.rejected_queue_full)
+        .modelled("rejected_quota", report.rejected_quota)
+        .modelled("batches", report.batches)
+        .modelled("peak_queue", report.peak_queue)
+        .modelled("modelled_makespan_ns", makespan_ns)
+        .modelled("modelled_throughput_qps", report.throughput_qps)
+        .modelled("p50_ns", p50_ns)
+        .modelled("p99_ns", p99_ns)
+        .host("host_wall_ns", host_wall_ns)
+        .host("host_throughput_qps", host_qps)
+        .modelled("fabric_energy_j", energy_j);
+    snap
 }

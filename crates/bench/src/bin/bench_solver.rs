@@ -4,15 +4,16 @@
 //! tracked in-repo from PR to PR.
 //!
 //! ```bash
-//! cargo run --release -p cim-bench --bin bench_solver            # full run
-//! cargo run --release -p cim-bench --bin bench_solver -- --quick # CI-sized
-//! cargo run --release -p cim-bench --bin bench_solver -- --check # schema only
+//! cargo run --release -p cim-bench --bin bench_solver            # measure + write
+//! cargo run --release -p cim-bench --bin bench_solver -- --check # measure + compare
 //! ```
 //!
-//! `--check` validates the checked-in snapshot against the
-//! `cim-bench-solver/4` schema without re-measuring **and gates the
-//! parallelism headline** (`batch_solves_speedup > 2.0`); `--quick`
-//! trims the sample count for smoke runs.
+//! Every run measures afresh and **gates the parallelism headline** on
+//! the fresh value: it exits 1 unless `batch_solves_speedup > 2.0`.
+//! `--check` then writes nothing and requires the checked-in file to
+//! carry the same fields in the same order, the modelled ones (schema,
+//! array size, sample and batch counts) byte-identical and every host
+//! measurement numeric ([`cim_bench::Snapshot::check`]).
 //!
 //! ## What the parallelism numbers mean
 //!
@@ -31,7 +32,7 @@
 
 use std::time::Instant;
 
-use cim_bench::{repo_root_file, snapshot_number, Args};
+use cim_bench::{repo_root_file, Args, Snapshot};
 use cim_crossbar::{solve_batch, BiasScheme, Crossbar, Geometry, ResistiveCell};
 use cim_device::DeviceParams;
 
@@ -45,29 +46,6 @@ const BANDED_WORKERS: usize = 4;
 /// Arrays in the batch-of-solves measurement (two rounds per worker at
 /// four workers).
 const BATCH_ARRAYS: usize = 8;
-
-/// Every field a valid snapshot must carry, in schema order.
-const REQUIRED_FIELDS: [&str; 19] = [
-    "schema",
-    "array",
-    "samples",
-    "host_cores",
-    "pool_workers",
-    "cold_solve_ns",
-    "warm_same_ns",
-    "warm_after_flip_ns",
-    "warm_same_speedup",
-    "warm_after_flip_speedup",
-    "distributed_serial_ns",
-    "distributed_pooled_ns",
-    "batch_arrays",
-    "batch_serial_ns",
-    "batch_pooled_ns",
-    "batch_total_busy_ns",
-    "batch_critical_path_ns",
-    "batch_solves_speedup",
-    "read_ns",
-];
 
 /// Median wall-clock nanoseconds of `routine` over `samples` runs (one
 /// un-timed warm-up first).
@@ -91,51 +69,9 @@ fn array() -> Crossbar<ResistiveCell> {
     a
 }
 
-fn check(path: &std::path::Path) -> Result<(), String> {
-    let body = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    if !body.trim_start().starts_with('{') || !body.trim_end().ends_with('}') {
-        return Err("snapshot is not a JSON object".into());
-    }
-    if !body.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
-        return Err(format!("snapshot does not declare schema {SCHEMA}"));
-    }
-    for field in REQUIRED_FIELDS {
-        if !body.contains(&format!("\"{field}\":")) {
-            return Err(format!("snapshot is missing required field '{field}'"));
-        }
-    }
-    let batch = snapshot_number(&body, "batch_solves_speedup")
-        .ok_or("batch_solves_speedup is not numeric")?;
-    if batch <= 2.0 {
-        return Err(format!(
-            "batch_solves_speedup {batch} is at or below the 2.0 gate: the batch driver \
-             must expose more than 2x concurrency over {BATCH_ARRAYS} solves at \
-             {BANDED_WORKERS} workers"
-        ));
-    }
-    Ok(())
-}
-
 fn main() {
-    let args = Args::capture();
-    let path = repo_root_file("BENCH_solver.json");
-
-    if args.has("--check") {
-        match check(&path) {
-            Ok(()) => println!(
-                "[ok] {} matches schema {SCHEMA} and the batch-of-solves gate",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("[fail] {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let samples = if args.has("--quick") { 20 } else { 200 };
+    let args = Args::capture_strict(&["--check"], &[]);
+    let samples = 200;
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     let pool_workers = BANDED_WORKERS.min(host_cores);
     let p = DeviceParams::table1_cim();
@@ -256,30 +192,40 @@ fn main() {
     println!("batch busy / critical   {batch_busy:>12.0} / {batch_critical:.0}   ({batch_speedup:.1}x exposed)");
     println!("full read               {read_ns:>12.0}");
 
-    // The vendored serde is a no-op stub, so the snapshot is written by
-    // hand; `--check` validates exactly this shape.
-    let json = format!(
-        "{{\n  \"schema\": \"{SCHEMA}\",\n  \"array\": {N},\n  \"samples\": {samples},\n  \
-         \"host_cores\": {host_cores},\n  \"pool_workers\": {pool_workers},\n  \
-         \"cold_solve_ns\": {cold:.0},\n  \"warm_same_ns\": {warm_same:.0},\n  \
-         \"warm_after_flip_ns\": {warm_flip:.0},\n  \"warm_same_speedup\": {warm_same_speedup:.2},\n  \
-         \"warm_after_flip_speedup\": {warm_flip_speedup:.2},\n  \
-         \"distributed_serial_ns\": {dist_serial:.0},\n  \
-         \"distributed_pooled_ns\": {dist_pooled:.0},\n  \
-         \"batch_arrays\": {BATCH_ARRAYS},\n  \
-         \"batch_serial_ns\": {batch_serial:.0},\n  \
-         \"batch_pooled_ns\": {batch_pooled:.0},\n  \
-         \"batch_total_busy_ns\": {batch_busy:.0},\n  \
-         \"batch_critical_path_ns\": {batch_critical:.0},\n  \
-         \"batch_solves_speedup\": {batch_speedup:.2},\n  \"read_ns\": {read_ns:.0}\n}}\n"
-    );
-    std::fs::write(&path, &json).expect("write BENCH_solver.json");
-    println!("\n[written] {}", path.display());
-
     if warm_same_speedup < 3.0 {
         eprintln!(
             "[warn] warm-path speedup {warm_same_speedup:.1}x is below the 3x target \
              (noisy machine?)"
         );
     }
+    if batch_speedup <= 2.0 {
+        eprintln!(
+            "[fail] batch_solves_speedup {batch_speedup:.2} is at or below the 2.0 gate: the \
+             batch driver must expose more than 2x concurrency over {BATCH_ARRAYS} solves at \
+             {BANDED_WORKERS} workers"
+        );
+        std::process::exit(1);
+    }
+
+    let mut snap = Snapshot::default();
+    snap.modelled("schema", SCHEMA)
+        .modelled("array", N)
+        .modelled("samples", samples)
+        .host("host_cores", host_cores)
+        .host("pool_workers", pool_workers)
+        .host("cold_solve_ns", cold)
+        .host("warm_same_ns", warm_same)
+        .host("warm_after_flip_ns", warm_flip)
+        .host("warm_same_speedup", warm_same_speedup)
+        .host("warm_after_flip_speedup", warm_flip_speedup)
+        .host("distributed_serial_ns", dist_serial)
+        .host("distributed_pooled_ns", dist_pooled)
+        .modelled("batch_arrays", BATCH_ARRAYS)
+        .host("batch_serial_ns", batch_serial)
+        .host("batch_pooled_ns", batch_pooled)
+        .host("batch_total_busy_ns", batch_busy)
+        .host("batch_critical_path_ns", batch_critical)
+        .host("batch_solves_speedup", batch_speedup)
+        .host("read_ns", read_ns);
+    snap.finish(&repo_root_file("BENCH_solver.json"), &args);
 }

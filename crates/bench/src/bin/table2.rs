@@ -16,7 +16,9 @@
 //! tables (where every joule and picosecond of each Table-2 cell landed)
 //! and writes `results/table2_breakdown.csv`. `--smoke` shrinks both
 //! workloads for CI-speed runs and writes its CSVs under
-//! `results/smoke/` instead, leaving the full-scale ones untouched.
+//! `results/smoke/` instead, leaving the full-scale ones untouched. An
+//! unknown flag, a value flag without its value, or a `--hit-ratio`
+//! other than `paper`/`measured` exits 2.
 
 use cim_arch::{
     ByteComparator, Controller, ConventionalMachine, FunctionalUnit, Interconnect, Metrics,
@@ -30,7 +32,16 @@ use cim_units::{CostLedger, Phase};
 use cim_workloads::{DnaSpec, DnaWorkload};
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture_strict(
+        &[
+            "--ablate-comparator",
+            "--ablate-hitrate",
+            "--ablate-overhead",
+            "--smoke",
+            "--breakdown",
+        ],
+        &["--hit-ratio", "--threads"],
+    );
     if args.has("--ablate-comparator") {
         ablate_comparator();
         return;
@@ -45,8 +56,12 @@ fn main() {
     }
 
     let hit_mode = match args.value("--hit-ratio") {
+        None | Some("paper") => HitRatioMode::PaperAssumption,
         Some("measured") => HitRatioMode::Measured,
-        _ => HitRatioMode::PaperAssumption,
+        Some(raw) => {
+            eprintln!("error: --hit-ratio expects paper|measured, got `{raw}`");
+            std::process::exit(2);
+        }
     };
     // `--threads 0` (the default) lets the batch driver use every core;
     // results are bit-identical at any setting. A value that is present

@@ -206,90 +206,74 @@ fn balanced_lanes(cim_score: f64, host_score: f64) -> u64 {
 
 impl RouteTable {
     fn build(policy: &DispatchPolicy, fabric: &FabricExecutor) -> Self {
-        match policy {
-            DispatchPolicy::AlwaysCim => Self {
-                cim: [[true; 2]; 3],
-                mispredict: [[false; 2]; 3],
-                split: None,
-            },
-            DispatchPolicy::AlwaysHost => Self {
-                cim: [[false; 2]; 3],
-                mispredict: [[false; 2]; 3],
-                split: None,
-            },
+        let (objective, cim_scales, host_scales) = match policy {
+            DispatchPolicy::AlwaysCim | DispatchPolicy::AlwaysHost => {
+                return Self {
+                    cim: [[matches!(policy, DispatchPolicy::AlwaysCim); 2]; 3],
+                    mispredict: [[false; 2]; 3],
+                    split: None,
+                }
+            }
             DispatchPolicy::Hybrid {
                 objective,
                 cim_scales,
                 host_scales,
-            } => {
-                let cim_true = fabric.prices();
-                let host_true = host_unit_costs();
-                let cim_scaled = cim_scales.rescale(cim_true);
-                let host_scaled = host_scales.rescale(&host_true);
-                let score = |prices: &UnitCosts, counts: &CountLedger| {
-                    let ledger = prices.evaluate(counts);
-                    objective.score(ledger.total_energy(), ledger.total_time())
-                };
-                let mut cim = [[false; 2]; 3];
-                let mut mispredict = [[false; 2]; 3];
-                for kind in ROUTE_KINDS {
-                    for (slot, local) in [false, true].into_iter().enumerate() {
-                        let mut cim_counts = CountLedger::new();
-                        Query::charge_kind(&mut cim_counts, &fabric.grid, kind, local);
-                        let mut host_counts = CountLedger::new();
-                        Query::charge_host_kind(&mut host_counts, kind);
-                        // Ties go to the crossbar: it is the machine the
-                        // fabric exists to exercise.
-                        let predicted =
-                            score(&cim_scaled, &cim_counts) <= score(&host_scaled, &host_counts);
-                        let truth = score(cim_true, &cim_counts) <= score(&host_true, &host_counts);
-                        cim[kind_index(kind)][slot] = predicted;
-                        mispredict[kind_index(kind)][slot] = predicted != truth;
-                    }
-                }
-                Self {
-                    cim,
-                    mispredict,
-                    split: None,
-                }
             }
-            DispatchPolicy::SplitHybrid {
+            | DispatchPolicy::SplitHybrid {
                 objective,
                 cim_scales,
                 host_scales,
-            } => {
-                let cim_true = fabric.prices();
-                let host_true = host_unit_costs();
-                let cim_scaled = cim_scales.rescale(cim_true);
-                let host_scaled = host_scales.rescale(&host_true);
-                let score = |prices: &UnitCosts, counts: &CountLedger| {
-                    let ledger = prices.evaluate(counts);
-                    objective.score(ledger.total_energy(), ledger.total_time())
-                };
-                let mut calibrated = [[0u64; 2]; 3];
-                let mut truth = [[0u64; 2]; 3];
-                for kind in ROUTE_KINDS {
-                    for (slot, local) in [false, true].into_iter().enumerate() {
-                        let mut cim_counts = CountLedger::new();
-                        Query::charge_kind(&mut cim_counts, &fabric.grid, kind, local);
-                        let mut host_counts = CountLedger::new();
-                        Query::charge_host_kind(&mut host_counts, kind);
-                        calibrated[kind_index(kind)][slot] = balanced_lanes(
-                            score(&cim_scaled, &cim_counts),
-                            score(&host_scaled, &host_counts),
-                        );
-                        truth[kind_index(kind)][slot] = balanced_lanes(
-                            score(cim_true, &cim_counts),
-                            score(&host_true, &host_counts),
-                        );
-                    }
-                }
-                Self {
-                    cim: [[false; 2]; 3],
-                    mispredict: [[false; 2]; 3],
-                    split: Some(SplitLanes { calibrated, truth }),
-                }
+            } => (objective, cim_scales, host_scales),
+        };
+        let cim_true = fabric.prices();
+        let host_true = host_unit_costs();
+        let cim_scaled = cim_scales.rescale(cim_true);
+        let host_scaled = host_scales.rescale(&host_true);
+        let score = |prices: &UnitCosts, counts: &CountLedger| {
+            let ledger = prices.evaluate(counts);
+            objective.score(ledger.total_energy(), ledger.total_time())
+        };
+        // Per cell, the `(cim, host)` score of one query under the
+        // calibrated prices (view 0) and under the true ones (view 1).
+        let mut scores = [[[(0.0, 0.0); 2]; 2]; 3];
+        for kind in ROUTE_KINDS {
+            for (slot, local) in [false, true].into_iter().enumerate() {
+                let mut cim_counts = CountLedger::new();
+                Query::charge_kind(&mut cim_counts, &fabric.grid, kind, local);
+                let mut host_counts = CountLedger::new();
+                Query::charge_host_kind(&mut host_counts, kind);
+                scores[kind_index(kind)][slot] = [
+                    (
+                        score(&cim_scaled, &cim_counts),
+                        score(&host_scaled, &host_counts),
+                    ),
+                    (
+                        score(cim_true, &cim_counts),
+                        score(&host_true, &host_counts),
+                    ),
+                ];
             }
+        }
+        if matches!(policy, DispatchPolicy::SplitHybrid { .. }) {
+            let lanes =
+                |v: usize| scores.map(|row| row.map(|cell| balanced_lanes(cell[v].0, cell[v].1)));
+            return Self {
+                cim: [[false; 2]; 3],
+                mispredict: [[false; 2]; 3],
+                split: Some(SplitLanes {
+                    calibrated: lanes(0),
+                    truth: lanes(1),
+                }),
+            };
+        }
+        // Ties go to the crossbar: it is the machine the fabric exists
+        // to exercise.
+        let wins = |v: usize| scores.map(|row| row.map(|cell| cell[v].0 <= cell[v].1));
+        let (cim, truth) = (wins(0), wins(1));
+        Self {
+            cim,
+            mispredict: std::array::from_fn(|k| std::array::from_fn(|s| cim[k][s] != truth[k][s])),
+            split: None,
         }
     }
 
