@@ -42,16 +42,19 @@ fn bench_distributed(c: &mut Criterion) {
     group.finish();
 }
 
-/// The tentpole measurement: cold (seed-equivalent) vs warm-started
-/// solves of the same 64×64 access. `warm_after_flip` reprograms one
-/// cell between solves — the realistic logic-program cadence.
+/// Cold (warm start dropped before every solve) vs warm-started solves
+/// of the same 64×64 access. `warm_after_flip` reprograms one cell
+/// between solves — the realistic logic-program cadence.
 fn bench_warm_vs_cold_64(c: &mut Criterion) {
     let n = 64;
     let mut group = c.benchmark_group("solver/warm_vs_cold_64");
     group.bench_function("cold", |b| {
-        let a = array(n);
+        let mut a = array(n);
         let v = a.cell(0, 0).params().v_set * 0.5;
-        b.iter(|| black_box(a.solve_access_cold(0, n - 1, v, BiasScheme::HalfV)));
+        b.iter(|| {
+            a.invalidate_warm_start();
+            black_box(a.solve_access(0, n - 1, v, BiasScheme::HalfV))
+        });
     });
     group.bench_function("warm_same", |b| {
         let mut a = array(n);

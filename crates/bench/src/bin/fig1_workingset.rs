@@ -6,10 +6,11 @@
 //! ```
 
 use cim_arch::working_set_sweep;
-use cim_bench::write_csv;
+use cim_bench::{write_csv, Args};
 use cim_units::{Energy, Time};
 
 fn main() {
+    Args::capture_strict(&[], &[]);
     println!("== Fig. 1: working-set location ladder ==\n");
     // One comparator-scale operation per working-set reference.
     let compute_time = Time::from_nano_seconds(0.25);

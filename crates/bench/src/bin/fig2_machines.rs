@@ -6,9 +6,10 @@
 //! ```
 
 use cim_arch::{CimMachine, ConventionalMachine};
-use cim_bench::write_csv;
+use cim_bench::{write_csv, Args};
 
 fn main() {
+    Args::capture_strict(&[], &[]);
     println!("== Fig. 2: traditional vs proposed (CIM) architecture ==\n");
 
     println!("┌─ traditional ────────────────────────┐   ┌─ CIM ───────────────────────────────┐");

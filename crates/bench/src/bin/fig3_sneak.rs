@@ -21,7 +21,7 @@ use cim_device::DeviceParams;
 const SIZES: [usize; 5] = [4, 8, 16, 32, 64];
 
 fn main() {
-    let args = Args::capture();
+    let args = Args::capture_strict(&["--bias-sweep"], &["--threads"]);
     let threads = args.numeric("--threads", 1);
     let p = DeviceParams::table1_cim();
     let mut csv = String::from("junction,bias,n,i_one_a,i_zero_a,margin\n");

@@ -6,11 +6,12 @@
 //! cargo run --release -p cim-bench --bin fig4_iv
 //! ```
 
-use cim_bench::write_csv;
+use cim_bench::{write_csv, Args};
 use cim_device::{Crs, DeviceParams, IvSweep, ThresholdDevice, TwoTerminal};
 use cim_units::{Time, Voltage};
 
 fn main() {
+    Args::capture_strict(&[], &[]);
     let p = DeviceParams::table1_cim();
     let sweep = IvSweep::new(Voltage::from_volts(3.5), 120, Time::from_nano_seconds(2.0));
 

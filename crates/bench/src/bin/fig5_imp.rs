@@ -6,11 +6,12 @@
 //! cargo run --release -p cim-bench --bin fig5_imp
 //! ```
 
-use cim_bench::write_csv;
+use cim_bench::{write_csv, Args};
 use cim_device::DeviceParams;
 use cim_logic::{CrsImp, ImplyEngine, ImplyParams, ProgramBuilder, Step};
 
 fn main() {
+    Args::capture_strict(&[], &[]);
     let device = DeviceParams::table1_cim();
     let params = ImplyParams::for_device(&device);
     println!("== Fig. 5(a): p IMP q with two devices + R_G ==");

@@ -329,7 +329,12 @@ impl Args {
                 .map(|s| (*s).to_string())
                 .chain(values.iter().map(|v| format!("{v} <value>")))
                 .collect();
-            eprintln!("error: {e} (accepted: {})", accepted.join(", "));
+            let accepted = if accepted.is_empty() {
+                "none".to_string()
+            } else {
+                accepted.join(", ")
+            };
+            eprintln!("error: {e} (accepted: {accepted})");
             std::process::exit(2);
         })
     }

@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 use crate::bias::BiasScheme;
 use crate::cell::Cell;
 use crate::crossbar::Crossbar;
+use crate::solver::SolverConfig;
 
 /// Background data pattern used for worst-case read analysis.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -68,17 +69,33 @@ pub fn read_margin_study<C: Cell>(
 /// bit-identical at any thread count — this only changes wall-clock time
 /// for the large-`n` distributed studies.
 pub fn read_margin_study_threaded<C: Cell>(
-    mut make: impl FnMut(usize, usize) -> C,
+    make: impl FnMut(usize, usize) -> C,
     sizes: &[usize],
     bias: BiasScheme,
     pattern: WorstCasePattern,
     threads: usize,
 ) -> Vec<MarginPoint> {
+    let config = SolverConfig {
+        threads,
+        ..SolverConfig::default()
+    };
+    read_margin_study_with(make, sizes, bias, pattern, config)
+}
+
+/// [`read_margin_study`] under an explicit solver configuration, e.g.
+/// [`SolverConfig::reference`] for the accuracy reference.
+pub fn read_margin_study_with<C: Cell>(
+    mut make: impl FnMut(usize, usize) -> C,
+    sizes: &[usize],
+    bias: BiasScheme,
+    pattern: WorstCasePattern,
+    config: SolverConfig,
+) -> Vec<MarginPoint> {
     sizes
         .iter()
         .map(|&n| {
             assert!(n >= 2, "margin study needs at least a 2x2 array");
-            let mut array = Crossbar::new(n, n, &mut make).with_solver_threads(threads);
+            let mut array = Crossbar::new(n, n, &mut make).with_solver_config(config);
             let sel = (0, n - 1);
             array.fill(|r, c| pattern.bit(r, c));
 

@@ -44,6 +44,12 @@ impl std::fmt::Display for JunctionKind {
 /// batch-of-solves dispatcher moves whole arrays between workers. Every
 /// junction model is plain data, so the bounds cost nothing.
 pub trait Cell: Send + Sync {
+    /// True when the cell is linear at fixed state and gate, so
+    /// [`Cell::conductance_at`] does not depend on the voltage. The
+    /// solvers then linearise such cells once per solve instead of
+    /// refreshing their secants every sweep.
+    const OHMIC: bool = false;
+
     /// Which junction option this cell implements.
     fn junction(&self) -> JunctionKind;
 
@@ -135,6 +141,8 @@ impl ResistiveCell {
 }
 
 impl Cell for ResistiveCell {
+    const OHMIC: bool = true;
+
     fn junction(&self) -> JunctionKind {
         JunctionKind::OneR
     }
@@ -165,6 +173,12 @@ impl Cell for ResistiveCell {
 
     fn params(&self) -> &DeviceParams {
         self.device.params()
+    }
+
+    /// Exactly `1/R`: the device is linear, so the probe's `|i(v)/v|`
+    /// would only add rounding that moves with `v`.
+    fn conductance_at(&self, _v: Voltage, _gate_on: bool) -> f64 {
+        self.device.resistance().get().recip()
     }
 }
 
@@ -280,6 +294,8 @@ impl TransistorCell {
 }
 
 impl Cell for TransistorCell {
+    const OHMIC: bool = true;
+
     fn junction(&self) -> JunctionKind {
         JunctionKind::OneT1R
     }
@@ -318,6 +334,16 @@ impl Cell for TransistorCell {
 
     fn params(&self) -> &DeviceParams {
         self.device.params()
+    }
+
+    /// Exactly `1/R` of the device (gate on) or of the closed transistor
+    /// (gate off): both branches are linear.
+    fn conductance_at(&self, _v: Voltage, gate_on: bool) -> f64 {
+        if gate_on {
+            self.device.resistance().get().recip()
+        } else {
+            self.r_off_transistor.get().recip()
+        }
     }
 }
 
@@ -382,6 +408,7 @@ impl Cell for CrsCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn params() -> DeviceParams {
         DeviceParams::table1_cim()
@@ -514,6 +541,53 @@ mod tests {
         let mut crs = CrsCell::new(p.clone());
         crs.program(true);
         assert!(!crs.stress_tracked(Voltage::new(0.01), p.write_time, true));
+    }
+
+    /// The secant the default [`Cell::conductance_at`] probes: `|i(v)/v|`,
+    /// with a 1 µV probe near 0 V.
+    fn probe_secant(cell: &impl Cell, v: Voltage, gate_on: bool) -> f64 {
+        let v = if v.get().abs() < 1e-6 {
+            Voltage::new(1e-6)
+        } else {
+            v
+        };
+        (cell.current(v, gate_on).get() / v.get()).abs()
+    }
+
+    /// Distance between two positive finite f64s in units in the last
+    /// place.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    proptest! {
+        /// The ohmic cells' secants are exactly `1/R` of the conducting
+        /// branch and within one ulp of what the default probe measures.
+        #[test]
+        fn ohmic_secants_are_exact_and_within_an_ulp_of_the_probe(
+            state in 0.0f64..=1.0,
+            volts in prop_oneof![-3.0f64..3.0, -1e-6f64..1e-6, Just(0.0)],
+            r_off_ohms in 1e3f64..1e13,
+            gate_on in any::<bool>(),
+        ) {
+            let v = Voltage::new(volts);
+            let mut one_r = ResistiveCell::new(params());
+            one_r.device_mut().set_state(state);
+            let exact = 1.0 / one_r.resistance().get();
+            prop_assert_eq!(one_r.conductance_at(v, gate_on).to_bits(), exact.to_bits());
+            prop_assert!(ulps(exact, probe_secant(&one_r, v, gate_on)) <= 1);
+
+            let mut gated =
+                TransistorCell::with_off_resistance(params(), Resistance::new(r_off_ohms));
+            gated.device.set_state(state);
+            let exact = if gate_on {
+                1.0 / gated.device.resistance().get()
+            } else {
+                1.0 / r_off_ohms
+            };
+            prop_assert_eq!(gated.conductance_at(v, gate_on).to_bits(), exact.to_bits());
+            prop_assert!(ulps(exact, probe_secant(&gated, v, gate_on)) <= 1);
+        }
     }
 
     #[test]

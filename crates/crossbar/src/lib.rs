@@ -43,7 +43,8 @@ mod solver;
 mod stats;
 
 pub use analysis::{
-    max_readable_size, read_margin_study, read_margin_study_threaded, MarginPoint, WorstCasePattern,
+    max_readable_size, read_margin_study, read_margin_study_threaded, read_margin_study_with,
+    MarginPoint, WorstCasePattern,
 };
 pub use batch::solve_batch;
 pub use bias::BiasScheme;
@@ -52,5 +53,7 @@ pub use cell::{Cell, CrsCell, JunctionKind, ResistiveCell, SelectorCell, Transis
 pub use crossbar::{CellOps, Crossbar, ReadResult, WriteOutcome};
 pub use geometry::Geometry;
 pub use mvm::AnalogMvm;
-pub use solver::{DistributedSolver, LumpedSolver, SolvedRead, SolverConfig, SolverWorkspace};
+pub use solver::{
+    DistributedSolver, LumpedSolver, SolvedRead, SolverConfig, SolverWorkspace, StopRule,
+};
 pub use stats::ArrayStats;

@@ -1,12 +1,13 @@
 //! Equivalence suite for the optimized solver hot path.
 //!
-//! The warm-started, workspace-backed solvers must reproduce the seed's
-//! cold-start answers: warm starting changes the iteration's initial
-//! guess, never its fixed point, so `solve_access` (warm) is pinned to
-//! `solve_access_cold` (the seed path) within the sweep tolerance across
-//! every junction kind × bias scheme. Parallel line relaxation is pinned
-//! harder still — bit-identical `ReadResult`s at any thread count — and
-//! three reference solves are pinned to their exact output bits.
+//! The warm-started, workspace-backed solvers must reproduce cold-start
+//! answers: warm starting changes the iteration's initial guess, never its
+//! fixed point, so `solve_access` on a warm array is pinned to the same
+//! access on a copy whose warm start was dropped
+//! (`Crossbar::invalidate_warm_start`), within the solver's accuracy,
+//! across every junction kind × bias scheme. Parallel line relaxation is
+//! pinned harder still — bit-identical `ReadResult`s at any thread count —
+//! and three reference solves are pinned to their exact output bits.
 
 use cim_crossbar::{
     BiasScheme, Cell, Crossbar, CrsCell, DistributedSolver, Geometry, LumpedSolver, ReadResult,
@@ -17,25 +18,28 @@ use cim_units::Voltage;
 
 const N: usize = 16;
 
-/// Absolute tolerance for warm-vs-cold agreement. The solvers iterate to
-/// a 1e-9 V node-voltage tolerance; through the LRS conductance that
-/// bounds the sense-current error well below 1e-9 A, and parasitic power
-/// at these sub-volt rails is bounded the same way.
+/// Absolute tolerance for warm-vs-cold agreement. The solvers stop at a
+/// 1e-12 relative KCL residual; sense currents here are below 1e-3 A and
+/// parasitic powers below 1e-3 W, so both starts land far inside 1e-9.
 const TOL: f64 = 1e-9;
 
-fn assert_warm_tracks_cold<C: Cell>(
+fn assert_warm_tracks_cold<C: Cell + Clone>(
     label: &str,
     array: &mut Crossbar<C>,
     v: Voltage,
     bias: BiasScheme,
 ) {
-    // A logic-program-like cadence: accesses interleaved with single-cell
-    // programs, so the warm start is exercised both on unchanged and on
-    // perturbed conductance maps.
+    // A logic-program-like cadence: each access is solved, one cell is
+    // reprogrammed, and the same access is solved again, so the warm
+    // start always seeds from a perturbed conductance map.
     let accesses = [(0, N - 1), (N - 1, 0), (N / 2, N / 2), (0, N - 1)];
     for (step, &(r, c)) in accesses.iter().enumerate() {
+        let _ = array.solve_access(r, c, v, bias);
+        array.program(step % N, (step * 3 + 1) % N, step % 2 == 0);
+        let mut fresh = array.clone();
+        fresh.invalidate_warm_start();
+        let cold = fresh.solve_access(r, c, v, bias);
         let warm = array.solve_access(r, c, v, bias);
-        let cold = array.solve_access_cold(r, c, v, bias);
         let di = (warm.sense_current.get() - cold.sense_current.get()).abs();
         let dp = (warm.parasitic_power.get() - cold.parasitic_power.get()).abs();
         assert!(
@@ -46,7 +50,6 @@ fn assert_warm_tracks_cold<C: Cell>(
             dp < TOL,
             "{label}/{bias} step {step}: parasitic power drift {dp:e}"
         );
-        array.program(step % N, (step * 3 + 1) % N, step % 2 == 0);
     }
 }
 
@@ -156,7 +159,9 @@ fn golden(solved: &SolvedRead) -> (u64, u64, usize, u64) {
 /// The solvers' exact output bits on three reference accesses, pinned so
 /// that a hot-path optimisation which claims to be bit-identical has to
 /// prove it: a linear gated 1T1R read, a non-linear 1S1R solve under
-/// floating bias and a distributed-wire 1R solve.
+/// floating bias and a distributed-wire 1R solve. These bits pin
+/// determinism only; how close the answers are to the converged network
+/// is the contract of `tests/accuracy.rs`.
 #[test]
 fn reference_solves_keep_their_exact_bits() {
     let p = DeviceParams::table1_cim();
@@ -210,30 +215,30 @@ fn reference_solves_keep_their_exact_bits() {
             "1T1R",
             &one_t1r,
             (
-                0x3ea0_c870_802a_5faa,
-                0x3f03_ed6e_d8f2_b41e,
-                11,
-                0xdbb3_ff92_eefa_3b2b,
+                0x3ea0_c872_71ca_9a13,
+                0x3f03_ed6e_d81c_2836,
+                3,
+                0x15ba_2839_8aa8_7ad7,
             ),
         ),
         (
             "1S1R",
             &one_s1r,
             (
-                0x3ea1_2026_142e_2fd7,
-                0x3e37_9306_ec63_c0fb,
-                72,
-                0xb894_346a_57d6_9350,
+                0x3ea1_20d9_002f_b6a4,
+                0x3e37_9306_a4e0_9254,
+                234,
+                0x6240_8a3d_ac84_d896,
             ),
         ),
         (
             "1R/nanowire",
             &nanowire,
             (
-                0x3f26_022d_554f_cd5c,
-                0x3f32_d32b_f090_709b,
-                4,
-                0x8453_2728_6e2d_fc6c,
+                0x3f26_022d_554f_cd81,
+                0x3f32_d32b_f090_708c,
+                5,
+                0xb757_68a0_0af5_bf2b,
             ),
         ),
     ];

@@ -170,7 +170,7 @@ mod tests {
         // The sense cycle restores the sentinel bit, so the plane can be
         // re-validated forever without drifting. Successive cycles
         // warm-start the iterative solver from different states, so the
-        // margins agree to the solver tolerance, not bit-for-bit.
+        // margins agree to the solver's accuracy, not bit-for-bit.
         let grid = TileGrid::paper_dna(1, 2);
         let mut plane = ElectricalPlane::paper(&grid, 8);
         let first = plane.sense_all(2);
