@@ -26,10 +26,12 @@
 //! divided by the split makespan, and every run exits 1 when it falls
 //! below 1.1×.
 //!
-//! Every field is modelled. `--check` regenerates the snapshot in memory
-//! with the same flags (the defaults reproduce the checked-in full-scale
-//! run), writes nothing, and requires the checked-in file to carry the
-//! same fields in the same order with every value byte-identical
+//! Every field but `host_cores` (the core count of the machine that
+//! wrote the snapshot) is modelled. `--check` regenerates the snapshot
+//! in memory with the same flags (the defaults reproduce the checked-in
+//! full-scale run), writes nothing, and requires the checked-in file to
+//! carry the same fields in the same order with every modelled value
+//! byte-identical and `host_cores` numeric
 //! ([`cim_bench::Snapshot::check`]), so a change to the model fails it
 //! until the snapshot is regenerated. An unknown flag, or a value flag
 //! without its value, exits 2.
@@ -453,6 +455,10 @@ fn snapshot(args: &Args) -> Snapshot {
                 || "frozen-identity".to_string(),
                 |p| p.display().to_string(),
             ),
+        )
+        .host(
+            "host_cores",
+            std::thread::available_parallelism().map_or(1, std::num::NonZero::get),
         );
     for s in &scenarios {
         snap.modelled(&format!("{}_hybrid", s.name), s.hybrid)

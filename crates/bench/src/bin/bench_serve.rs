@@ -18,12 +18,15 @@
 //!
 //! The `host_*` fields are wall clocks of the machine that ran the
 //! snapshot, recorded with its `host_cores`; every other field is
-//! modelled and host-independent. `--check` regenerates the snapshot in
-//! memory (same flags, so the defaults reproduce the checked-in run),
-//! writes nothing, and requires the checked-in file to carry the same
-//! fields in the same order, every modelled value byte-identical and
-//! every host value numeric ([`cim_bench::Snapshot::check`]). An unknown
-//! flag, or a value flag without its value, exits 2.
+//! modelled and host-independent. The `fabric_<component>_<phase>_*`
+//! fields are the fabric ledger's non-zero cells, so a one-ulp change
+//! to any fabric price the run charges fails `--check`. `--check`
+//! regenerates the snapshot in memory (same flags, so the defaults
+//! reproduce the checked-in run), writes nothing, and requires the
+//! checked-in file to carry the same fields in the same order, every
+//! modelled value byte-identical and every host value numeric
+//! ([`cim_bench::Snapshot::check`]). An unknown flag, or a value flag
+//! without its value, exits 2.
 
 use std::time::Instant;
 
@@ -34,7 +37,7 @@ use cim_fabric::{
 use cim_sim::BatchPolicy;
 use cim_verify::{certify_tiles, TileClaim};
 
-const SCHEMA: &str = "cim-bench-serve/2";
+const SCHEMA: &str = "cim-bench-serve/3";
 
 fn front_end(tiles: usize, threads: usize, config: ServeConfig) -> ServeFrontEnd {
     ServeFrontEnd {
@@ -182,5 +185,13 @@ fn snapshot(args: &Args) -> Snapshot {
         .host("host_wall_ns", host_wall_ns)
         .host("host_throughput_qps", host_qps)
         .modelled("fabric_energy_j", energy_j);
+    // Each charged cell is an exact count times a dyadic unit price, so
+    // a one-ulp change to any charged fabric price moves its cell here
+    // even where the totals above round it away.
+    for cell in report.fabric_ledger.entries() {
+        let key = format!("fabric_{}_{}", cell.component, cell.phase);
+        snap.modelled(&format!("{key}_energy_j"), cell.energy.get())
+            .modelled(&format!("{key}_time_s"), cell.time.get());
+    }
     snap
 }

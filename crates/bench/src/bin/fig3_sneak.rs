@@ -10,6 +10,10 @@
 //!
 //! `--threads N` fans the solver's line relaxation over N workers
 //! (0 = all cores); the results are bit-identical at any setting.
+//!
+//! Every point must come from converged solves. If a solve ran out of
+//! its sweep budget, the binary names the point and exits 1 without
+//! writing the CSV.
 
 use cim_bench::{write_csv, Args};
 use cim_crossbar::{
@@ -82,6 +86,14 @@ fn main() {
             ),
         ];
         for (name, points) in &studies {
+            if let Some(pt) = points.iter().find(|pt| !pt.converged) {
+                eprintln!(
+                    "error: {name} under {bias} at n = {} did not converge \
+                     (residual {:e} after the sweep budget)",
+                    pt.n, pt.residual
+                );
+                std::process::exit(1);
+            }
             for pt in points {
                 println!(
                     "{name:<10} {:>4} {:>12} {:>12} {:>10.4}",

@@ -42,6 +42,13 @@ pub struct MarginPoint {
     pub margin: f64,
     /// Power burned in non-selected cells during the read.
     pub parasitic_power: Power,
+    /// True when both reads' solves met their stop rule within the
+    /// sweep budget; when false the two currents are whatever the last
+    /// sweep left, not answers to the stated accuracy.
+    pub converged: bool,
+    /// The worse of the two solves' final stop measures
+    /// ([`SolvedRead::residual`](crate::SolvedRead::residual)).
+    pub residual: f64,
 }
 
 /// Sweeps array sizes and reports the worst-case read margin for a given
@@ -114,6 +121,8 @@ pub fn read_margin_study_with<C: Cell>(
                 i_zero: Current::new(i_zero),
                 margin: (i_one - i_zero) / i_one.max(1e-30),
                 parasitic_power: zero.solved.parasitic_power,
+                converged: one.solved.converged && zero.solved.converged,
+                residual: one.solved.residual.max(zero.solved.residual),
             }
         })
         .collect()
@@ -307,6 +316,30 @@ mod tests {
             4,
         );
         assert_eq!(serial, threaded);
+    }
+
+    #[test]
+    fn points_carry_their_solves_convergence() {
+        let study = |max_sweeps| {
+            read_margin_study_with(
+                |_, _| SelectorCell::new(params(), 10.0, params().v_set * 0.5),
+                &[8],
+                BiasScheme::Floating,
+                WorstCasePattern::AllOnes,
+                SolverConfig {
+                    max_sweeps,
+                    ..SolverConfig::default()
+                },
+            )[0]
+        };
+        let full = study(SolverConfig::default().max_sweeps);
+        assert!(full.converged, "residual {:e}", full.residual);
+        assert!(full.residual <= 1e-12, "residual {:e}", full.residual);
+        // Two sweeps cannot settle a floating 1S1R array: the point says
+        // so instead of passing off the last sweep's currents as answers.
+        let cut = study(2);
+        assert!(!cut.converged);
+        assert!(cut.residual > 1e-12, "residual {:e}", cut.residual);
     }
 
     #[test]

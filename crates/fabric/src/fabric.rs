@@ -71,15 +71,96 @@ impl FabricOutcome {
     }
 }
 
-/// The fabric's two tile kernels — the equality comparator and the
-/// `ADD_BITS` ripple adder — compiled once per process and borrowed by
-/// every batch. Both are pure constants, independent of grid,
-/// placement and threading, and `run_tile` only reads them,
-/// so sharing them cannot leak state between batches (DESIGN.md §5,
-/// "Compile once").
-fn tile_kernels() -> &'static (Comparator, ImplyAdder) {
-    static KERNELS: OnceLock<(Comparator, ImplyAdder)> = OnceLock::new();
-    KERNELS.get_or_init(|| (Comparator::new(), ImplyAdder::new(ADD_BITS)))
+/// The fabric's equality comparator, compiled on first use and then
+/// borrowed by every batch for the rest of the process. It is a pure
+/// constant, independent of grid, placement and threading, and
+/// [`TileKernel`] only reads it, so sharing it cannot leak state
+/// between batches (DESIGN.md §5, "Compile once").
+fn comparator() -> &'static Comparator {
+    static KERNEL: OnceLock<Comparator> = OnceLock::new();
+    KERNEL.get_or_init(Comparator::new)
+}
+
+/// The fabric's `ADD_BITS` ripple adder, shared like [`comparator`].
+/// It has a kernel of its own because it is about 30 times the
+/// comparator's size, and a process whose adds all go to the host (the
+/// energy-hybrid serve) never compiles it.
+fn adder() -> &'static ImplyAdder {
+    static KERNEL: OnceLock<ImplyAdder> = OnceLock::new();
+    KERNEL.get_or_init(|| ImplyAdder::new(ADD_BITS))
+}
+
+/// One worker's in-array kernel: the shared compiled kernels
+/// ([`comparator`], [`adder`]) plus the worker's own bit-slice engine
+/// and scalar scratch, made once per tile shard or serve chunk and
+/// reused for every query in it. Lane packing is in window order for
+/// both [`KernelPolicy`] arms, so values — and therefore checksums,
+/// divergence evidence and ledgers — are bit-identical across kernels.
+pub(crate) struct TileKernel {
+    scalar: bool,
+    engine: BitSliceEngine,
+    scratch: Vec<bool>,
+    out: Vec<bool>,
+    scalar_adder: TcAdderModel,
+}
+
+impl TileKernel {
+    /// A fresh kernel running `policy`'s arm.
+    pub(crate) fn new(policy: KernelPolicy) -> Self {
+        Self {
+            scalar: policy == KernelPolicy::Scalar,
+            engine: BitSliceEngine::new(),
+            scratch: Vec::new(),
+            out: Vec::new(),
+            scalar_adder: TcAdderModel::new(ADD_BITS),
+        }
+    }
+
+    /// The in-array result on `operands`: the IMPLY comparator's match
+    /// mask for windows, the ripple adder's sum for words.
+    pub(crate) fn value(&mut self, operands: &QueryOperands) -> u64 {
+        match operands {
+            QueryOperands::Windows {
+                query: q,
+                reference,
+            } => {
+                let comparator = comparator();
+                if self.scalar {
+                    let program = comparator.eq_program();
+                    let mut mask = 0u64;
+                    let mut inputs = [false; 4];
+                    for (lane, (&s, &r)) in q.iter().zip(reference).enumerate() {
+                        inputs[0] = s & 1 == 1;
+                        inputs[1] = s & 2 == 2;
+                        inputs[2] = r & 1 == 1;
+                        inputs[3] = r & 2 == 2;
+                        program.evaluate_into(&inputs, &mut self.scratch, &mut self.out);
+                        mask |= u64::from(self.out[0]) << lane;
+                    }
+                    mask
+                } else {
+                    let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
+                    for (lane, (&s, &r)) in q.iter().zip(reference).enumerate() {
+                        s0 |= u64::from(s & 1) << lane;
+                        s1 |= u64::from(s >> 1 & 1) << lane;
+                        r0 |= u64::from(r & 1) << lane;
+                        r1 |= u64::from(r >> 1 & 1) << lane;
+                    }
+                    let mask = (1u64 << WINDOW) - 1;
+                    comparator.matches_sliced(&mut self.engine, s0, s1, r0, r1) & mask
+                }
+            }
+            &QueryOperands::Words { a, b } => {
+                if self.scalar {
+                    self.scalar_adder.add(a, b)
+                } else {
+                    let mut sums = [0u64];
+                    adder().add_sliced(&mut self.engine, &[(a, b)], &mut sums);
+                    sums[0]
+                }
+            }
+        }
+    }
 }
 
 /// Executes query batches across a [`TileGrid`].
@@ -170,9 +251,8 @@ impl FabricExecutor {
             shards[self.grid.home_tile(query.home_key()) as usize].push(query);
         }
 
-        let (comparator, adder) = tile_kernels();
         let results = par_units(self.batch, tiles, |index| {
-            self.run_tile(index, &shards[index], comparator, adder)
+            self.run_tile(index, &shards[index])
         });
 
         let mut tile_outcomes = Vec::with_capacity(tiles);
@@ -225,78 +305,38 @@ impl FabricExecutor {
         (counts, ledger)
     }
 
-    /// Runs one tile's shard serially: real in-array semantics per
-    /// query, checked against host arithmetic, counts charged through
-    /// the single shared `Query::charge` definition. Lane packing is in
-    /// window order for both kernels, so values — and therefore
-    /// checksums, divergence evidence, and ledgers — are bit-identical
-    /// across kernels.
-    fn run_tile(
+    /// The [`SimError::Diverged`] detail for `query` on tile `index`,
+    /// whose in-array `value` disagreed with host arithmetic `expected`.
+    pub(crate) fn divergence(
         &self,
-        index: usize,
-        shard: &[&Query],
-        comparator: &Comparator,
-        adder: &ImplyAdder,
-    ) -> (TileOutcome, Option<String>) {
-        let scalar = self.kernel == KernelPolicy::Scalar;
-        let mut engine = BitSliceEngine::new();
-        let mut scratch = Vec::new();
-        let mut out = Vec::new();
-        let scalar_adder = TcAdderModel::new(ADD_BITS);
+        index: u64,
+        query: &Query,
+        value: u64,
+        expected: u64,
+    ) -> String {
+        format!(
+            "tile {} query {} ({}): in-array result {value:#x} \
+             disagrees with host arithmetic {expected:#x}",
+            self.grid.coord_of(index),
+            query.id,
+            query.kind,
+        )
+    }
+
+    /// Runs one tile's shard serially: real in-array semantics per
+    /// query through [`Query::evaluate`], checked against host
+    /// arithmetic on the same operands, counts charged through the
+    /// single shared `Query::charge` definition.
+    fn run_tile(&self, index: usize, shard: &[&Query]) -> (TileOutcome, Option<String>) {
+        let mut kernel = TileKernel::new(self.kernel);
         let mut counts = CountLedger::new();
         let mut checksum = 0u64;
         let mut operations = 0u64;
         let mut diverged: Option<String> = None;
         for query in shard {
-            let value = match query.operands() {
-                QueryOperands::Windows {
-                    query: q,
-                    reference,
-                } => {
-                    if scalar {
-                        let program = comparator.eq_program();
-                        let mut mask = 0u64;
-                        let mut inputs = [false; 4];
-                        for (lane, (&s, &r)) in q.iter().zip(&reference).enumerate() {
-                            inputs[0] = s & 1 == 1;
-                            inputs[1] = s & 2 == 2;
-                            inputs[2] = r & 1 == 1;
-                            inputs[3] = r & 2 == 2;
-                            program.evaluate_into(&inputs, &mut scratch, &mut out);
-                            mask |= u64::from(out[0]) << lane;
-                        }
-                        mask
-                    } else {
-                        let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
-                        for (lane, (&s, &r)) in q.iter().zip(&reference).enumerate() {
-                            s0 |= u64::from(s & 1) << lane;
-                            s1 |= u64::from(s >> 1 & 1) << lane;
-                            r0 |= u64::from(r & 1) << lane;
-                            r1 |= u64::from(r >> 1 & 1) << lane;
-                        }
-                        let mask = (1u64 << WINDOW) - 1;
-                        comparator.matches_sliced(&mut engine, s0, s1, r0, r1) & mask
-                    }
-                }
-                QueryOperands::Words { a, b } => {
-                    if scalar {
-                        scalar_adder.add(a, b)
-                    } else {
-                        let mut sums = [0u64];
-                        adder.add_sliced(&mut engine, &[(a, b)], &mut sums);
-                        sums[0]
-                    }
-                }
-            };
-            let expect = query.expected_value();
-            if value != expect && diverged.is_none() {
-                diverged = Some(format!(
-                    "tile {} query {} ({}): in-array result {value:#x} \
-                     disagrees with host arithmetic {expect:#x}",
-                    self.grid.coord_of(index as u64),
-                    query.id,
-                    query.kind,
-                ));
+            let (value, expected) = query.evaluate(Some(&mut kernel));
+            if value != expected && diverged.is_none() {
+                diverged = Some(self.divergence(index as u64, query, value, expected));
             }
             checksum = checksum.wrapping_add(query.checksum_term(value));
             operations += query.kind.operations();

@@ -113,26 +113,22 @@ impl HostQueryExecutor {
         }
     }
 
-    /// Modelled service time of a host batch, in picoseconds: the
-    /// slowest per-query latency present — a compare pays its unit
-    /// compute plus one expected cache access, an add only its ALU
-    /// latency — mirroring the fabric's batch-content service rule (a
-    /// pure function of the batch, never of the partition). Zero for an
-    /// empty batch.
-    pub fn service_ps(self, batch: &[Query]) -> u64 {
+    /// Modelled host latency of one query of `kind`, in picoseconds: a
+    /// lookup or compare pays its unit compute plus one expected cache
+    /// access, an add only its ALU latency. A host batch takes its
+    /// slowest query's latency, mirroring the fabric's batch-content
+    /// service rule (a pure function of the batch, never of the
+    /// partition).
+    pub fn query_service_ps(self, kind: QueryKind) -> u64 {
         let machine = ConventionalMachine::dna_paper();
         let ps = |t: cim_units::Time| (t.get() * 1e12).round() as u64;
-        let compare_ps = ps(machine.unit.latency(&machine.tech))
-            + ps(machine.cache.expected_access_time(&machine.tech));
-        let add_ps = ps(ClaAdder::unit().latency(&machine.tech));
-        batch
-            .iter()
-            .map(|query| match query.kind {
-                QueryKind::Lookup | QueryKind::Compare => compare_ps,
-                QueryKind::Add => add_ps,
-            })
-            .max()
-            .unwrap_or(0)
+        match kind {
+            QueryKind::Lookup | QueryKind::Compare => {
+                ps(machine.unit.latency(&machine.tech))
+                    + ps(machine.cache.expected_access_time(&machine.tech))
+            }
+            QueryKind::Add => ps(ClaAdder::unit().latency(&machine.tech)),
+        }
     }
 }
 
@@ -171,18 +167,15 @@ mod tests {
     }
 
     #[test]
-    fn host_service_follows_batch_content() {
-        let queries = TrafficSpec::sustained(40, 3).generate();
-        let adds: Vec<Query> = queries
-            .iter()
-            .copied()
-            .filter(|q| q.kind == QueryKind::Add)
-            .collect();
+    fn host_service_follows_query_kind() {
         let host = HostQueryExecutor;
-        // An all-adds batch is register-resident and fast (252 ps);
-        // any compare drags in the ~84 ns expected cache access.
-        assert_eq!(host.service_ps(&adds), 252);
-        assert!(host.service_ps(&queries) > 10_000);
-        assert_eq!(host.service_ps(&[]), 0);
+        // An add is register-resident and fast (252 ps); a lookup or
+        // compare drags in the ~84 ns expected cache access.
+        assert_eq!(host.query_service_ps(QueryKind::Add), 252);
+        assert!(host.query_service_ps(QueryKind::Compare) > 10_000);
+        assert_eq!(
+            host.query_service_ps(QueryKind::Lookup),
+            host.query_service_ps(QueryKind::Compare)
+        );
     }
 }

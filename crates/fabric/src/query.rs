@@ -14,6 +14,8 @@ use serde::{Deserialize, Serialize};
 
 use cim_arch::TileGrid;
 
+use crate::fabric::TileKernel;
+
 /// Symbols compared by one lookup/compare query (≤ 64 so one bit-sliced
 /// comparator invocation covers the whole window).
 pub const WINDOW: usize = 32;
@@ -45,6 +47,18 @@ pub enum QueryKind {
 }
 
 impl QueryKind {
+    /// Every kind, in table order (see [`QueryKind::index`]).
+    pub(crate) const ALL: [QueryKind; 3] = [QueryKind::Lookup, QueryKind::Compare, QueryKind::Add];
+
+    /// This kind's row in per-kind tables.
+    pub(crate) fn index(self) -> usize {
+        match self {
+            QueryKind::Lookup => 0,
+            QueryKind::Compare => 1,
+            QueryKind::Add => 2,
+        }
+    }
+
     /// The phase this kind's cost lands in.
     pub fn phase(self) -> Phase {
         match self {
@@ -149,7 +163,19 @@ impl Query {
     /// verified against. Lookup/compare: the 32-bit equality mask.
     /// Add: the `ADD_BITS + 1`-bit sum.
     pub fn expected_value(&self) -> u64 {
-        match self.operands() {
+        self.evaluate(None).1
+    }
+
+    /// Serves this query once: builds its operands, computes the host
+    /// arithmetic on them, and — given a tile kernel — runs them through
+    /// the in-array kernel too. Returns `(value, expected)`: the kernel's
+    /// result (the host's without a kernel) and the host's. This is the
+    /// one per-query function behind [`expected_value`](Self::expected_value),
+    /// the fabric's tiles and the serve pass, so the operands are built
+    /// once per served query and both results come from the same ones.
+    pub(crate) fn evaluate(&self, kernel: Option<&mut TileKernel>) -> (u64, u64) {
+        let operands = self.operands();
+        let expected = match operands {
             QueryOperands::Windows { query, reference } => {
                 let mut mask = 0u64;
                 for (lane, (q, r)) in query.iter().zip(&reference).enumerate() {
@@ -158,7 +184,9 @@ impl Query {
                 mask
             }
             QueryOperands::Words { a, b } => (a + b) & ((1u64 << (ADD_BITS + 1)) - 1),
-        }
+        };
+        let value = kernel.map_or(expected, |kernel| kernel.value(&operands));
+        (value, expected)
     }
 
     /// True when this query's operands are already resident on its home
@@ -280,39 +308,73 @@ impl TrafficSpec {
 
     /// Generates the query stream in arrival order.
     pub fn generate(&self) -> Vec<Query> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.queries)
-            .map(|id| {
-                let kind = match id % 4 {
-                    0 | 1 => QueryKind::Lookup,
-                    2 => QueryKind::Compare,
-                    _ => QueryKind::Add,
-                };
-                // The tenant comes from the stream RNG, not from `id` —
-                // an id-derived rotation would alias the kind cycle and
-                // the modular tile sharding, locking each tenant to one
-                // query kind and one home tile.
-                Query {
-                    id,
-                    tenant: TenantId((rng.gen::<u64>() % u64::from(self.tenants.max(1))) as u32),
-                    kind,
-                    seed: rng.gen::<u64>(),
-                }
-            })
-            .collect()
+        self.stream().collect()
+    }
+
+    /// The query stream in arrival order, made one query at a time —
+    /// the same queries as [`generate`](Self::generate) without holding
+    /// them all. A clone continues from where it was cloned.
+    pub(crate) fn stream(&self) -> QueryStream {
+        QueryStream {
+            rng: StdRng::seed_from_u64(self.seed),
+            next: 0,
+            spec: *self,
+        }
     }
 
     /// The ground-truth checksum over the whole stream, recomputed with
     /// plain host arithmetic.
     pub fn reference_checksum(&self) -> u64 {
-        self.generate().iter().fold(0u64, |acc, q| {
+        self.stream().fold(0u64, |acc, q| {
             acc.wrapping_add(q.checksum_term(q.expected_value()))
         })
     }
 
     /// Total in-array primitive invocations of the stream.
     pub fn operations(&self) -> u64 {
-        self.generate().iter().map(|q| q.kind.operations()).sum()
+        self.stream().map(|q| q.kind.operations()).sum()
+    }
+}
+
+/// A [`TrafficSpec`]'s queries in arrival order; see
+/// [`TrafficSpec::stream`].
+#[derive(Debug, Clone)]
+pub(crate) struct QueryStream {
+    rng: StdRng,
+    next: u64,
+    spec: TrafficSpec,
+}
+
+impl Iterator for QueryStream {
+    type Item = Query;
+
+    fn next(&mut self) -> Option<Query> {
+        if self.next == self.spec.queries {
+            return None;
+        }
+        let id = self.next;
+        self.next += 1;
+        let kind = match id % 4 {
+            0 | 1 => QueryKind::Lookup,
+            2 => QueryKind::Compare,
+            _ => QueryKind::Add,
+        };
+        // The tenant comes from the stream RNG, not from `id` — an
+        // id-derived rotation would alias the kind cycle and the modular
+        // tile sharding, locking each tenant to one query kind and one
+        // home tile.
+        let tenant = TenantId((self.rng.gen::<u64>() % u64::from(self.spec.tenants.max(1))) as u32);
+        Some(Query {
+            id,
+            tenant,
+            kind,
+            seed: self.rng.gen::<u64>(),
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.spec.queries - self.next);
+        (left.unwrap_or(usize::MAX), left.ok())
     }
 }
 

@@ -5,14 +5,18 @@
 //! against the fabric in **modelled time** (an integer picosecond
 //! clock): queries arrive with seeded interarrival gaps, pass admission
 //! control (a bounded queue plus a per-tenant quota — the backpressure
-//! surface), and drain as cross-tenant batches into the deterministic
-//! tile driver whenever the fabric is free. Each batch's modelled
-//! service time is a pure function of the batch *content* (slowest
-//! primitive in the batch, plus H-tree movement at modelled depth if
-//! any operand is remote), never of the executed tile partition — so
-//! the whole serve trace (who was admitted, how batches formed, every
-//! latency) is bit-identical for any tile count and any thread count,
-//! extending the fabric's determinism contract to the serving layer.
+//! surface), and drain as cross-tenant batches whenever the machines
+//! are free. Each batch's modelled service time is a pure function of
+//! the batch *content* (slowest primitive in the batch, plus H-tree
+//! movement at modelled depth if any operand is remote), never of the
+//! executed tile partition — so the whole serve trace (who was
+//! admitted, how batches formed, every latency) is bit-identical for
+//! any tile count and any thread count, extending the fabric's
+//! determinism contract to the serving layer.
+//!
+//! Nothing modelled reads an execution result, so a pass first
+//! **plans** the whole trace serially, then **executes** every admitted
+//! query in one pool call, and **folds** the checksums (DESIGN.md §9.4).
 //!
 //! Accounting is conserved at three granularities, all in exact count
 //! space: per-tenant counts, per-tile counts, and the fabric counts
@@ -20,8 +24,9 @@
 //! (dyadic unit prices; see `cim_units::counts`).
 
 use std::collections::VecDeque;
+use std::iter::Take;
 
-use cim_sim::SimError;
+use cim_sim::{par_units, SimError};
 use cim_units::{
     Component, CostLedger, CountLedger, DispatchObjective, Phase, ScaleTable, Time, UnitCosts,
 };
@@ -31,9 +36,9 @@ use serde::{Deserialize, Serialize};
 
 use cim_arch::{TileCoord, TileGrid};
 
-use crate::fabric::FabricExecutor;
+use crate::fabric::{FabricExecutor, TileKernel};
 use crate::host::{host_unit_costs, HostQueryExecutor};
-use crate::query::{Query, QueryKind, TenantId, TrafficSpec};
+use crate::query::{Query, QueryKind, QueryStream, TenantId, TrafficSpec};
 
 /// Admission and batching parameters of the front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -126,18 +131,6 @@ impl DispatchPolicy {
             cim_scales: ScaleTable::identity(),
             host_scales: ScaleTable::identity(),
         }
-    }
-}
-
-/// Query kinds in route-table order.
-const ROUTE_KINDS: [QueryKind; 3] = [QueryKind::Lookup, QueryKind::Compare, QueryKind::Add];
-
-/// Index of a kind in the route table.
-fn kind_index(kind: QueryKind) -> usize {
-    match kind {
-        QueryKind::Lookup => 0,
-        QueryKind::Compare => 1,
-        QueryKind::Add => 2,
     }
 }
 
@@ -236,13 +229,13 @@ impl RouteTable {
         // Per cell, the `(cim, host)` score of one query under the
         // calibrated prices (view 0) and under the true ones (view 1).
         let mut scores = [[[(0.0, 0.0); 2]; 2]; 3];
-        for kind in ROUTE_KINDS {
+        for kind in QueryKind::ALL {
             for (slot, local) in [false, true].into_iter().enumerate() {
                 let mut cim_counts = CountLedger::new();
                 Query::charge_kind(&mut cim_counts, &fabric.grid, kind, local);
                 let mut host_counts = CountLedger::new();
                 Query::charge_host_kind(&mut host_counts, kind);
-                scores[kind_index(kind)][slot] = [
+                scores[kind.index()][slot] = [
                     (
                         score(&cim_scaled, &cim_counts),
                         score(&host_scaled, &host_counts),
@@ -278,7 +271,7 @@ impl RouteTable {
     }
 
     fn to_cim(&self, query: &Query, grid: &TileGrid) -> bool {
-        let (kind, slot) = (kind_index(query.kind), usize::from(query.is_local(grid)));
+        let (kind, slot) = (query.kind.index(), usize::from(query.is_local(grid)));
         match &self.split {
             Some(lanes) => split_lane(query) < lanes.calibrated[kind][slot],
             None => self.cim[kind][slot],
@@ -286,7 +279,7 @@ impl RouteTable {
     }
 
     fn mispredicted(&self, query: &Query, grid: &TileGrid) -> bool {
-        let (kind, slot) = (kind_index(query.kind), usize::from(query.is_local(grid)));
+        let (kind, slot) = (query.kind.index(), usize::from(query.is_local(grid)));
         match &self.split {
             Some(lanes) => {
                 let lane = split_lane(query);
@@ -534,57 +527,72 @@ pub struct ServeFrontEnd {
     pub policy: DispatchPolicy,
 }
 
-/// All mutable serving state, threaded through the batch dispatcher.
-struct ServeState {
+/// Per-kind modelled service latencies, in picoseconds, priced once per
+/// pass. A batch's modelled service time is a pure function of its
+/// content — deliberately independent of the executed tile partition,
+/// preserving cross-tile-count determinism. Its crossbar half takes the
+/// slowest primitive latency present, plus one H-tree traversal at
+/// modelled depth if any operand is remote; its host half the slowest
+/// [`HostQueryExecutor::query_service_ps`]. The halves run concurrently
+/// and the front-end waits for both, so the batch takes the slower one.
+struct ServiceTimes {
+    cim: [u64; 3],
+    host: [u64; 3],
+    /// Added to the crossbar half when any of its operands is remote.
+    remote: u64,
+}
+
+impl ServiceTimes {
+    fn new(grid: &TileGrid) -> Self {
+        let ps = |time: Time| (time.get() * 1e12).round() as u64;
+        Self {
+            cim: QueryKind::ALL.map(|kind| {
+                let op = match kind {
+                    QueryKind::Lookup | QueryKind::Compare => cim_arch::CimOp::Comparator,
+                    QueryKind::Add => cim_arch::CimOp::TcAdder {
+                        bits: crate::query::ADD_BITS,
+                    },
+                };
+                ps(op.cost(&grid.tech).latency)
+            }),
+            host: QueryKind::ALL.map(|kind| HostQueryExecutor.query_service_ps(kind)),
+            remote: grid.route_hops() * ps(grid.interconnect.hop_latency),
+        }
+    }
+}
+
+/// The plan pass's state: the queue and the modelled accounts. Beyond
+/// the queue and the batch being dispatched it keeps no per-batch or
+/// per-query record — only what the execute pass needs: a bitmap of the
+/// admitted queries and, per worker, the query stream forked at the
+/// start of that worker's chunk.
+struct Plan {
+    /// Queued `(query, arrival ps)`, oldest first.
     queue: VecDeque<(Query, u64)>,
     tenant_queued: Vec<usize>,
+    /// Bit `id % 64` of word `id / 64` is set once query `id` is
+    /// admitted.
+    admitted: Vec<u64>,
+    /// One arrival-order chunk of the stream per execute worker.
+    chunks: Vec<Take<QueryStream>>,
+    /// The batch being dispatched, `(query, arrival ps, to the
+    /// crossbar)`; its buffer is reused from batch to batch.
+    batch: Vec<(Query, u64, bool)>,
     accounts: Vec<TenantAccount>,
     tiles: Vec<TileAccount>,
     histogram: LatencyHistogram,
-    fabric_counts: CountLedger,
     host_counts: CountLedger,
-    checksum: u64,
     batches: u64,
     completed: u64,
     peak_queue: usize,
     cim_queries: u64,
     host_queries: u64,
     mispredictions: u64,
+    /// When the machines are next free: after the pass, the makespan.
+    free_at: u64,
 }
 
 impl ServeFrontEnd {
-    /// Modelled service time of one batch, in picoseconds: the slowest
-    /// primitive latency present in the batch, plus one H-tree traversal
-    /// at modelled depth if any operand is remote. A pure function of
-    /// the batch content — deliberately independent of the executed
-    /// tile partition, preserving cross-tile-count determinism.
-    fn batch_service_ps(&self, batch: &[Query]) -> u64 {
-        let grid = &self.fabric.grid;
-        let mut service = 0u64;
-        let mut any_remote = false;
-        for query in batch {
-            let latency = match query.kind {
-                QueryKind::Lookup | QueryKind::Compare => {
-                    cim_arch::CimOp::Comparator.cost(&grid.tech).latency
-                }
-                QueryKind::Add => {
-                    cim_arch::CimOp::TcAdder {
-                        bits: crate::query::ADD_BITS,
-                    }
-                    .cost(&grid.tech)
-                    .latency
-                }
-            };
-            service = service.max((latency.get() * 1e12).round() as u64);
-            any_remote |= !query.is_local(grid);
-        }
-        if any_remote {
-            service +=
-                grid.route_hops() * (grid.interconnect.hop_latency.get() * 1e12).round() as u64;
-        }
-        service.max(1)
-    }
-
     /// Rejects degenerate configurations before any query is served:
     /// a zero queue depth or tenant quota admits nothing, a zero batch
     /// size dispatches nothing, an empty tile set has nowhere to
@@ -642,105 +650,85 @@ impl ServeFrontEnd {
         prices
     }
 
-    /// One batch: pop up to `max_batch` in FIFO order (cross-tenant),
-    /// split it across the two machines per the route table, execute
-    /// both halves, and account everything. The batch's service time is
-    /// the slower of the two machine services — the halves run
-    /// concurrently and the front-end waits for both.
-    fn dispatch_batch(
+    /// Plans one batch starting at `start`: pops up to `max_batch`
+    /// queries in FIFO order (cross-tenant), routes each per the route
+    /// table, and accounts every one at the batch's completion —
+    /// latency, tenant, tile or host counts, misprediction. Returns the
+    /// completion time.
+    fn plan_batch(
         &self,
-        state: &mut ServeState,
+        plan: &mut Plan,
         routes: &RouteTable,
+        times: &ServiceTimes,
         start: u64,
     ) -> Result<u64, SimError> {
-        let take = state.queue.len().min(self.config.max_batch);
-        let mut batch = Vec::with_capacity(take);
-        let mut cim_batch = Vec::new();
-        let mut host_batch = Vec::new();
-        for _ in 0..take {
-            let (query, arrived) = state.queue.pop_front().expect("len checked");
-            state.tenant_queued[query.tenant.0 as usize] -= 1;
-            let to_cim = routes.to_cim(&query, &self.fabric.grid);
+        let grid = &self.fabric.grid;
+        let take = plan.queue.len().min(self.config.max_batch);
+        let (mut cim_ps, mut host_ps) = (0u64, 0u64);
+        let mut any_remote = false;
+        plan.batch.clear();
+        for (query, arrived) in plan.queue.drain(..take) {
+            plan.tenant_queued[query.tenant.0 as usize] -= 1;
+            let to_cim = routes.to_cim(&query, grid);
             if to_cim {
-                cim_batch.push(query);
+                cim_ps = cim_ps.max(times.cim[query.kind.index()]);
+                any_remote |= !query.is_local(grid);
             } else {
-                host_batch.push(query);
+                host_ps = host_ps.max(times.host[query.kind.index()]);
             }
-            batch.push((query, arrived, to_cim));
+            plan.batch.push((query, arrived, to_cim));
         }
-        let cim_outcome = if cim_batch.is_empty() {
-            None
-        } else {
-            Some(self.fabric.execute(&cim_batch)?)
-        };
-        let host_outcome = if host_batch.is_empty() {
-            None
-        } else {
-            Some(HostQueryExecutor.execute(&host_batch))
-        };
-        let cim_service = if cim_batch.is_empty() {
-            0
-        } else {
-            self.batch_service_ps(&cim_batch)
-        };
-        let service = cim_service
-            .max(HostQueryExecutor.service_ps(&host_batch))
-            .max(1);
+        if any_remote {
+            cim_ps += times.remote;
+        }
+        let service = cim_ps.max(host_ps).max(1);
         let completion = start.checked_add(service).ok_or(SimError::InvalidConfig {
             machine: FabricExecutor::MACHINE,
             detail: "mean_gap_ps is too large; the completion clock overflowed u64 picoseconds"
                 .to_string(),
         })?;
-        for (query, arrived, to_cim) in &batch {
-            state.histogram.record(completion - arrived);
-            let account = &mut state.accounts[query.tenant.0 as usize];
+        for (query, arrived, to_cim) in &plan.batch {
+            plan.histogram.record(completion - arrived);
+            let account = &mut plan.accounts[query.tenant.0 as usize];
             account.completed += 1;
             if *to_cim {
                 account.cim_queries += 1;
-                state.cim_queries += 1;
-                query.charge(&mut account.counts, &self.fabric.grid);
+                plan.cim_queries += 1;
+                query.charge(&mut account.counts, grid);
+                let tile = &mut plan.tiles[grid.home_tile(query.home_key()) as usize];
+                tile.queries += 1;
+                query.charge(&mut tile.counts, grid);
             } else {
                 account.host_queries += 1;
-                state.host_queries += 1;
+                plan.host_queries += 1;
                 query.charge_host(&mut account.counts);
+                query.charge_host(&mut plan.host_counts);
             }
-            if routes.mispredicted(query, &self.fabric.grid) {
-                state.mispredictions += 1;
+            if routes.mispredicted(query, grid) {
+                plan.mispredictions += 1;
             }
         }
-        if let Some(outcome) = cim_outcome {
-            for tile_outcome in &outcome.tiles {
-                let index = self.fabric.grid.index_of(tile_outcome.tile) as usize;
-                state.tiles[index].queries += tile_outcome.queries;
-                state.tiles[index].counts.merge(&tile_outcome.counts);
-            }
-            state.fabric_counts.merge(&outcome.counts);
-            state.checksum = state
-                .checksum
-                .wrapping_add(outcome.digest.checksum.expect("fabric always checksums"));
-        }
-        if let Some(outcome) = host_outcome {
-            state.host_counts.merge(&outcome.counts);
-            state.checksum = state.checksum.wrapping_add(outcome.checksum);
-        }
-        state.batches += 1;
-        state.completed += take as u64;
+        plan.batches += 1;
+        plan.completed += take as u64;
         Ok(completion)
     }
 
-    /// Replays `traffic` through admission control and both machines,
-    /// producing the full serving report. Deterministic: bit-identical
-    /// for any executed tile count and host thread count.
-    pub fn serve(&self, traffic: &TrafficSpec) -> Result<ServeReport, SimError> {
-        self.validate(traffic)?;
-        let routes = RouteTable::build(&self.policy, &self.fabric);
-        let queries = traffic.generate();
+    /// The plan pass: replays the arrivals through admission control
+    /// and batching on the modelled clock, doing only the modelled
+    /// work. Nothing in it reads an execution result.
+    fn plan(&self, traffic: &TrafficSpec, routes: &RouteTable) -> Result<Plan, SimError> {
+        let grid = &self.fabric.grid;
+        let n = usize::try_from(traffic.queries).expect("query ids index the admitted bitmap");
+        let workers = self.fabric.batch.effective_threads(n);
+        let times = ServiceTimes::new(grid);
         let tenants = traffic.tenants.max(1) as usize;
         let mut gap_rng = StdRng::seed_from_u64(traffic.seed ^ 0x5E7E_5E7E_5E7E_5E7E);
-
-        let mut state = ServeState {
+        let mut plan = Plan {
             queue: VecDeque::new(),
             tenant_queued: vec![0usize; tenants],
+            admitted: vec![0u64; n.div_ceil(64)],
+            chunks: Vec::with_capacity(workers),
+            batch: Vec::new(),
             accounts: (0..tenants)
                 .map(|t| TenantAccount {
                     tenant: TenantId(t as u32),
@@ -755,104 +743,178 @@ impl ServeFrontEnd {
                     ledger: CostLedger::new(),
                 })
                 .collect(),
-            tiles: (0..self.fabric.grid.tiles())
+            tiles: (0..grid.tiles())
                 .map(|i| TileAccount {
-                    tile: self.fabric.grid.coord_of(i),
+                    tile: grid.coord_of(i),
                     queries: 0,
                     counts: CountLedger::new(),
                     ledger: CostLedger::new(),
                 })
                 .collect(),
             histogram: LatencyHistogram::new(),
-            fabric_counts: CountLedger::new(),
             host_counts: CountLedger::new(),
-            checksum: 0,
             batches: 0,
             completed: 0,
             peak_queue: 0,
             cim_queries: 0,
             host_queries: 0,
             mispredictions: 0,
+            free_at: 0,
         };
-        let (mut free_at, mut clock) = (0u64, 0u64);
+        let mut clock = 0u64;
         // `2·gap − 1`, ordered so a validated gap of 2^63 cannot
         // overflow the intermediate product.
         let gap_span = (self.config.mean_gap_ps.max(1) - 1) * 2 + 1;
 
-        for query in &queries {
+        let mut stream = traffic.stream();
+        for index in 0..n {
+            // Worker `w` executes arrivals `[w·n/workers, (w+1)·n/workers)`.
+            while plan.chunks.len() < workers && plan.chunks.len() * n / workers == index {
+                let end = (plan.chunks.len() + 1) * n / workers;
+                plan.chunks.push(stream.clone().take(end - index));
+            }
+            let query = stream.next().expect("the stream yields `queries` queries");
             clock += 1 + gap_rng.gen::<u64>() % gap_span;
             // Drain whatever the machines can finish before this arrival.
-            while !state.queue.is_empty() && free_at <= clock {
-                let start = free_at.max(state.queue.front().expect("non-empty").1);
-                free_at = self.dispatch_batch(&mut state, &routes, start)?;
+            while let Some(&(_, arrived)) = plan.queue.front() {
+                if plan.free_at > clock {
+                    break;
+                }
+                let start = plan.free_at.max(arrived);
+                plan.free_at = self.plan_batch(&mut plan, routes, &times, start)?;
             }
             // Admission control: shared queue bound, then tenant quota.
             let tenant = query.tenant.0 as usize;
-            state.accounts[tenant].submitted += 1;
-            if state.queue.len() >= self.config.queue_depth {
-                state.accounts[tenant].rejected_queue_full += 1;
+            plan.accounts[tenant].submitted += 1;
+            if plan.queue.len() >= self.config.queue_depth {
+                plan.accounts[tenant].rejected_queue_full += 1;
                 continue;
             }
-            if state.tenant_queued[tenant] >= self.config.tenant_quota {
-                state.accounts[tenant].rejected_quota += 1;
+            if plan.tenant_queued[tenant] >= self.config.tenant_quota {
+                plan.accounts[tenant].rejected_quota += 1;
                 continue;
             }
-            state.accounts[tenant].admitted += 1;
-            state.tenant_queued[tenant] += 1;
-            state.queue.push_back((*query, clock));
-            state.peak_queue = state.peak_queue.max(state.queue.len());
+            plan.accounts[tenant].admitted += 1;
+            plan.tenant_queued[tenant] += 1;
+            plan.admitted[index / 64] |= 1 << (index % 64);
+            plan.queue.push_back((query, clock));
+            plan.peak_queue = plan.peak_queue.max(plan.queue.len());
             // An idle back-end serves the arrival immediately; a busy
             // one lets the queue build (that is where batches come from).
-            if free_at <= clock {
-                free_at = self.dispatch_batch(&mut state, &routes, clock)?;
+            if plan.free_at <= clock {
+                plan.free_at = self.plan_batch(&mut plan, routes, &times, clock)?;
             }
         }
         // Drain the tail.
-        while !state.queue.is_empty() {
-            let start = free_at.max(state.queue.front().expect("non-empty").1);
-            free_at = self.dispatch_batch(&mut state, &routes, start)?;
+        while let Some(&(_, arrived)) = plan.queue.front() {
+            let start = plan.free_at.max(arrived);
+            plan.free_at = self.plan_batch(&mut plan, routes, &times, start)?;
         }
+        Ok(plan)
+    }
+
+    /// The execute pass: one pool call over the admitted queries, one
+    /// contiguous arrival-order chunk per worker. Dispatch is FIFO, so
+    /// arrival order is dispatch order, and a query's route
+    /// ([`RouteTable::to_cim`]) depends on the query alone — so the
+    /// admitted bitmap is all that is needed to re-find what ran where.
+    /// Each worker keeps one [`TileKernel`]; each query builds its
+    /// operands once ([`Query::evaluate`]), and a crossbar-routed one
+    /// is checked against host arithmetic on those same operands.
+    ///
+    /// The fold adds the chunk checksums in chunk order and reports the
+    /// first divergence in arrival order.
+    fn execute(&self, plan: &Plan, routes: &RouteTable) -> Result<u64, SimError> {
+        let grid = &self.fabric.grid;
+        let chunks = par_units(self.fabric.batch, plan.chunks.len(), |chunk| {
+            let mut kernel = TileKernel::new(self.fabric.kernel);
+            let mut checksum = 0u64;
+            for query in plan.chunks[chunk].clone() {
+                let id = query.id as usize;
+                if plan.admitted[id / 64] >> (id % 64) & 1 == 0 {
+                    continue;
+                }
+                let in_array = routes.to_cim(&query, grid);
+                let (value, expected) = query.evaluate(in_array.then_some(&mut kernel));
+                if value != expected {
+                    let tile = grid.home_tile(query.home_key());
+                    let detail = self.fabric.divergence(tile, &query, value, expected);
+                    return (checksum, Some(detail));
+                }
+                checksum = checksum.wrapping_add(query.checksum_term(value));
+            }
+            (checksum, None)
+        });
+        let mut checksum = 0u64;
+        for (chunk_checksum, diverged) in chunks {
+            if let Some(detail) = diverged {
+                return Err(SimError::Diverged {
+                    machine: FabricExecutor::MACHINE,
+                    detail,
+                });
+            }
+            checksum = checksum.wrapping_add(chunk_checksum);
+        }
+        Ok(checksum)
+    }
+
+    /// Replays `traffic` through admission control and both machines,
+    /// producing the full serving report. Deterministic: bit-identical
+    /// for any executed tile count and host thread count.
+    ///
+    /// Three passes: a serial plan of the modelled clock and accounts,
+    /// one execute sweep over the admitted queries, and a fold of the
+    /// execution into the report (DESIGN.md §9.4). A configuration the
+    /// plan rejects (a completion clock that would overflow) fails
+    /// before anything executes.
+    pub fn serve(&self, traffic: &TrafficSpec) -> Result<ServeReport, SimError> {
+        self.validate(traffic)?;
+        let routes = RouteTable::build(&self.policy, &self.fabric);
+        let mut plan = self.plan(traffic, &routes)?;
+        let checksum = self.execute(&plan, &routes)?;
 
         let prices = self.serve_prices();
         let fabric_prices = self.fabric.prices();
-        for account in &mut state.accounts {
+        for account in &mut plan.accounts {
             account.ledger = prices.evaluate(&account.counts);
         }
-        for tile in &mut state.tiles {
+        let mut fabric_counts = CountLedger::new();
+        for tile in &mut plan.tiles {
             tile.ledger = fabric_prices.evaluate(&tile.counts);
+            fabric_counts.merge(&tile.counts);
         }
-        let fabric_ledger = fabric_prices.evaluate(&state.fabric_counts);
-        let host_ledger = prices.evaluate(&state.host_counts);
-        let makespan = Time::from_pico_seconds(free_at as f64);
+        let fabric_ledger = fabric_prices.evaluate(&fabric_counts);
+        let host_ledger = prices.evaluate(&plan.host_counts);
+        let makespan = Time::from_pico_seconds(plan.free_at as f64);
         let (rejected_queue_full, rejected_quota) =
-            state.accounts.iter().fold((0, 0), |(f, q), a| {
+            plan.accounts.iter().fold((0, 0), |(f, q), a| {
                 (f + a.rejected_queue_full, q + a.rejected_quota)
             });
         Ok(ServeReport {
-            submitted: queries.len() as u64,
-            admitted: state.completed,
+            submitted: traffic.queries,
+            admitted: plan.completed,
             rejected_queue_full,
             rejected_quota,
-            completed: state.completed,
-            cim_queries: state.cim_queries,
-            host_queries: state.host_queries,
-            mispredictions: state.mispredictions,
-            batches: state.batches,
-            peak_queue: state.peak_queue,
+            completed: plan.completed,
+            cim_queries: plan.cim_queries,
+            host_queries: plan.host_queries,
+            mispredictions: plan.mispredictions,
+            batches: plan.batches,
+            peak_queue: plan.peak_queue,
             makespan,
-            throughput_qps: if free_at == 0 {
+            throughput_qps: if plan.free_at == 0 {
                 0.0
             } else {
-                state.completed as f64 / makespan.get()
+                plan.completed as f64 / makespan.get()
             },
-            histogram: state.histogram,
-            tenants: state.accounts,
-            tiles: state.tiles,
-            fabric_counts: state.fabric_counts,
+            histogram: plan.histogram,
+            tenants: plan.accounts,
+            tiles: plan.tiles,
+            fabric_counts,
             fabric_ledger,
-            host_counts: state.host_counts,
+            host_counts: plan.host_counts,
             host_ledger,
-            checksum: state.checksum,
+            checksum,
         })
     }
 }
