@@ -44,8 +44,7 @@ pub mod prelude {
     pub use cim_device::{Crs, DeviceParams, Memristor, ThresholdDevice, TwoTerminal};
     pub use cim_logic::{ImplyAdder, ImplyEngine, Program, ProgramBuilder};
     pub use cim_sim::{
-        BatchPolicy, CimExecutor, ConventionalExecutor, ExecutionBackend, KernelPolicy, RunOutcome,
-        SimError,
+        BatchPolicy, CimExecutor, ConventionalExecutor, ExecutionBackend, RunOutcome, SimError,
     };
     pub use cim_units::{Area, Component, CostLedger, Energy, Phase, Power, Time, Voltage};
     pub use cim_workloads::{AdditionWorkload, DnaSpec, DnaWorkload, Genome, Workload};

@@ -21,10 +21,8 @@
 use std::sync::OnceLock;
 
 use cim_arch::{Placement, RunReport, TileCoord, TileGrid};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, TcAdderModel};
-use cim_sim::{
-    par_units, BatchPolicy, CostEstimate, ExecutionBackend, KernelPolicy, RunOutcome, SimError,
-};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder};
+use cim_sim::{par_units, BatchPolicy, CostEstimate, ExecutionBackend, RunOutcome, SimError};
 use cim_units::{Area, CostLedger, CountLedger, UnitCosts, MAX_EXACT_COUNT};
 use cim_workloads::{ExecutionDigest, ProjectionKind, Workload, WorkloadError};
 use serde::{Deserialize, Serialize};
@@ -91,28 +89,19 @@ fn adder() -> &'static ImplyAdder {
 }
 
 /// One worker's in-array kernel: the shared compiled kernels
-/// ([`comparator`], [`adder`]) plus the worker's own bit-slice engine
-/// and scalar scratch, made once per tile shard or serve chunk and
-/// reused for every query in it. Lane packing is in window order for
-/// both [`KernelPolicy`] arms, so values — and therefore checksums,
-/// divergence evidence and ledgers — are bit-identical across kernels.
+/// ([`comparator`], [`adder`]) plus the worker's own bit-slice engine,
+/// made once per tile shard or serve chunk and reused for every query
+/// in it. A window's symbols pack into lanes in window order, so lane
+/// `k` of the match mask is the comparison of symbol `k`.
 pub(crate) struct TileKernel {
-    scalar: bool,
     engine: BitSliceEngine,
-    scratch: Vec<bool>,
-    out: Vec<bool>,
-    scalar_adder: TcAdderModel,
 }
 
 impl TileKernel {
-    /// A fresh kernel running `policy`'s arm.
-    pub(crate) fn new(policy: KernelPolicy) -> Self {
+    /// A fresh kernel with its own engine.
+    pub(crate) fn new() -> Self {
         Self {
-            scalar: policy == KernelPolicy::Scalar,
             engine: BitSliceEngine::new(),
-            scratch: Vec::new(),
-            out: Vec::new(),
-            scalar_adder: TcAdderModel::new(ADD_BITS),
         }
     }
 
@@ -124,40 +113,20 @@ impl TileKernel {
                 query: q,
                 reference,
             } => {
-                let comparator = comparator();
-                if self.scalar {
-                    let program = comparator.eq_program();
-                    let mut mask = 0u64;
-                    let mut inputs = [false; 4];
-                    for (lane, (&s, &r)) in q.iter().zip(reference).enumerate() {
-                        inputs[0] = s & 1 == 1;
-                        inputs[1] = s & 2 == 2;
-                        inputs[2] = r & 1 == 1;
-                        inputs[3] = r & 2 == 2;
-                        program.evaluate_into(&inputs, &mut self.scratch, &mut self.out);
-                        mask |= u64::from(self.out[0]) << lane;
-                    }
-                    mask
-                } else {
-                    let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
-                    for (lane, (&s, &r)) in q.iter().zip(reference).enumerate() {
-                        s0 |= u64::from(s & 1) << lane;
-                        s1 |= u64::from(s >> 1 & 1) << lane;
-                        r0 |= u64::from(r & 1) << lane;
-                        r1 |= u64::from(r >> 1 & 1) << lane;
-                    }
-                    let mask = (1u64 << WINDOW) - 1;
-                    comparator.matches_sliced(&mut self.engine, s0, s1, r0, r1) & mask
+                let (mut s0, mut s1, mut r0, mut r1) = (0u64, 0u64, 0u64, 0u64);
+                for (lane, (&s, &r)) in q.iter().zip(reference).enumerate() {
+                    s0 |= u64::from(s & 1) << lane;
+                    s1 |= u64::from(s >> 1 & 1) << lane;
+                    r0 |= u64::from(r & 1) << lane;
+                    r1 |= u64::from(r >> 1 & 1) << lane;
                 }
+                let mask = (1u64 << WINDOW) - 1;
+                comparator().matches_sliced(&mut self.engine, s0, s1, r0, r1) & mask
             }
             &QueryOperands::Words { a, b } => {
-                if self.scalar {
-                    self.scalar_adder.add(a, b)
-                } else {
-                    let mut sums = [0u64];
-                    adder().add_sliced(&mut self.engine, &[(a, b)], &mut sums);
-                    sums[0]
-                }
+                let mut sums = [0u64];
+                adder().add_sliced(&mut self.engine, &[(a, b)], &mut sums);
+                sums[0]
             }
         }
     }
@@ -173,9 +142,6 @@ pub struct FabricExecutor {
     /// Host threading for the tile dispatch. Results are identical at
     /// every thread count; only wall-clock changes.
     pub batch: BatchPolicy,
-    /// Functional kernel for the hot loops; both kernels produce
-    /// bit-identical outcomes.
-    pub kernel: KernelPolicy,
     prices: UnitCosts,
 }
 
@@ -189,7 +155,6 @@ impl FabricExecutor {
         grid: TileGrid,
         placement: Placement,
         batch: BatchPolicy,
-        kernel: KernelPolicy,
     ) -> Result<Self, cim_arch::PlaceError> {
         placement.check(&grid)?;
         let prices = unit_costs(&grid);
@@ -197,7 +162,6 @@ impl FabricExecutor {
             grid,
             placement,
             batch,
-            kernel,
             prices,
         })
     }
@@ -207,8 +171,7 @@ impl FabricExecutor {
     pub fn paper(rows: u32, cols: u32, batch: BatchPolicy) -> Self {
         let grid = TileGrid::paper_dna(rows, cols);
         let placement = Placement::uniform(&grid, grid.tile_devices / 2, WINDOW as u32);
-        Self::new(grid, placement, batch, KernelPolicy::default())
-            .expect("uniform placement is legal by construction")
+        Self::new(grid, placement, batch).expect("uniform placement is legal by construction")
     }
 
     /// The grid's price table (dyadic; see `cim_units::counts`).
@@ -328,7 +291,7 @@ impl FabricExecutor {
     /// arithmetic on the same operands, counts charged through the
     /// single shared `Query::charge` definition.
     fn run_tile(&self, index: usize, shard: &[&Query]) -> (TileOutcome, Option<String>) {
-        let mut kernel = TileKernel::new(self.kernel);
+        let mut kernel = TileKernel::new();
         let mut counts = CountLedger::new();
         let mut checksum = 0u64;
         let mut operations = 0u64;
@@ -519,46 +482,24 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_bit_for_bit() {
-        let queries = traffic(200);
-        let grid = TileGrid::paper_dna(2, 1);
-        let placement = Placement::uniform(&grid, 1, WINDOW as u32);
-        let sliced = FabricExecutor::new(
-            grid.clone(),
-            placement.clone(),
-            BatchPolicy::SERIAL,
-            KernelPolicy::BitSliced,
-        )
-        .expect("legal");
-        let scalar =
-            FabricExecutor::new(grid, placement, BatchPolicy::SERIAL, KernelPolicy::Scalar)
-                .expect("legal");
-        let a = sliced.execute(&queries).expect("sliced");
-        let b = scalar.execute(&queries).expect("scalar");
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn shared_tile_kernels_leak_no_state_between_batches() {
         let a = traffic(150);
         let b = TrafficSpec::sustained(97, 7).generate();
-        for kernel in [KernelPolicy::BitSliced, KernelPolicy::Scalar] {
-            for threads in [1, 2] {
-                let build = || {
-                    let grid = TileGrid::paper_dna(2, 2);
-                    let placement = Placement::uniform(&grid, 1, WINDOW as u32);
-                    FabricExecutor::new(grid, placement, BatchPolicy::with_threads(threads), kernel)
-                        .expect("legal")
-                };
-                let fresh = build().execute(&a).expect("fresh A");
-                let fabric = build();
-                for executor in [fabric.clone(), fabric] {
-                    let first = executor.execute(&a).expect("A");
-                    executor.execute(&b).expect("B");
-                    let again = executor.execute(&a).expect("A again");
-                    assert_eq!(first, fresh, "{kernel:?}@{threads}: first A");
-                    assert_eq!(again, fresh, "{kernel:?}@{threads}: A after B");
-                }
+        for threads in [1, 2] {
+            let build = || {
+                let grid = TileGrid::paper_dna(2, 2);
+                let placement = Placement::uniform(&grid, 1, WINDOW as u32);
+                FabricExecutor::new(grid, placement, BatchPolicy::with_threads(threads))
+                    .expect("legal")
+            };
+            let fresh = build().execute(&a).expect("fresh A");
+            let fabric = build();
+            for executor in [fabric.clone(), fabric] {
+                let first = executor.execute(&a).expect("A");
+                executor.execute(&b).expect("B");
+                let again = executor.execute(&a).expect("A again");
+                assert_eq!(first, fresh, "@{threads}: first A");
+                assert_eq!(again, fresh, "@{threads}: A after B");
             }
         }
     }
@@ -568,12 +509,7 @@ mod tests {
         let grid = TileGrid::paper_dna(1, 1);
         let placement = Placement::uniform(&grid, grid.tile_devices + 1, 8);
         assert!(matches!(
-            FabricExecutor::new(
-                grid,
-                placement,
-                BatchPolicy::SERIAL,
-                KernelPolicy::default()
-            ),
+            FabricExecutor::new(grid, placement, BatchPolicy::SERIAL),
             Err(cim_arch::PlaceError::TileCapacity { .. })
         ));
     }

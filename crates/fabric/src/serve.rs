@@ -827,7 +827,7 @@ impl ServeFrontEnd {
     fn execute(&self, plan: &Plan, routes: &RouteTable) -> Result<u64, SimError> {
         let grid = &self.fabric.grid;
         let chunks = par_units(self.fabric.batch, plan.chunks.len(), |chunk| {
-            let mut kernel = TileKernel::new(self.fabric.kernel);
+            let mut kernel = TileKernel::new();
             let mut checksum = 0u64;
             for query in plan.chunks[chunk].clone() {
                 let id = query.id as usize;

@@ -304,7 +304,9 @@ impl TcAdderModel {
         Self { bits }
     }
 
-    /// Functional semantics (the executor's fast path).
+    /// The functional semantics the compiler's tensor graph gives an
+    /// addition node when it evaluates: host wrapping addition, not an
+    /// executed IMPLY adder (that is [`ImplyAdder`]).
     pub fn add(self, a: u64, b: u64) -> u64 {
         a.wrapping_add(b)
     }

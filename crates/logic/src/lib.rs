@@ -25,8 +25,9 @@
 //!   and clears cost nothing; the 32-bit adder's 1,564 steps become 283
 //!   gates) and [`BitSliceEngine`] runs it 64 lanes per host
 //!   instruction — the paper's row-broadcast parallelism mirrored in
-//!   the simulator, bit identical to the scalar and electrical paths,
-//!   while the modelled cost still counts every source step;
+//!   the simulator, bit identical to [`Program::evaluate`] and the
+//!   electrical path, while the modelled cost still counts every source
+//!   step;
 //! * the paper's circuit blocks: the DNA [`Comparator`] ("2 XOR and a
 //!   NAND … 13 memristors … 16 steps") and ripple adders —
 //!   [`ImplyAdder`] (bit-exact, electrically executed) plus the

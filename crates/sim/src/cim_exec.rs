@@ -1,7 +1,7 @@
 //! Executor for the CIM (memristor crossbar) machine.
 
 use cim_arch::{CimMachine, RunReport};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, TcAdderModel, LANES};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
 use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, Time, UnitCosts};
 use cim_workloads::{
     AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, ShortRead,
@@ -12,42 +12,21 @@ use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutco
 use crate::batch::{par_fold_slices, BatchPolicy};
 use crate::conventional::dna_sampler;
 
-/// Which functional kernel executes the hot loops.
-///
-/// Both kernels run the same IMPLY semantics and produce bit-identical
-/// digests, checksums, and ledgers (asserted by the equivalence tests);
-/// they differ only in host throughput. The ledger is charged once from
-/// the executed count either way, so costs cannot drift between kernels
-/// by construction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelPolicy {
-    /// Compile each microprogram once and execute 64 lanes per host
-    /// instruction ([`BitSliceEngine`]) — the crossbar's row-broadcast
-    /// parallelism mirrored in the simulator. The default.
-    #[default]
-    BitSliced,
-    /// One lane at a time through [`cim_logic::Program::evaluate_into`]
-    /// — the reference the bit-sliced kernel is checked against.
-    Scalar,
-}
-
 /// Runs workloads on the CIM machine model.
 ///
 /// Functional correctness is established by actually executing the
 /// in-crossbar primitives' semantics: DNA comparisons run through the
 /// IMPLY [`Comparator`] microprogram, additions through the ripple
-/// adder microcode (bit-sliced kernel) or the [`TcAdderModel`] (scalar
-/// kernel), and the results are checked against ground truth.
-/// Timing/energy then follow the batch aggregation with the machine's
-/// Table-1 costs.
+/// [`ImplyAdder`] microcode, both on the bit-sliced [`BitSliceEngine`]
+/// ([`LANES`] lanes per host word, as one instruction stream is
+/// broadcast to every crossbar row), and the results are checked
+/// against ground truth. Timing/energy then follow the batch
+/// aggregation with the machine's Table-1 costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CimExecutor {
     /// How per-item loops are parallelised. Results are identical for
     /// every policy (see `crate::batch`); only wall-clock time changes.
     pub batch: BatchPolicy,
-    /// Which functional kernel runs the hot loops. Results are
-    /// identical for both; only host throughput changes.
-    pub kernel: KernelPolicy,
 }
 
 impl CimExecutor {
@@ -66,15 +45,7 @@ impl CimExecutor {
 
     /// Creates an executor with an explicit batch policy.
     pub fn with_batch(batch: BatchPolicy) -> Self {
-        Self {
-            batch,
-            kernel: KernelPolicy::default(),
-        }
-    }
-
-    /// Creates an executor with explicit batch and kernel policies.
-    pub fn with_policies(batch: BatchPolicy, kernel: KernelPolicy) -> Self {
-        Self { batch, kernel }
+        Self { batch }
     }
 
     /// Projects the paper-scale DNA run (6×10⁹ comparisons on the
@@ -97,63 +68,18 @@ impl CimExecutor {
         self.project_dna_attributed(memory_hit_ratio).0
     }
 
-    /// Reference DNA pass: one comparator evaluation per character,
-    /// with the register file and output buffer reused across the whole
-    /// chunk and the genome window hoisted out of the inner loop. On a
-    /// divergence the rest of the read's comparisons are skipped — they
-    /// cannot change the (first-hit) evidence — and counted in closed
-    /// form so `operations` is unaffected.
-    fn dna_pass_scalar(
-        &self,
-        comparator: &Comparator,
-        codes: &[u8],
-        reads: &[ShortRead],
-    ) -> (u64, Option<String>) {
-        let program = comparator.eq_program();
-        par_fold_slices(
-            self.batch,
-            reads,
-            || (0u64, None::<String>),
-            |(mut count, mut diverged), chunk| {
-                let mut scratch = Vec::new();
-                let mut out = Vec::new();
-                let mut inputs = [false; 4];
-                for read in chunk {
-                    let pos = read.true_position;
-                    let window = &codes[pos..pos + read.symbols.len()];
-                    for (i, (&symbol, &reference)) in read.symbols.iter().zip(window).enumerate() {
-                        inputs[0] = symbol & 1 == 1;
-                        inputs[1] = symbol & 2 == 2;
-                        inputs[2] = reference & 1 == 1;
-                        inputs[3] = reference & 2 == 2;
-                        program.evaluate_into(&inputs, &mut scratch, &mut out);
-                        let eq = out[0];
-                        if eq != (symbol == reference) {
-                            if diverged.is_none() {
-                                diverged = Some(divergence_note(eq, symbol, reference, pos + i));
-                            }
-                            count += (read.symbols.len() - i) as u64;
-                            break;
-                        }
-                        count += 1;
-                    }
-                }
-                (count, diverged)
-            },
-            |(c1, d1), (c2, d2)| (c1 + c2, d1.or(d2)),
-        )
-    }
-
-    /// Bit-sliced DNA pass: [`LANES`] character comparisons per
-    /// comparator invocation. Each read's symbols pack lane-wise against
-    /// the genome window (bit `k` of each input slice = lane `k`'s bit),
-    /// one [`BitSliceEngine`] run compares the whole group, and the
-    /// result slice is diffed against direct equality as a mask —
-    /// per-lane evidence is extracted only on a mismatch, where the
-    /// lowest diverging lane reproduces the scalar path's first-hit
-    /// report exactly (lanes pack in symbol order).
-    fn dna_pass_bitsliced(
-        &self,
+    /// The DNA pass: [`LANES`] character comparisons per comparator
+    /// invocation. Each read's symbols pack lane-wise against the genome
+    /// window (bit `k` of each input slice = lane `k`'s bit), one
+    /// [`BitSliceEngine`] run compares the whole group, and the result
+    /// slice is diffed against direct equality as a mask — per-lane
+    /// evidence is extracted only on a mismatch, where the lowest
+    /// diverging lane is the read's first divergence (lanes pack in
+    /// symbol order). The rest of that read's comparisons are skipped —
+    /// they cannot change the first-hit evidence — and counted in closed
+    /// form, so `operations` is unaffected.
+    fn dna_pass(
+        self,
         comparator: &Comparator,
         codes: &[u8],
         reads: &[ShortRead],
@@ -197,9 +123,8 @@ impl CimExecutor {
                                     pos + i,
                                 ));
                             }
-                            // Like the scalar path, stop at the first
-                            // divergence in the read (count is already
-                            // closed-form).
+                            // Stop at the first divergence in the read
+                            // (count is already closed-form).
                             break;
                         }
                     }
@@ -210,16 +135,11 @@ impl CimExecutor {
         )
     }
 
-    /// Bit-sliced addition pass: [`LANES`] ripple additions per
+    /// The addition pass: [`LANES`] ripple additions per
     /// [`ImplyAdder::add_sliced`] invocation. The width-masked wrapping
     /// checksum is grouping-independent, so the digest is bit-identical
-    /// to the scalar kernel's.
-    fn additions_pass_bitsliced(
-        &self,
-        bits: u32,
-        sum_mask: u64,
-        operands: &[(u64, u64)],
-    ) -> (u64, u64) {
+    /// at every thread count.
+    fn additions_pass(self, bits: u32, sum_mask: u64, operands: &[(u64, u64)]) -> (u64, u64) {
         let adder = ImplyAdder::new(bits);
         par_fold_slices(
             self.batch,
@@ -246,39 +166,18 @@ impl CimExecutor {
     }
 
     /// Shared additions driver for whole workloads and shards: executes
-    /// `operands` through the selected kernel on a crossbar sized for
+    /// `operands` through the adder kernel on a crossbar sized for
     /// `machine_ops` operations, then charges the executed count once
     /// through [`additions_attributed`] — the projection's own call. A
     /// whole-workload run is the full-range case
     /// (`machine_ops == operands.len()`), so whole and full-range-shard
     /// outcomes are bit-identical by construction — they run this exact
     /// code path.
-    fn additions_outcome(
-        &self,
-        bits: u32,
-        machine_ops: u64,
-        operands: &[(u64, u64)],
-    ) -> RunOutcome {
+    fn additions_outcome(self, bits: u32, machine_ops: u64, operands: &[(u64, u64)]) -> RunOutcome {
         // The `bits + 1`-bit sum, saturating at 64 bits (`run` has
         // checked `bits` is in 1..=64).
         let sum_mask = ((u64::MAX >> (64 - bits)) << 1) | 1;
-        let (count, checksum) = match self.kernel {
-            KernelPolicy::BitSliced => self.additions_pass_bitsliced(bits, sum_mask, operands),
-            KernelPolicy::Scalar => {
-                let adder = TcAdderModel::new(bits);
-                par_fold_slices(
-                    self.batch,
-                    operands,
-                    || (0u64, 0u64),
-                    |acc, chunk| {
-                        chunk.iter().fold(acc, |(count, sum), &(a, b)| {
-                            (count + 1, sum.wrapping_add(adder.add(a, b) & sum_mask))
-                        })
-                    },
-                    |(c1, s1), (c2, s2)| (c1 + c2, s1.wrapping_add(s2)),
-                )
-            }
-        };
+        let (count, checksum) = self.additions_pass(bits, sum_mask, operands);
         let (report, ledger) = additions_attributed(bits, machine_ops, count);
         RunOutcome {
             machine: Self::MACHINE,
@@ -365,8 +264,8 @@ fn cim_estimate(machine: &CimMachine, phase: Phase, n_ops: u64, parallel: u64) -
     }
 }
 
-/// The divergence evidence format, shared verbatim by both kernels so a
-/// [`RunOutcome`] never depends on [`KernelPolicy`].
+/// The divergence evidence of a DNA pass: the comparator's answer, the
+/// symbol pair it was given and their reference position.
 fn divergence_note(eq: bool, symbol: u8, reference: u8, position: usize) -> String {
     format!(
         "comparator returned {eq} for symbols ({symbol}, {reference}) \
@@ -393,10 +292,7 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
         // Each read's comparisons are independent of every other read's,
         // so the hot loop fans out; divergence evidence (if any) merges
         // to the earliest chunk's report.
-        let (comparisons, diverged) = match self.kernel {
-            KernelPolicy::BitSliced => self.dna_pass_bitsliced(&comparator, genome.codes(), &reads),
-            KernelPolicy::Scalar => self.dna_pass_scalar(&comparator, genome.codes(), &reads),
-        };
+        let (comparisons, diverged) = self.dna_pass(&comparator, genome.codes(), &reads);
         if let Some(detail) = diverged {
             return Err(SimError::Diverged {
                 machine: Self::MACHINE,
@@ -463,13 +359,12 @@ impl ExecutionBackend<AdditionWorkload> for CimExecutor {
 
     /// Executes every addition in-crossbar, checksumming the
     /// (width-masked) sums for [`Workload::verify`](cim_workloads::Workload::verify) — an adder bug
-    /// shows up as a checksum mismatch there. The bit-sliced kernel
-    /// runs the actual ripple [`ImplyAdder`] microprogram, 64 additions
-    /// per pass in slice-major form; the scalar kernel uses the
-    /// [`TcAdderModel`]'s functional semantics. The checksums agree by
-    /// construction: a `bits`-wide exact sum masked to `bits + 1` bits
-    /// equals the wrapping sum masked the same way (for `bits == 64`
-    /// the dropped carry slice *is* the wrap).
+    /// shows up as a checksum mismatch there. The kernel runs the
+    /// actual ripple [`ImplyAdder`] microprogram, 64 additions per pass
+    /// in slice-major form. Its sum masked to `bits + 1` bits is the
+    /// host's sum (for `bits == 64` the dropped carry slice *is* the
+    /// host's wrap), so the checksum matches
+    /// [`AdditionWorkload::checksum`].
     ///
     /// Widths outside `1..=64` are a [`SimError::InvalidConfig`].
     fn run(&self, workload: &AdditionWorkload) -> Result<RunOutcome, SimError> {
@@ -578,50 +473,6 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_bit_for_bit_on_dna_and_additions() {
-        // The policy-flag contract: the bit-sliced kernel must be
-        // indistinguishable from the scalar reference in every output —
-        // digest, checksum, ledger, report, notes — at 1 and 4 threads.
-        let dna = DnaWorkload::scaled(50_000, 13);
-        let adds = AdditionWorkload::scaled(30_000, 14);
-        for threads in [1, 4] {
-            let batch = BatchPolicy::with_threads(threads);
-            let scalar = CimExecutor::with_policies(batch, KernelPolicy::Scalar);
-            let dna_scalar = scalar.run(&dna).expect("scalar DNA run");
-            let add_scalar = ExecutionBackend::<AdditionWorkload>::run(&scalar, &adds)
-                .expect("scalar additions run");
-            let sliced = CimExecutor::with_policies(batch, KernelPolicy::BitSliced);
-            let dna_sliced = sliced.run(&dna).expect("bitsliced DNA run");
-            assert_eq!(dna_sliced, dna_scalar, "DNA outcome at {threads} threads");
-            assert_eq!(dna_sliced.digest, dna_scalar.digest);
-
-            let add_sliced = ExecutionBackend::<AdditionWorkload>::run(&sliced, &adds)
-                .expect("bitsliced additions run");
-            assert_eq!(
-                add_sliced, add_scalar,
-                "additions outcome at {threads} threads"
-            );
-            assert_eq!(add_sliced.digest.checksum, Some(adds.checksum()));
-        }
-    }
-
-    #[test]
-    fn kernels_agree_at_64_bit_width_where_the_carry_wraps() {
-        // bits == 64 is the edge where the sliced adder's 65th sum bit
-        // is dropped; the checksum must still match the wrapping scalar.
-        let adds = AdditionWorkload {
-            n_ops: 2_000,
-            bits: 64,
-            seed: 15,
-        };
-        let scalar = CimExecutor::with_policies(BatchPolicy::SERIAL, KernelPolicy::Scalar);
-        let sliced = CimExecutor::with_policies(BatchPolicy::SERIAL, KernelPolicy::BitSliced);
-        let a = ExecutionBackend::<AdditionWorkload>::run(&scalar, &adds).expect("scalar");
-        let b = ExecutionBackend::<AdditionWorkload>::run(&sliced, &adds).expect("sliced");
-        assert_eq!(a.digest.checksum, b.digest.checksum);
-    }
-
-    #[test]
     fn paper_projection_shape() {
         let exec = CimExecutor::new();
         let report = exec.project_dna(0.5);
@@ -635,11 +486,19 @@ mod tests {
     #[test]
     fn additions_checksum_matches_reference() {
         let exec = CimExecutor::new();
-        let w = AdditionWorkload::scaled(20_000, 9);
-        let run = exec.run(&w).expect("additions always execute");
-        assert_eq!(run.digest.checksum, Some(w.checksum()));
-        assert!(w.verify(&run.digest).is_ok());
-        assert_eq!(run.report.operations, 20_000);
+        // 64 bits is the width where the adder's 65th sum bit is dropped
+        // and the checksum must still match the host's wrapping sum.
+        let wrapping = AdditionWorkload {
+            n_ops: 2_000,
+            bits: 64,
+            seed: 15,
+        };
+        for w in [AdditionWorkload::scaled(20_000, 9), wrapping] {
+            let run = exec.run(&w).expect("additions always execute");
+            assert_eq!(run.digest.checksum, Some(w.checksum()), "{} bits", w.bits);
+            assert!(w.verify(&run.digest).is_ok());
+            assert_eq!(run.report.operations, w.n_ops);
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod hierarchy;
 pub use backend::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
 pub use batch::{par_fold_chunks, par_fold_slices, par_map, par_units, BatchPolicy, CHUNK_SIZE};
 pub use cache::{CacheConfig, CacheSim};
-pub use cim_exec::{CimExecutor, KernelPolicy};
+pub use cim_exec::CimExecutor;
 pub use conventional::ConventionalExecutor;
 pub use event::makespan;
 pub use hierarchy::{HierarchyAccess, MemoryHierarchy, MemoryLevel};

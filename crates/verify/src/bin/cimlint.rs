@@ -165,7 +165,14 @@ fn main() -> ExitCode {
             "--fixtures" => fixtures = true,
             "--list" => list = true,
             "--wear-skew" => {
-                let Some(value) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
+                // A non-finite threshold would switch the endurance
+                // pass off (`skew > NaN` never holds), so it is a usage
+                // error like a missing one.
+                let Some(value) = args
+                    .next()
+                    .and_then(|v| v.parse::<f64>().ok())
+                    .filter(|v| v.is_finite())
+                else {
                     eprintln!("cimlint: --wear-skew needs a numeric threshold");
                     return ExitCode::from(2);
                 };

@@ -167,28 +167,24 @@ proptest! {
             for shard in &shards {
                 check_run_is_projection(&host, shard, &format!("conventional/{}", shard.name()))?;
             }
-            for kernel in [KernelPolicy::Scalar, KernelPolicy::BitSliced] {
-                let cim = CimExecutor::with_policies(batch, kernel);
-                check_run_is_projection(&cim, &additions, &format!("cim/whole/{kernel:?}"))?;
-                for shard in &shards {
-                    let context = format!("cim/{}/{kernel:?}", shard.name());
-                    check_run_is_projection(&cim, shard, &context)?;
-                }
+            let cim = CimExecutor::with_batch(batch);
+            check_run_is_projection(&cim, &additions, "cim/whole")?;
+            for shard in &shards {
+                check_run_is_projection(&cim, shard, &format!("cim/{}", shard.name()))?;
             }
         }
     }
 
     #[test]
-    fn cim_outcomes_are_bit_identical_across_workers_and_kernels(
+    fn cim_outcomes_are_bit_identical_across_workers(
         seed in 0u64..500,
         n_ops in 500u64..3_000,
         ref_len in 20_000u64..35_000,
     ) {
-        // Worker count ({1, 2, 4, 8}) and kernel (scalar reference or
-        // 64-lane bit slices) change wall-clock only — every RunOutcome
-        // field (digest, checksum, ledger, report, notes) is
-        // bit-identical to the serial bit-sliced reference. 100-symbol
-        // reads and random operand counts leave ragged 64-lane tails.
+        // Worker count ({1, 2, 4, 8}) changes wall-clock only — every
+        // RunOutcome field (digest, checksum, ledger, report, notes) is
+        // bit-identical to the serial reference. 100-symbol reads and
+        // random operand counts leave ragged 64-lane tails.
         let additions = AdditionWorkload::scaled(n_ops, seed);
         let dna = dna_workload(ref_len, seed);
         let reference = CimExecutor::with_batch(BatchPolicy::with_threads(1));
@@ -196,15 +192,12 @@ proptest! {
             .expect("reference additions");
         let dna_ref = reference.run(&dna).expect("reference dna");
         for threads in [1usize, 2, 4, 8] {
-            for kernel in [KernelPolicy::Scalar, KernelPolicy::BitSliced] {
-                let exec =
-                    CimExecutor::with_policies(BatchPolicy::with_threads(threads), kernel);
-                let add = ExecutionBackend::<AdditionWorkload>::run(&exec, &additions)
-                    .expect("additions run");
-                prop_assert_eq!(&add, &add_ref, "additions at {} x {:?}", threads, kernel);
-                let dna_run = exec.run(&dna).expect("dna run");
-                prop_assert_eq!(&dna_run, &dna_ref, "dna at {} x {:?}", threads, kernel);
-            }
+            let exec = CimExecutor::with_batch(BatchPolicy::with_threads(threads));
+            let add = ExecutionBackend::<AdditionWorkload>::run(&exec, &additions)
+                .expect("additions run");
+            prop_assert_eq!(&add, &add_ref, "additions at {} threads", threads);
+            let dna_run = exec.run(&dna).expect("dna run");
+            prop_assert_eq!(&dna_run, &dna_ref, "dna at {} threads", threads);
         }
     }
 
