@@ -17,8 +17,8 @@
 
 use cim_bench::{write_csv, Args};
 use cim_crossbar::{
-    max_readable_size, read_margin_study_threaded, BiasScheme, CrsCell, ResistiveCell,
-    SelectorCell, TransistorCell, WorstCasePattern,
+    max_readable_size, read_margin_study_with, BiasScheme, CrsCell, ResistiveCell, SelectorCell,
+    SolverConfig, TransistorCell, WorstCasePattern,
 };
 use cim_device::DeviceParams;
 
@@ -26,7 +26,10 @@ const SIZES: [usize; 5] = [4, 8, 16, 32, 64];
 
 fn main() {
     let args = Args::capture_strict(&["--bias-sweep"], &["--threads"]);
-    let threads = args.numeric("--threads", 1);
+    let config = SolverConfig {
+        threads: args.numeric("--threads", 1),
+        ..SolverConfig::default()
+    };
     let p = DeviceParams::table1_cim();
     let mut csv = String::from("junction,bias,n,i_one_a,i_zero_a,margin\n");
 
@@ -46,42 +49,42 @@ fn main() {
         let studies: Vec<(&str, Vec<cim_crossbar::MarginPoint>)> = vec![
             (
                 "1R",
-                read_margin_study_threaded(
+                read_margin_study_with(
                     |_, _| ResistiveCell::new(p.clone()),
                     &SIZES,
                     bias,
                     WorstCasePattern::AllOnes,
-                    threads,
+                    config,
                 ),
             ),
             (
                 "1S1R",
-                read_margin_study_threaded(
+                read_margin_study_with(
                     |_, _| SelectorCell::new(p.clone(), 10.0, p.v_set * 0.5),
                     &SIZES,
                     bias,
                     WorstCasePattern::AllOnes,
-                    threads,
+                    config,
                 ),
             ),
             (
                 "1T1R",
-                read_margin_study_threaded(
+                read_margin_study_with(
                     |_, _| TransistorCell::new(p.clone()),
                     &SIZES,
                     bias,
                     WorstCasePattern::AllOnes,
-                    threads,
+                    config,
                 ),
             ),
             (
                 "CRS",
-                read_margin_study_threaded(
+                read_margin_study_with(
                     |_, _| CrsCell::new(p.clone()),
                     &SIZES,
                     bias,
                     WorstCasePattern::AllOnes,
-                    threads,
+                    config,
                 ),
             ),
         ];

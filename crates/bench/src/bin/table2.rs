@@ -17,8 +17,9 @@
 //! and writes `results/table2_breakdown.csv`. `--smoke` shrinks both
 //! workloads for CI-speed runs and writes its CSVs under
 //! `results/smoke/` instead, leaving the full-scale ones untouched. An
-//! unknown flag, a value flag without its value, or a `--hit-ratio`
-//! other than `paper`/`measured` exits 2.
+//! unknown flag, a value flag without its value, a `--hit-ratio` other
+//! than `paper`/`measured` or a `--threads` that is not a non-negative
+//! integer exits 2, the `--ablate-*` runs included.
 
 use cim_arch::{
     ByteComparator, Controller, ConventionalMachine, FunctionalUnit, Interconnect, Metrics,
@@ -42,19 +43,6 @@ fn main() {
         ],
         &["--hit-ratio", "--threads"],
     );
-    if args.has("--ablate-comparator") {
-        ablate_comparator();
-        return;
-    }
-    if args.has("--ablate-hitrate") {
-        ablate_hitrate();
-        return;
-    }
-    if args.has("--ablate-overhead") {
-        ablate_overhead();
-        return;
-    }
-
     let hit_mode = match args.value("--hit-ratio") {
         None | Some("paper") => HitRatioMode::PaperAssumption,
         Some("measured") => HitRatioMode::Measured,
@@ -70,6 +58,20 @@ fn main() {
         Some(_) => BatchPolicy::with_threads(args.numeric("--threads", 0)),
         None => BatchPolicy::auto(),
     };
+    // The ablations take neither value, but a malformed one still exits
+    // 2 above rather than running one of them.
+    if args.has("--ablate-comparator") {
+        ablate_comparator();
+        return;
+    }
+    if args.has("--ablate-hitrate") {
+        ablate_hitrate();
+        return;
+    }
+    if args.has("--ablate-overhead") {
+        ablate_overhead();
+        return;
+    }
 
     println!("== Table 2 reproduction ==\n");
     println!("-- as published (DATE'15, Table 2) --");

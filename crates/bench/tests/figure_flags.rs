@@ -2,13 +2,15 @@
 //! tools parse their flags strictly: a mistyped or unknown flag, a value
 //! flag without its value, or a value that does not parse exits with
 //! status 2 before anything runs, so nothing is printed and no CSV or
-//! `BENCH_*.json` is written.
+//! `BENCH_*.json` is written. A flag that selects a different run, such
+//! as `table2 --ablate-comparator`, does not skip the check.
 
+use std::fs;
 use std::process::Command;
 
 #[test]
 fn figure_binaries_reject_unknown_flags_before_running() {
-    let cases: [(&str, &[&str]); 13] = [
+    let cases: [(&str, &[&str]); 15] = [
         (env!("CARGO_BIN_EXE_fig1_workingset"), &["--smoke"]),
         (env!("CARGO_BIN_EXE_fig2_machines"), &["--check"]),
         (env!("CARGO_BIN_EXE_fig3_sneak"), &["--bias-swep"]),
@@ -28,15 +30,38 @@ fn figure_binaries_reject_unknown_flags_before_running() {
         (env!("CARGO_BIN_EXE_bench_solver"), &["-v"]),
         (env!("CARGO_BIN_EXE_table2"), &["--hit-ratio", "bogus"]),
         (env!("CARGO_BIN_EXE_table2"), &["--threads", "x"]),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--ablate-comparator", "--threads", "x"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_table2"),
+            &["--ablate-overhead", "--hit-ratio", "bogus"],
+        ),
     ];
-    for (binary, argv) in cases {
+    // Each binary runs in an empty directory that holds only a
+    // `Cargo.toml`, which the tools take for the workspace root: any CSV
+    // or snapshot they wrote would land there.
+    let root = std::env::temp_dir().join(format!("cim-figure-flags-{}", std::process::id()));
+    for (case, (binary, argv)) in cases.into_iter().enumerate() {
+        let dir = root.join(case.to_string());
+        fs::create_dir_all(&dir).expect("create scratch directory");
+        fs::write(dir.join("Cargo.toml"), "").expect("write root marker");
         let out = Command::new(binary)
             .args(argv)
+            .current_dir(&dir)
             .output()
             .expect("binary starts");
         assert_eq!(out.status.code(), Some(2), "{binary} {argv:?}");
         assert!(out.stdout.is_empty(), "{binary} {argv:?} ran");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.starts_with("error: "), "{binary} {argv:?}: {stderr}");
+        let written: Vec<_> = fs::read_dir(&dir)
+            .expect("list scratch directory")
+            .map(|entry| entry.expect("directory entry").file_name())
+            .filter(|name| name != "Cargo.toml")
+            .collect();
+        assert!(written.is_empty(), "{binary} {argv:?} wrote {written:?}");
     }
+    fs::remove_dir_all(&root).expect("remove scratch directory");
 }

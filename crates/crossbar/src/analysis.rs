@@ -46,7 +46,7 @@ pub struct MarginPoint {
     /// sweep budget; when false the two currents are whatever the last
     /// sweep left, not answers to the stated accuracy.
     pub converged: bool,
-    /// The worse of the two solves' final stop measures
+    /// The worse of the two solves' final relative KCL residuals
     /// ([`SolvedRead::residual`](crate::SolvedRead::residual)).
     pub residual: f64,
 }
@@ -68,29 +68,13 @@ pub fn read_margin_study<C: Cell>(
     bias: BiasScheme,
     pattern: WorstCasePattern,
 ) -> Vec<MarginPoint> {
-    read_margin_study_threaded(make, sizes, bias, pattern, 1)
+    read_margin_study_with(make, sizes, bias, pattern, SolverConfig::default())
 }
 
-/// [`read_margin_study`] with an explicit solver thread count (0 = all
-/// cores). Parallel line relaxation is deterministic, so the points are
-/// bit-identical at any thread count — this only changes wall-clock time
-/// for the large-`n` distributed studies.
-pub fn read_margin_study_threaded<C: Cell>(
-    make: impl FnMut(usize, usize) -> C,
-    sizes: &[usize],
-    bias: BiasScheme,
-    pattern: WorstCasePattern,
-    threads: usize,
-) -> Vec<MarginPoint> {
-    let config = SolverConfig {
-        threads,
-        ..SolverConfig::default()
-    };
-    read_margin_study_with(make, sizes, bias, pattern, config)
-}
-
-/// [`read_margin_study`] under an explicit solver configuration, e.g.
-/// [`SolverConfig::reference`] for the accuracy reference.
+/// [`read_margin_study`] under an explicit solver configuration: its
+/// sweep budget and thread count (0 = all cores). Parallel line
+/// relaxation is deterministic, so the points are bit-identical at any
+/// thread count.
 pub fn read_margin_study_with<C: Cell>(
     mut make: impl FnMut(usize, usize) -> C,
     sizes: &[usize],
@@ -308,12 +292,15 @@ mod tests {
             BiasScheme::HalfV,
             WorstCasePattern::AllOnes,
         );
-        let threaded = read_margin_study_threaded(
+        let threaded = read_margin_study_with(
             |_, _| ResistiveCell::new(params()),
             &[8, 16],
             BiasScheme::HalfV,
             WorstCasePattern::AllOnes,
-            4,
+            SolverConfig {
+                threads: 4,
+                ..SolverConfig::default()
+            },
         );
         assert_eq!(serial, threaded);
     }

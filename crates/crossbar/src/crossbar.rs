@@ -115,8 +115,8 @@ impl<C: Cell> Crossbar<C> {
         self.solver.config.threads = threads;
     }
 
-    /// Replaces the whole solver configuration: stop rule, secant bound,
-    /// relaxation and worker count.
+    /// Replaces the whole solver configuration: sweep budget and worker
+    /// count.
     pub fn with_solver_config(mut self, config: SolverConfig) -> Self {
         self.solver.config = config;
         self
@@ -697,20 +697,27 @@ mod tests {
     fn repeat_access_stops_at_once_on_the_reference_answer() {
         // A repeat read of an unchanged array warm-starts from its own
         // converged potentials: the first sweep finds them at the fixed
-        // point. The answer must be the converged one, within the bound
-        // of the accuracy contract (`tests/accuracy.rs`).
+        // point. The answer must be the one a cold solve of the same
+        // network reaches, within the solver's residual bound; how close
+        // either is to the exact nodal solution is the contract of
+        // `tests/accuracy.rs`.
         let mut array = one_r(16);
         array.fill(|r, c| (r * 3 + c) % 4 != 0);
-        let mut reference = array.clone().with_solver_config(SolverConfig::reference());
-        let exact = reference.read(3, 3, BiasScheme::HalfV).sense_current;
         let _ = array.read(3, 3, BiasScheme::HalfV);
         let before = array.stats().solver_sweeps;
+        let mut cold = array.clone();
+        cold.invalidate_warm_start();
+        let exact = cold.read(3, 3, BiasScheme::HalfV).sense_current;
+        let cold_sweeps = cold.stats().solver_sweeps - before;
         let repeat = array.read(3, 3, BiasScheme::HalfV);
         let sweeps = array.stats().solver_sweeps - before;
-        assert!(sweeps <= 2, "repeat access took {sweeps} sweeps");
         assert!(
-            (repeat.sense_current / exact - 1.0).abs() <= 1e-8,
-            "repeat {} vs reference {}",
+            sweeps <= 2 && sweeps < cold_sweeps,
+            "repeat access took {sweeps} sweeps, a cold one {cold_sweeps}"
+        );
+        assert!(
+            (repeat.sense_current / exact - 1.0).abs() <= 1e-10,
+            "repeat {} vs cold {}",
             repeat.sense_current,
             exact
         );

@@ -43,17 +43,14 @@ mod solver;
 mod stats;
 
 pub use analysis::{
-    max_readable_size, read_margin_study, read_margin_study_threaded, read_margin_study_with,
-    MarginPoint, WorstCasePattern,
+    max_readable_size, read_margin_study, read_margin_study_with, MarginPoint, WorstCasePattern,
 };
 pub use batch::solve_batch;
-pub use bias::BiasScheme;
+pub use bias::{BiasScheme, BiasVoltages};
 pub use cam::{Cam, SearchOutcome};
 pub use cell::{Cell, CrsCell, JunctionKind, ResistiveCell, SelectorCell, TransistorCell};
 pub use crossbar::{CellOps, Crossbar, ReadResult, WriteOutcome};
 pub use geometry::Geometry;
 pub use mvm::AnalogMvm;
-pub use solver::{
-    DistributedSolver, LumpedSolver, SolvedRead, SolverConfig, SolverWorkspace, StopRule,
-};
+pub use solver::{DistributedSolver, LumpedSolver, SolvedRead, SolverConfig, SolverWorkspace};
 pub use stats::ArrayStats;

@@ -20,24 +20,24 @@
 //! refreshes the secant conductances. Three rules decide how a solve
 //! converges, and none of them depends on the thread count:
 //!
-//! * **Stop rule.** By default ([`StopRule::Residual`]) a solve stops when
-//!   two things hold. First, every node's KCL residual is at most 1e-12 of
-//!   its Norton current `Σ g·|v|` over its branches and source. The
-//!   lumped solver reads the residual off the row/column sums `Σ g·v` and
-//!   `Σ g` that the update forms anyway; the distributed solver forms it
-//!   from each line's tridiagonal system before solving it. Second, every
-//!   stored conductance `g` is consistent with its cell at the voltages
-//!   the sweep reached: `|secant/g − 1| <= 1e-9`. Both are functions of
-//!   the potentials, not of the step the iteration took, so a short
-//!   under-relaxed step cannot pass them far from the fixed point.
-//!   [`SolvedRead::residual`] reports the residual reached.
-//!   [`SolverConfig::reference`] swaps in the conventional step rule at
-//!   1e-13 V as an independent reference.
+//! * **Stop rule.** A solve stops when two things hold. First, every
+//!   node's KCL residual is at most 1e-12 of its Norton current `Σ g·|v|`
+//!   over its branches and source. The lumped solver reads the residual
+//!   off the row/column sums `Σ g·v` and `Σ g` that the update forms
+//!   anyway; the distributed solver forms it from each line's tridiagonal
+//!   system before solving it. Second, every stored conductance `g` is
+//!   consistent with its cell at the voltages the sweep reached:
+//!   `|secant/g − 1| <= 1e-9`. Both are functions of the potentials, not
+//!   of the step the iteration took, so a short under-relaxed step cannot
+//!   pass them far from the fixed point. [`SolvedRead::residual`] reports
+//!   the residual reached. The accuracy contract
+//!   (`tests/accuracy.rs`) holds the answers to a direct nodal solve that
+//!   shares no code with these solvers.
 //! * **Relaxation.** Lumped node updates are plain Gauss-Seidel (ω = 1.0).
 //!   On linear cells a cold solve under a driven (V/2, V/3) scheme takes
 //!   three or four sweeps. Floating lines with strongly
 //!   non-linear (selector) cells can oscillate under it. So once a sweep's
-//!   stop measure grows, the rest of the solve relaxes at ω = 0.7, a
+//!   residual grows, the rest of the solve relaxes at ω = 0.7, a
 //!   decision made from crew-wide maxima and therefore the same at any
 //!   thread count.
 //! * **Exact ohmic secants.** [`Cell::OHMIC`] cells (1R, 1T1R) return
@@ -106,9 +106,9 @@ pub struct SolvedRead {
     pub iterations: usize,
     /// True if the solver met its stop rule within the sweep budget.
     pub converged: bool,
-    /// The stop rule's measure over the final sweep: the largest relative
-    /// KCL residual under [`StopRule::Residual`] (the default), the
-    /// largest node step in volts under [`StopRule::Step`].
+    /// The largest relative KCL residual over the final sweep: per node,
+    /// `|Σg·v − v_n·Σg|` over its branches and source, divided by its
+    /// Norton current `Σg·|v|` (see the module docs).
     pub residual: f64,
 }
 
@@ -119,58 +119,12 @@ impl SolvedRead {
     }
 }
 
-/// When an iterative solve stops. Either rule also requires secant
-/// consistency ([`SolverConfig::secant_tolerance`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum StopRule {
-    /// Stop once every node's KCL residual `|Σg·v − v_n·Σg|`, summed
-    /// over its branches and source, is at most this fraction of the
-    /// node's Norton current `Σg·|v|`. The residual is a function of the
-    /// potentials alone, so where the solver stops does not depend on
-    /// how it got there (see the module docs).
-    Residual(f64),
-    /// Stop once no node moved by more than this many volts in a sweep.
-    /// A short under-relaxed step passes it far from the fixed point, so
-    /// it depends on the iteration path; it stays as the independent
-    /// reference that accuracy checks compare the residual rule against.
-    Step(f64),
-}
-
-impl StopRule {
-    /// This rule's measure of one node update.
-    fn measure(self, residual: f64, step: f64) -> f64 {
-        match self {
-            StopRule::Residual(_) => residual,
-            StopRule::Step(_) => step,
-        }
-    }
-
-    /// The bound the measure must reach.
-    fn bound(self) -> f64 {
-        match self {
-            StopRule::Residual(bound) | StopRule::Step(bound) => bound,
-        }
-    }
-}
-
-/// Shared solver knobs.
+/// Shared solver knobs. Everything else about how a solve converges is
+/// fixed (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SolverConfig {
-    /// When a solve may stop.
-    pub stop: StopRule,
-    /// Secant consistency required at the stop: every stored conductance
-    /// `g` must satisfy `|secant(v)/g − 1| <=` this, with `secant(v)` its
-    /// cell's [`Cell::conductance_at`] at the final voltages.
-    pub secant_tolerance: f64,
     /// Sweep budget before giving up.
     pub max_sweeps: usize,
-    /// Relaxation factor of the lumped node updates (1.0 = plain
-    /// Gauss-Seidel). A solve drops to `min(omega, 0.7)` for its
-    /// remaining sweeps once a sweep's stop measure grows.
-    pub omega: f64,
-    /// Log-space damping of the secant-conductance refresh (1.0 = none;
-    /// smaller = heavier damping for strongly non-linear cells).
-    pub conductance_blend: f64,
     /// Worker threads for the solve crew (per-line half-sweep updates
     /// and conductance refreshes): `1` = serial (the default), `0` = all
     /// cores. Any value produces bit-identical results; see the module
@@ -182,44 +136,39 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
-            // A relative residual of 1e-12 sits about three decades above
-            // the rounding of the node sums. It holds every Fig. 3 output
-            // within 1e-8 of the 1e-13 V reference (floating 1R margins,
-            // a small difference of large currents, are the worst case);
-            // 1e-9 would save about half a sweep per access and leave
-            // them 3e-6 off.
-            stop: StopRule::Residual(1e-12),
-            // Bounds the selector secants left unsettled by the damped
-            // refresh; ohmic cells meet it exactly.
-            secant_tolerance: 1e-9,
             max_sweeps: 20_000,
-            // Plain Gauss-Seidel: over-relaxation is needed nowhere and
-            // under-relaxation only on floating lines with strongly
-            // non-linear (selector) cells, where plain sweeps can
-            // oscillate. A solve drops to FALLBACK_OMEGA once a sweep's
-            // stop measure grows, which is where that happens.
-            omega: 1.0,
-            conductance_blend: 0.1,
             threads: 1,
         }
     }
 }
 
-impl SolverConfig {
-    /// The accuracy reference: the [`StopRule::Step`] rule at 1e-13 V with
-    /// secants consistent to 1e-12. Its stop rule is independent of the
-    /// default residual rule, and both bounds are far tighter, so the
-    /// default's outputs are checked against it.
-    pub fn reference() -> Self {
-        Self {
-            stop: StopRule::Step(1e-13),
-            secant_tolerance: 1e-12,
-            ..Self::default()
-        }
-    }
-}
+/// Largest relative KCL residual a converged solve may leave at any node.
+/// It sits about three decades above the rounding of the node sums and
+/// holds every Fig. 3 output within the bounds of `tests/accuracy.rs`;
+/// 1e-9 would save about half a sweep per access and leave floating 1R
+/// margins, a small difference of large currents, 3e-6 off.
+const RESIDUAL_BOUND: f64 = 1e-12;
 
-/// Relaxation factor a solve falls back to once a sweep's stop measure
+/// Secant consistency required at the stop: every stored conductance `g`
+/// must satisfy `|secant(v)/g − 1| <=` this, with `secant(v)` its cell's
+/// [`Cell::conductance_at`] at the final voltages. It bounds the selector
+/// secants left unsettled by the damped refresh; ohmic cells meet it
+/// exactly.
+const SECANT_TOLERANCE: f64 = 1e-9;
+
+/// Relaxation factor of the lumped node updates: plain Gauss-Seidel.
+/// Over-relaxation is needed nowhere and under-relaxation only on
+/// floating lines with strongly non-linear (selector) cells, where plain
+/// sweeps can oscillate; a solve drops to [`FALLBACK_OMEGA`] once a
+/// sweep's residual grows, which is where that happens.
+const OMEGA: f64 = 1.0;
+
+/// Log-space damping of the per-sweep secant-conductance refresh (1.0 =
+/// none): an undamped refresh flip-flops between the on and off
+/// linearisations of strongly non-linear (selector) cells.
+const CONDUCTANCE_BLEND: f64 = 0.1;
+
+/// Relaxation factor a solve falls back to once a sweep's residual
 /// grows.
 const FALLBACK_OMEGA: f64 = 0.7;
 
@@ -249,14 +198,14 @@ struct Sweeps {
 }
 
 /// Steps a crew through sweeps (row half-sweep, column half-sweep,
-/// damped secant refresh) until `config`'s stop rule and secant bound
-/// both hold or the budget runs out. `ohmic` cells ([`Cell::OHMIC`])
+/// damped secant refresh) until the residual and secant bounds both hold
+/// or the budget of `max_sweeps` runs out. `ohmic` cells ([`Cell::OHMIC`])
 /// skip the per-sweep refresh: the initial one already stored secants
 /// that no voltage can change, so their inconsistency is exactly 0. The
 /// half-sweeps carry the [`DAMPED`] flag from the first sweep after one
-/// whose stop measure grew. Every decision reads crew-wide maxima, which
+/// whose residual grew. Every decision reads crew-wide maxima, which
 /// are order-independent, so it is the same at any thread count.
-fn sweep(crew: &Conductor<'_>, config: &SolverConfig, ohmic: bool) -> Sweeps {
+fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
     crew.phase(PHASE_REFRESH_INIT);
     let mut damped = 0;
     let mut previous = f64::INFINITY;
@@ -265,7 +214,7 @@ fn sweep(crew: &Conductor<'_>, config: &SolverConfig, ohmic: bool) -> Sweeps {
         converged: false,
         residual: f64::INFINITY,
     };
-    while reached.iterations < config.max_sweeps {
+    while reached.iterations < max_sweeps {
         let measure = crew
             .phase(PHASE_ROWS | damped)
             .max(crew.phase(PHASE_COLS | damped));
@@ -276,7 +225,7 @@ fn sweep(crew: &Conductor<'_>, config: &SolverConfig, ohmic: bool) -> Sweeps {
         };
         reached.iterations += 1;
         reached.residual = measure;
-        if measure <= config.stop.bound() && secant <= config.secant_tolerance {
+        if measure <= RESIDUAL_BOUND && secant <= SECANT_TOLERANCE {
             reached.converged = true;
             break;
         }
@@ -535,7 +484,6 @@ impl LumpedSolver {
         }
 
         let gate_on = |i: usize| i == sel_r;
-        let config = self.config;
         // One phase function serves every crew member; the serial path is
         // the one-worker crew running the same code inline, which is what
         // makes thread counts bit-invisible. Secant conductances are
@@ -546,9 +494,9 @@ impl LumpedSolver {
         // replaced.
         let phase_fn = |worker: usize, tag: u32| -> f64 {
             let omega = if tag & DAMPED == 0 {
-                config.omega
+                OMEGA
             } else {
-                config.omega.min(FALLBACK_OMEGA)
+                FALLBACK_OMEGA
             };
             match tag & !DAMPED {
                 PHASE_ROWS => {
@@ -562,7 +510,7 @@ impl LumpedSolver {
                         for (gc, v) in row.zip(b.iter_range(0..cols)) {
                             node.add(gc, v);
                         }
-                        measure = measure.max(node.relax(w, i, omega, config.stop));
+                        measure = measure.max(node.relax(w, i, omega));
                     }
                     measure
                 }
@@ -577,7 +525,7 @@ impl LumpedSolver {
                         for (gc, v) in col.zip(w.iter_range(0..rows)) {
                             node.add(gc, v);
                         }
-                        measure = measure.max(node.relax(b, j, omega, config.stop));
+                        measure = measure.max(node.relax(b, j, omega));
                     }
                     measure
                 }
@@ -593,12 +541,14 @@ impl LumpedSolver {
                     if tag == PHASE_REFRESH_INIT {
                         1.0
                     } else {
-                        config.conductance_blend
+                        CONDUCTANCE_BLEND
                     },
                 ),
             }
         };
-        let reached = run_crew(workers, phase_fn, |crew| sweep(crew, &config, C::OHMIC));
+        let reached = run_crew(workers, phase_fn, |crew| {
+            sweep(crew, self.config.max_sweeps, C::OHMIC)
+        });
 
         let solved = LumpedSolution {
             cells,
@@ -653,16 +603,14 @@ impl NodeSums {
     }
 
     /// One Gauss-Seidel update of `nodes[index]` relaxed by `omega`;
-    /// returns `stop`'s measure of it (the residual of the potential it
-    /// replaces, or the step).
-    fn relax(&self, nodes: &SharedF64, index: usize, omega: f64, stop: StopRule) -> f64 {
+    /// returns the residual of the potential it replaces.
+    fn relax(&self, nodes: &SharedF64, index: usize, omega: f64) -> f64 {
         if self.den <= 0.0 {
             return 0.0;
         }
         let node = nodes.get(index);
-        let relaxed = node + omega * (self.num / self.den - node);
-        nodes.set(index, relaxed);
-        stop.measure(self.residual(node), (relaxed - node).abs())
+        nodes.set(index, node + omega * (self.num / self.den - node));
+        self.residual(node)
     }
 }
 
@@ -802,7 +750,6 @@ impl DistributedSolver {
         // exactly (Thomas tridiagonal solve) with the crossing lines held
         // fixed — the textbook cure for anisotropic coupling.
         let gate_on = |i: usize| i == sel_r;
-        let config = self.config;
         // The line solves are exact, so there is nothing to relax and the
         // DAMPED flag is ignored.
         let phase_fn = |worker: usize, tag: u32| -> f64 {
@@ -826,9 +773,8 @@ impl DistributedSolver {
                             }
                             tri.source(j, b.get(j * rows + i), g.get(base + j));
                         }
-                        let residual = tri.residual(line);
-                        let step = tri.solve_into(line);
-                        measure = measure.max(config.stop.measure(residual, step));
+                        measure = measure.max(tri.residual(line));
+                        tri.solve_into(line);
                         w.store_range(base, line);
                     }
                     measure
@@ -855,9 +801,8 @@ impl DistributedSolver {
                             }
                             tri.source(i, w.get(i * cols + j), g_t.get(base + i));
                         }
-                        let residual = tri.residual(line);
-                        let step = tri.solve_into(line);
-                        measure = measure.max(config.stop.measure(residual, step));
+                        measure = measure.max(tri.residual(line));
+                        tri.solve_into(line);
                         b.store_range(base, line);
                     }
                     measure
@@ -874,12 +819,14 @@ impl DistributedSolver {
                     if tag == PHASE_REFRESH_INIT {
                         1.0
                     } else {
-                        config.conductance_blend
+                        CONDUCTANCE_BLEND
                     },
                 ),
             }
         };
-        let reached = run_crew(workers, phase_fn, |crew| sweep(crew, &config, C::OHMIC));
+        let reached = run_crew(workers, phase_fn, |crew| {
+            sweep(crew, self.config.max_sweeps, C::OHMIC)
+        });
 
         // Per-cell voltages and sense current at the selected bitline's
         // bottom end.
@@ -1088,9 +1035,9 @@ impl Tridiagonal {
     }
 
     /// Solves in place, writing the solution over `x` (which also provides
-    /// the fallback for singular rows) and returning the max |Δx|.
+    /// the fallback for singular rows).
     #[allow(clippy::needless_range_loop)] // i-1 lookbacks across four arrays
-    fn solve_into(&mut self, x: &mut [f64]) -> f64 {
+    fn solve_into(&mut self, x: &mut [f64]) {
         let n = self.n;
         debug_assert_eq!(x.len(), n);
         // Thomas forward sweep.
@@ -1120,8 +1067,7 @@ impl Tridiagonal {
                 / denom;
             prev_cs = self.c_star[i];
         }
-        // Back substitution, tracking the largest update.
-        let mut max_delta = 0.0f64;
+        // Back substitution.
         let mut next = 0.0;
         for i in (0..n).rev() {
             let value = self.d_star[i]
@@ -1130,11 +1076,9 @@ impl Tridiagonal {
                 } else {
                     0.0
                 };
-            max_delta = max_delta.max((value - x[i]).abs());
             x[i] = value;
             next = value;
         }
-        max_delta
     }
 }
 
