@@ -5,7 +5,7 @@ use std::hint::black_box;
 
 use cim_device::DeviceParams;
 use cim_logic::{
-    BitSliceEngine, Comparator, CrsImp, ImplyAdder, ImplyEngine, ProgramBuilder, Step, LANES,
+    BitSliceEngine, Comparator, CrsImp, ImplyAdder, ImplyEngine, ProgramBuilder, Step, LANES, WORDS,
 };
 
 fn bench_imply_step(c: &mut Criterion) {
@@ -69,23 +69,29 @@ fn bench_adders(c: &mut Criterion) {
         b.iter(|| black_box(adder.add_reference(black_box(0xDEAD_BEEF), black_box(0x1234_5678))));
     });
 
-    c.bench_function("adder/bitsliced_32bit_64pairs", |b| {
-        let adder = ImplyAdder::new(32);
-        let mut engine = BitSliceEngine::new();
-        let pairs: Vec<(u64, u64)> = (0..LANES as u64)
-            .map(|k| {
-                (
-                    k.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF,
-                    k.wrapping_mul(0x85EB_CA6B) & 0xFFFF_FFFF,
-                )
-            })
-            .collect();
-        let mut sums = [0u64; LANES];
-        b.iter(|| {
-            adder.add_sliced(&mut engine, black_box(&pairs), &mut sums);
-            black_box(sums[0])
+    // One word per gate visit, then the executors' full 512-lane pass.
+    for (name, pairs) in [
+        ("adder/bitsliced_32bit_64pairs", LANES),
+        ("adder/bitsliced_32bit_512pairs", LANES * WORDS),
+    ] {
+        c.bench_function(name, |b| {
+            let adder = ImplyAdder::new(32);
+            let mut engine = BitSliceEngine::new();
+            let pairs: Vec<(u64, u64)> = (0..pairs as u64)
+                .map(|k| {
+                    (
+                        k.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF,
+                        k.wrapping_mul(0x85EB_CA6B) & 0xFFFF_FFFF,
+                    )
+                })
+                .collect();
+            let mut sums = vec![0u64; pairs.len()];
+            b.iter(|| {
+                adder.add_sliced(&mut engine, black_box(&pairs), &mut sums);
+                black_box(sums[0])
+            });
         });
-    });
+    }
 }
 
 fn bench_synthesis(c: &mut Criterion) {

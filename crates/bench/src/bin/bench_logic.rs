@@ -1,6 +1,7 @@
-//! Functional-kernel snapshot: measures the 64-lane bit-sliced IMPLY
-//! kernels — the eq-comparator and ripple-adder microkernels, each
-//! against its one-lane reference (`Program::evaluate_into`,
+//! Functional-kernel snapshot: measures the bit-sliced IMPLY kernels as
+//! the executors run them — the eq-comparator at one 64-lane word per
+//! gate visit and the ripple adder at `LANES * WORDS` = 512 lanes per
+//! pass, each against its one-lane reference (`Program::evaluate_into`,
 //! `ImplyAdder::add_reference`) — and the paper's full-scale 10⁶
 //! parallel additions through the executor, and writes the numbers to
 //! `BENCH_logic.json` at the workspace root, so the perf trajectory is
@@ -24,11 +25,11 @@
 use std::time::Instant;
 
 use cim_bench::{repo_root_file, Args, Snapshot};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES, WORDS};
 use cim_sim::{BatchPolicy, CimExecutor, ExecutionBackend};
 use cim_workloads::AdditionWorkload;
 
-const SCHEMA: &str = "cim-bench-logic/4";
+const SCHEMA: &str = "cim-bench-logic/5";
 
 /// Floors of the within-run kernel ratios (sliced over scalar, same
 /// process), each at most half the smallest value measured over ten
@@ -77,13 +78,14 @@ fn comparator_pass(samples: usize, cmp: &Comparator, pairs: &[(u8, u8)]) -> f64 
     })
 }
 
-/// Adder pass over 64-lane operand groups: returns median ns.
+/// Adder pass over `LANES * WORDS`-pair operand groups, the executor's
+/// pass size: returns median ns.
 fn adder_pass(samples: usize, adder: &ImplyAdder, operands: &[(u64, u64)]) -> f64 {
     median_ns(samples, || {
         let mut engine = BitSliceEngine::new();
-        let mut sums = [0u64; LANES];
+        let mut sums = [0u64; LANES * WORDS];
         let mut checksum = 0u64;
-        for group in operands.chunks(LANES) {
+        for group in operands.chunks(LANES * WORDS) {
             adder.add_sliced(&mut engine, group, &mut sums[..group.len()]);
             for &s in &sums[..group.len()] {
                 checksum = checksum.wrapping_add(s);

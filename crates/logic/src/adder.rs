@@ -12,6 +12,11 @@ use crate::crs_logic::CrsImp;
 use crate::engine::ImplyEngine;
 use crate::program::{Program, ProgramBuilder, Reg};
 
+/// 64-lane words per gate visit of [`ImplyAdder::add_sliced`]: one pass
+/// adds up to `LANES * WORDS` = 512 pairs, as one broadcast IMPLY step
+/// reaches every crossbar row at once.
+pub const WORDS: usize = 8;
+
 /// An `n`-bit ripple-carry adder compiled to IMPLY microcode.
 ///
 /// Each full adder is built from the gate library (`sum = a⊕b⊕c`,
@@ -127,11 +132,14 @@ impl ImplyAdder {
             .fold(0u64, |acc, (i, &bit)| acc | (u64::from(bit) << i))
     }
 
-    /// Adds up to 64 operand pairs in one bit-sliced pass of the ripple
-    /// microprogram: operands transpose into slice-major form (bit `i`
-    /// of every lane's word packs into one `u64` slice), the compiled
-    /// program runs once computing all lanes together, and the sum
-    /// slices transpose back to one word per lane.
+    /// Adds up to `LANES * WORDS` = 512 operand pairs in one
+    /// bit-sliced pass of the ripple microprogram: operands transpose
+    /// into slice-major form (bit `i` of every lane's word packs into
+    /// one `u64` slice), the compiled program runs once computing all
+    /// lanes together, and the sum slices transpose back to one word per
+    /// lane. A pass of at most [`LANES`] pairs runs one word per gate
+    /// visit, a longer one [`WORDS`]: eight words with one filled cost
+    /// about four times one word.
     ///
     /// Lane `k`'s result includes the carry-out at bit `self.bits()` —
     /// identical to [`ImplyAdder::add_reference`] — except for a 64-bit
@@ -140,40 +148,63 @@ impl ImplyAdder {
     ///
     /// # Panics
     ///
-    /// Panics if more than 64 pairs are given, `sums.len()` mismatches
-    /// `pairs.len()`, or an operand exceeds the adder width.
+    /// Panics if more than `LANES * WORDS` pairs are given, `sums.len()`
+    /// mismatches `pairs.len()`, or an operand exceeds the adder width.
     pub fn add_sliced(&self, engine: &mut BitSliceEngine, pairs: &[(u64, u64)], sums: &mut [u64]) {
         assert!(
-            pairs.len() <= LANES,
-            "at most {LANES} lanes per sliced pass"
+            pairs.len() <= LANES * WORDS,
+            "at most {} lanes per sliced pass",
+            LANES * WORDS
         );
         assert_eq!(pairs.len(), sums.len(), "one sum slot per operand pair");
-        let bits = self.bits as usize;
-        let mut a = [0u64; 64];
-        let mut b = [0u64; 64];
-        for (lane, &(x, y)) in pairs.iter().enumerate() {
-            self.check_operand(x);
-            self.check_operand(y);
-            a[lane] = x;
-            b[lane] = y;
+        // An operand is too wide exactly when the OR of them all is.
+        self.check_operand(pairs.iter().fold(0, |any, &(x, y)| any | x | y));
+        if pairs.len() <= LANES {
+            self.add_words::<1>(engine, pairs, sums);
+        } else {
+            self.add_words::<WORDS>(engine, pairs, sums);
         }
-        transpose64(&mut a);
-        transpose64(&mut b);
-        // Program input order: a's bits LSB-first, then b's.
-        let mut in_slices = [0u64; 128];
-        in_slices[..bits].copy_from_slice(&a[..bits]);
-        in_slices[bits..2 * bits].copy_from_slice(&b[..bits]);
-        let mut out_slices = [0u64; 65];
-        engine.run(
-            &self.compiled,
-            &in_slices[..2 * bits],
-            &mut out_slices[..=bits],
-        );
-        let mut words = [0u64; 64];
-        let kept = (bits + 1).min(64);
-        words[..kept].copy_from_slice(&out_slices[..kept]);
-        transpose64(&mut words);
-        sums.copy_from_slice(&words[..sums.len()]);
+    }
+
+    /// [`Self::add_sliced`] at `W` words per gate visit: pair `k` is
+    /// lane `k % LANES` of word `k / LANES`.
+    fn add_words<const W: usize>(
+        &self,
+        engine: &mut BitSliceEngine,
+        pairs: &[(u64, u64)],
+        sums: &mut [u64],
+    ) {
+        let bits = self.bits as usize;
+        let mut outputs = [[0u64; W]; LANES + 1];
+        // The program takes a's bits LSB-first, then b's.
+        if bits <= 32 {
+            // One transpose: row `i` becomes a's bit `i` and row
+            // `bits + i` b's.
+            let mut rows = [[0u64; W]; LANES];
+            for (k, &(x, y)) in pairs.iter().enumerate() {
+                rows[k % LANES][k / LANES] = x | y << bits;
+            }
+            transpose64(&mut rows);
+            engine.run(&self.compiled, &rows[..2 * bits], &mut outputs[..=bits]);
+        } else {
+            let mut a = [[0u64; W]; LANES];
+            let mut b = [[0u64; W]; LANES];
+            for (k, &(x, y)) in pairs.iter().enumerate() {
+                (a[k % LANES][k / LANES], b[k % LANES][k / LANES]) = (x, y);
+            }
+            transpose64(&mut a);
+            transpose64(&mut b);
+            let mut inputs = [[0u64; W]; 2 * LANES];
+            inputs[..bits].copy_from_slice(&a[..bits]);
+            inputs[bits..2 * bits].copy_from_slice(&b[..bits]);
+            engine.run(&self.compiled, &inputs[..2 * bits], &mut outputs[..=bits]);
+        }
+        // A 64-bit adder's carry-out slice, row 64, is dropped.
+        let words = outputs.first_chunk_mut().expect("65 sum slices");
+        transpose64(words);
+        for (k, sum) in sums.iter_mut().enumerate() {
+            *sum = words[k % LANES][k / LANES];
+        }
     }
 
     /// The adder's measured step/device cost.
@@ -352,11 +383,12 @@ mod tests {
     fn sliced_addition_matches_reference_for_four_bits_exhaustively() {
         let adder = ImplyAdder::new(4);
         let mut engine = BitSliceEngine::new();
-        // All 256 operand pairs in four 64-lane passes.
+        // All 256 operand pairs in one four-word pass, then again in
+        // one-word passes.
         let pairs: Vec<(u64, u64)> = (0..16u64)
             .flat_map(|a| (0..16u64).map(move |b| (a, b)))
             .collect();
-        for chunk in pairs.chunks(64) {
+        for chunk in [&pairs[..]].into_iter().chain(pairs.chunks(LANES)) {
             let mut sums = vec![0u64; chunk.len()];
             adder.add_sliced(&mut engine, chunk, &mut sums);
             for (&(a, b), &sum) in chunk.iter().zip(&sums) {
@@ -371,14 +403,14 @@ mod tests {
     fn sliced_addition_matches_reference_at_32_bits() {
         let adder = ImplyAdder::new(32);
         let mut engine = BitSliceEngine::new();
-        let pairs: Vec<(u64, u64)> = (0..64u64)
+        let pairs: Vec<(u64, u64)> = (0..(LANES * WORDS) as u64)
             .map(|k| {
                 let a = k.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF;
                 let b = k.wrapping_mul(0x85EB_CA6B).rotate_left(7) & 0xFFFF_FFFF;
                 (a, b)
             })
             .collect();
-        let mut sums = vec![0u64; 64];
+        let mut sums = vec![0u64; pairs.len()];
         adder.add_sliced(&mut engine, &pairs, &mut sums);
         for (&(a, b), &sum) in pairs.iter().zip(&sums) {
             assert_eq!(sum, adder.add_reference(a, b), "{a:#x} + {b:#x}");

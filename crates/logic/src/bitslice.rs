@@ -1,5 +1,5 @@
-//! Bit-sliced execution of IMPLY microprograms: compile once, run 64
-//! lanes per instruction.
+//! Bit-sliced execution of IMPLY microprograms: compile once, run `W`
+//! words of 64 lanes per gate visit.
 //!
 //! The paper's CIM advantage is row-broadcast SIMD: the controller
 //! issues one `FALSE`/`IMP` step and *every crossbar row* responds in
@@ -15,10 +15,11 @@
 //! costs one gate only when neither operand is a constant, equal or
 //! complementary — moves, NOTs and clears fold away. A
 //! [`BitSliceEngine`] then evaluates the surviving gates in SSA order
-//! over `u64` slices whose 64 bits are 64 independent lanes
-//! (≡ 64 crossbar rows), one Rust instruction per gate. Wider workloads
-//! run more 64-lane passes; [`transpose64`] converts 64 operand-major
-//! words to slice-major form and back.
+//! over `[u64; W]` slices whose `64 × W` bits are independent lanes
+//! (≡ crossbar rows), one visit per gate for all of them: the adder
+//! runs 512 lanes per pass ([`crate::WORDS`] = 8 words), the
+//! comparator one word. [`transpose64`] converts `W` groups of 64
+//! operand-major words to slice-major form and back.
 //!
 //! Results are bit-identical to [`Program::evaluate`] lane by lane; the
 //! equivalence suite in `tests/bitslice_equivalence.rs` cross-checks
@@ -60,10 +61,10 @@ const ZERO: u32 = 0;
 /// // NAND(p, q) = ¬p ∨ ¬q: one gate for the whole step sequence.
 /// assert_eq!(compiled.gates(), 1);
 /// let mut engine = BitSliceEngine::new();
-/// let mut outs = [0u64];
+/// let mut outs = [[0u64]];
 /// // Lane k computes NAND(p_k, q_k): 64 gates in one OR.
-/// engine.run(&compiled, &[0b1100, 0b1010], &mut outs);
-/// assert_eq!(outs[0] & 0xF, 0b0111);
+/// engine.run(&compiled, &[[0b1100], [0b1010]], &mut outs);
+/// assert_eq!(outs[0][0] & 0xF, 0b0111);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CompiledProgram {
@@ -106,11 +107,7 @@ impl CompiledProgram {
         for (i, &reg) in program.inputs.iter().enumerate() {
             regs[reg] = ((i + 1) as u32) << 1;
         }
-        // Sized for one gate per step and compacted in place below: with
-        // glibc's allocator a right-sized list measured 14 MB more peak
-        // RSS on the 10⁶-addition run (it moves where later large
-        // buffers land in the heap), for no speed gain.
-        let mut gates = Vec::with_capacity(program.len());
+        let mut gates = Vec::new();
         for &step in &program.steps {
             match step {
                 Step::False(q) => regs[q] = ZERO,
@@ -192,14 +189,16 @@ impl CompiledProgram {
 
 /// The lane values of literal `lit` in slot file `slots`.
 #[inline]
-fn literal(slots: &[u64], lit: u32) -> u64 {
-    slots[(lit >> 1) as usize] ^ 0u64.wrapping_sub(u64::from(lit & 1))
+fn literal<const W: usize>(slots: &[[u64; W]], lit: u32) -> [u64; W] {
+    let negate = 0u64.wrapping_sub(u64::from(lit & 1));
+    slots[(lit >> 1) as usize].map(|word| word ^ negate)
 }
 
-/// Executes [`CompiledProgram`]s, [`LANES`] lanes at a time.
+/// Executes [`CompiledProgram`]s, `W` words of [`LANES`] lanes at a
+/// time.
 ///
-/// The engine owns the slot file (one `u64` slice per constant, input
-/// and gate) and reuses it across runs, so steady-state execution is
+/// The engine owns the slot file (`W` words per constant, input and
+/// gate) and reuses it across runs, so steady-state execution is
 /// allocation-free. Unused high lanes are harmless: every lane computes
 /// independently, and callers mask the result down to the lanes they
 /// populated.
@@ -209,21 +208,26 @@ pub struct BitSliceEngine {
 }
 
 impl BitSliceEngine {
-    /// Creates the 64-lane engine; the slot file grows lazily on first
-    /// run.
+    /// Creates an engine; the slot file grows lazily on first run.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Runs `compiled` with one slice per input, writing one slice per
-    /// output. Lane `k` of every slice is an independent instance: lane
-    /// outputs depend only on lane inputs, exactly like [`LANES`]
-    /// crossbar rows answering one broadcast instruction stream.
+    /// Runs `compiled` with one `W`-word slice per input, writing one
+    /// per output. Each gate visit evaluates all `W × LANES` lanes, and
+    /// lane `k` of every slice is an independent instance: lane outputs
+    /// depend only on lane inputs, exactly like crossbar rows answering
+    /// one broadcast instruction stream.
     ///
     /// # Panics
     ///
     /// Panics if `inputs` or `outputs` length mismatches the program.
-    pub fn run(&mut self, compiled: &CompiledProgram, inputs: &[u64], outputs: &mut [u64]) {
+    pub fn run<const W: usize>(
+        &mut self,
+        compiled: &CompiledProgram,
+        inputs: &[[u64; W]],
+        outputs: &mut [[u64; W]],
+    ) {
         assert_eq!(
             inputs.len(),
             compiled.num_inputs,
@@ -235,12 +239,14 @@ impl BitSliceEngine {
             "wrong number of output slices"
         );
         let first_gate = inputs.len() + 1;
-        let slots = &mut self.slots;
-        slots.resize(first_gate + compiled.gates.len(), 0);
-        slots[0] = 0;
+        self.slots
+            .resize((first_gate + compiled.gates.len()) * W, 0);
+        let (slots, _) = self.slots.as_chunks_mut::<W>();
+        slots[0] = [0; W];
         slots[1..first_gate].copy_from_slice(inputs);
         for (k, &[a, b]) in compiled.gates.iter().enumerate() {
-            slots[first_gate + k] = literal(slots, a) | literal(slots, b);
+            let (x, y) = (literal(slots, a), literal(slots, b));
+            slots[first_gate + k] = std::array::from_fn(|w| x[w] | y[w]);
         }
         for (out, &lit) in outputs.iter_mut().zip(&compiled.outputs) {
             *out = literal(slots, lit);
@@ -248,28 +254,41 @@ impl BitSliceEngine {
     }
 }
 
-/// Transposes a 64×64 bit matrix in place: afterwards, bit `j` of
-/// `m[i]` is the previous bit `i` of `m[j]` (LSB-first on both axes).
+/// Transposes `W` interleaved 64×64 bit matrices in place: afterwards,
+/// bit `j` of `m[i][w]` is the previous bit `i` of `m[j][w]`
+/// (LSB-first on both axes), for each word `w` on its own.
 ///
 /// This is the bridge between operand-major and slice-major layouts:
-/// load 64 words as rows, transpose, and row `i` becomes the slice of
-/// every word's bit `i` — ready for a bit-sliced adder pass. Classic
-/// recursive block swap: for each block size `j`, exchange the
-/// off-diagonal `j×j` sub-blocks of every `2j×2j` block (6 rounds,
-/// 32 word-pair swaps each).
-pub fn transpose64(m: &mut [u64; 64]) {
-    let mut j = 32usize;
-    while j != 0 {
-        // Bits whose column index has bit `j` clear.
-        let mask = u64::MAX / ((1u64 << j) + 1);
-        for block in (0..64).step_by(2 * j) {
-            for k in block..block + j {
-                let t = ((m[k] >> j) ^ m[k + j]) & mask;
-                m[k] ^= t << j;
-                m[k + j] ^= t;
+/// load 64 operands per word as rows, transpose, and row `i` becomes
+/// the slice of every operand's bit `i`, `W` words wide — the layout
+/// [`BitSliceEngine::run`] takes. Classic recursive block swap: for each
+/// block size `j`, exchange the off-diagonal `j×j` sub-blocks of every
+/// `2j×2j` block (6 rounds, 32 row-pair swaps each, every swap `W`
+/// words wide).
+pub fn transpose64<const W: usize>(m: &mut [[u64; W]; 64]) {
+    swap_blocks::<32, W>(m);
+    swap_blocks::<16, W>(m);
+    swap_blocks::<8, W>(m);
+    swap_blocks::<4, W>(m);
+    swap_blocks::<2, W>(m);
+    swap_blocks::<1, W>(m);
+}
+
+/// One round of [`transpose64`]: swaps the off-diagonal `J×J`
+/// sub-blocks of every `2J×2J` block.
+#[inline]
+fn swap_blocks<const J: usize, const W: usize>(m: &mut [[u64; W]; 64]) {
+    // Bits whose column index has bit `J` clear.
+    let mask = u64::MAX / ((1u64 << J) + 1);
+    for block in m.chunks_exact_mut(2 * J) {
+        let (low, high) = block.split_at_mut(J);
+        for (low, high) in low.iter_mut().zip(high) {
+            for (l, h) in low.iter_mut().zip(high) {
+                let t = ((*l >> J) ^ *h) & mask;
+                *l ^= t << J;
+                *h ^= t;
             }
         }
-        j >>= 1;
     }
 }
 
@@ -280,8 +299,10 @@ mod tests {
     use crate::program::ProgramBuilder;
 
     /// Broadcasts a scalar input word into lane-constant slices.
-    fn splat(bits: &[bool]) -> Vec<u64> {
-        bits.iter().map(|&b| if b { u64::MAX } else { 0 }).collect()
+    fn splat(bits: &[bool]) -> Vec<[u64; 1]> {
+        bits.iter()
+            .map(|&b| [if b { u64::MAX } else { 0 }])
+            .collect()
     }
 
     #[test]
@@ -292,12 +313,12 @@ mod tests {
         assert_eq!(compiled.gates(), 7);
         assert_eq!(compiled.steps(), cmp.eq_program().len());
         let mut engine = BitSliceEngine::new();
-        let mut outs = [0u64];
+        let mut outs = [[0u64]];
         for word in 0..16u8 {
             let bits: Vec<bool> = (0..4).map(|i| (word >> i) & 1 == 1).collect();
             engine.run(&compiled, &splat(&bits), &mut outs);
             let expect = cmp.eq_program().evaluate(&bits)[0];
-            assert_eq!(outs[0], if expect { u64::MAX } else { 0 }, "word {word}");
+            assert_eq!(outs[0], [if expect { u64::MAX } else { 0 }], "word {word}");
         }
     }
 
@@ -317,21 +338,36 @@ mod tests {
         assert!(compiled.gates() <= compiled.steps());
 
         // 64 distinct lanes: lane k carries the input word k * 2 + 1.
-        let mut slices = vec![0u64; 7];
+        let mut slices = vec![[0u64]; 7];
         for lane in 0..LANES {
             let word = (lane * 2 + 1) as u32;
             for (i, slice) in slices.iter_mut().enumerate() {
-                *slice |= u64::from((word >> i) & 1) << lane;
+                slice[0] |= u64::from((word >> i) & 1) << lane;
             }
         }
-        let mut outs = [0u64];
+        let mut outs = [[0u64]];
         let mut engine = BitSliceEngine::new();
         engine.run(&compiled, &slices, &mut outs);
         for lane in 0..LANES {
             let word = (lane * 2 + 1) as u32;
             let bits: Vec<bool> = (0..7).map(|i| (word >> i) & 1 == 1).collect();
             let expect = program.evaluate(&bits)[0];
-            assert_eq!((outs[0] >> lane) & 1 == 1, expect, "lane {lane}");
+            assert_eq!((outs[0][0] >> lane) & 1 == 1, expect, "lane {lane}");
+        }
+
+        // Eight words per gate visit: word `w` runs the lanes rotated
+        // by `w`, and each word equals its own one-word run, on an
+        // engine whose slot file was sized for one word.
+        let wide: Vec<[u64; 8]> = slices
+            .iter()
+            .map(|&[s]| std::array::from_fn(|w| s.rotate_left(w as u32)))
+            .collect();
+        let mut wide_outs = [[0u64; 8]];
+        engine.run(&compiled, &wide, &mut wide_outs);
+        for w in 0..8 {
+            let narrow: Vec<[u64; 1]> = wide.iter().map(|s| [s[w]]).collect();
+            engine.run(&compiled, &narrow, &mut outs);
+            assert_eq!(wide_outs[0][w], outs[0][0], "word {w}");
         }
     }
 
@@ -343,16 +379,16 @@ mod tests {
         // Lane 0 compares (3, 3): equal. Lane 1 compares (3, 0):
         // unequal. Idle lanes compare (0, 0): equal.
         let inputs = [
-            0b11u64, // a bit 0 per lane
-            0b11,    // a bit 1
-            0b01,    // b bit 0
-            0b01,    // b bit 1
+            [0b11u64], // a bit 0 per lane
+            [0b11],    // a bit 1
+            [0b01],    // b bit 0
+            [0b01],    // b bit 1
         ];
-        let mut outs = [0u64];
+        let mut outs = [[0u64]];
         engine.run(&compiled, &inputs, &mut outs);
-        assert_eq!(outs[0] & 1, 1, "lane 0 symbols match");
-        assert_eq!((outs[0] >> 1) & 1, 0, "lane 1 symbols differ");
-        assert_eq!(outs[0] >> 2, u64::MAX >> 2, "idle lanes compare 0 == 0");
+        assert_eq!(outs[0][0] & 1, 1, "lane 0 symbols match");
+        assert_eq!((outs[0][0] >> 1) & 1, 0, "lane 1 symbols differ");
+        assert_eq!(outs[0][0] >> 2, u64::MAX >> 2, "idle lanes compare 0 == 0");
     }
 
     #[test]
@@ -377,8 +413,8 @@ mod tests {
     fn transpose_matches_naive_reference() {
         // A full-period LCG fills the matrix with asymmetric junk.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut m = [0u64; 64];
-        for row in &mut m {
+        let mut m = [[0u64; 3]; 64];
+        for row in m.as_flattened_mut() {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
@@ -386,9 +422,12 @@ mod tests {
         }
         let original = m;
         transpose64(&mut m);
-        for (i, &row) in m.iter().enumerate() {
-            for (j, &orig) in original.iter().enumerate() {
-                assert_eq!((row >> j) & 1, (orig >> i) & 1, "element ({i}, {j})");
+        for (i, row) in m.iter().enumerate() {
+            for (j, orig) in original.iter().enumerate() {
+                for w in 0..3 {
+                    let (got, want) = ((row[w] >> j) & 1, (orig[w] >> i) & 1);
+                    assert_eq!(got, want, "word {w}, element ({i}, {j})");
+                }
             }
         }
         // An involution: transposing back restores the original.
@@ -418,8 +457,8 @@ mod tests {
         assert_eq!(compiled.gates(), 0, "every step folds");
         assert_eq!(compiled.steps(), 7);
         let x = 0xDEAD_BEEF_0123_4567u64;
-        let mut outs = [0u64; 4];
-        BitSliceEngine::new().run(&compiled, &[x], &mut outs);
-        assert_eq!(outs, [!x, u64::MAX, x, 0]);
+        let mut outs = [[0u64]; 4];
+        BitSliceEngine::new().run(&compiled, &[[x]], &mut outs);
+        assert_eq!(outs, [[!x], [u64::MAX], [x], [0]]);
     }
 }

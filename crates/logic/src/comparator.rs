@@ -94,9 +94,9 @@ impl Comparator {
         b0: u64,
         b1: u64,
     ) -> u64 {
-        let mut out = [0u64];
-        engine.run(&self.eq_compiled, &[a0, a1, b0, b1], &mut out);
-        out[0]
+        let mut out = [[0u64]];
+        engine.run(&self.eq_compiled, &[[a0], [a1], [b0], [b1]], &mut out);
+        out[0][0]
     }
 
     /// Measured cost of the equality comparator.

@@ -23,8 +23,8 @@
 //! * a **bit-sliced executor**: [`CompiledProgram`] lowers a program
 //!   once, by symbolic execution, to a folded OR-netlist (moves, NOTs
 //!   and clears cost nothing; the 32-bit adder's 1,564 steps become 283
-//!   gates) and [`BitSliceEngine`] runs it 64 lanes per host
-//!   instruction — the paper's row-broadcast parallelism mirrored in
+//!   gates) and [`BitSliceEngine`] runs it `W` words of 64 lanes per
+//!   gate visit — the paper's row-broadcast parallelism mirrored in
 //!   the simulator, bit identical to [`Program::evaluate`] and the
 //!   electrical path, while the modelled cost still counts every source
 //!   step;
@@ -66,7 +66,7 @@ mod simd;
 mod synthesis;
 mod wear;
 
-pub use adder::{CrsAdder, ImplyAdder, TcAdderModel};
+pub use adder::{CrsAdder, ImplyAdder, TcAdderModel, WORDS};
 pub use bitslice::{transpose64, BitSliceEngine, CompiledProgram, LANES};
 pub use comparator::Comparator;
 pub use cost::LogicCost;

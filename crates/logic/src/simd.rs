@@ -80,10 +80,10 @@ impl SlicedRows {
             "program does not match the compiled artifact"
         );
         let mut outputs = Vec::with_capacity(self.rows);
-        let mut in_slices = vec![0u64; self.compiled.num_inputs()];
-        let mut out_slices = vec![0u64; self.compiled.num_outputs()];
+        let mut in_slices = vec![[0u64]; self.compiled.num_inputs()];
+        let mut out_slices = vec![[0u64]; self.compiled.num_outputs()];
         for group in inputs_per_row.chunks(LANES) {
-            in_slices.fill(0);
+            in_slices.fill([0]);
             for (lane, row) in group.iter().enumerate() {
                 assert_eq!(
                     row.len(),
@@ -91,12 +91,12 @@ impl SlicedRows {
                     "input arity mismatch"
                 );
                 for (slice, &bit) in in_slices.iter_mut().zip(row) {
-                    *slice |= u64::from(bit) << lane;
+                    slice[0] |= u64::from(bit) << lane;
                 }
             }
             self.engine.run(&self.compiled, &in_slices, &mut out_slices);
             for lane in 0..group.len() {
-                outputs.push(out_slices.iter().map(|s| (s >> lane) & 1 == 1).collect());
+                outputs.push(out_slices.iter().map(|s| (s[0] >> lane) & 1 == 1).collect());
             }
         }
         // One write per row per broadcast step, at nominal energy.

@@ -15,12 +15,14 @@
 //! scalar semantics must in turn agree with the device-physics engine,
 //! so a defect anywhere in the lowering, the folding, or the lane
 //! packing cannot hide. [`ImplyAdder::add_sliced`] closes the loop on
-//! the transpose: any pass of 1–64 operand pairs, at any word width up
-//! to the 64-bit carry wrap, must equal the scalar adder pair by pair.
+//! the transpose: any pass of 0–512 operand pairs (one word or eight,
+//! full or ragged), at every width from 1 bit to the 64-bit carry wrap
+//! (one input transpose up to 32 bits, two above), must equal the
+//! scalar adder pair by pair.
 
 use cim_logic::{
     synthesize, transpose64, BitSliceEngine, Comparator, CompiledProgram, Expr, ImplyAdder,
-    ImplyEngine, Program, Step, LANES,
+    ImplyEngine, Program, Step, LANES, WORDS,
 };
 use proptest::prelude::*;
 
@@ -106,9 +108,10 @@ fn check_sliced_vs_scalar(
     compiled: &CompiledProgram,
     slices: &[u64],
 ) -> Result<Vec<u64>, proptest::test_runner::TestCaseError> {
-    let mut engine = BitSliceEngine::new();
-    let mut outs = vec![0u64; compiled.num_outputs()];
-    engine.run(compiled, slices, &mut outs);
+    let inputs: Vec<[u64; 1]> = slices.iter().map(|&s| [s]).collect();
+    let mut words = vec![[0u64]; compiled.num_outputs()];
+    BitSliceEngine::new().run(compiled, &inputs, &mut words);
+    let outs: Vec<u64> = words.iter().map(|&[o]| o).collect();
     for lane in 0..LANES {
         let expect = scalar_lane(program, slices, lane);
         let got: Vec<bool> = outs.iter().map(|&o| (o >> lane) & 1 == 1).collect();
@@ -179,8 +182,10 @@ proptest! {
     }
 
     #[test]
-    fn transpose_is_an_involution(raw in prop::collection::vec(any::<u64>(), 64)) {
-        let original: [u64; 64] = raw.try_into().expect("64 rows");
+    fn transpose_is_an_involution(raw in prop::collection::vec(any::<u64>(), 64 * WORDS)) {
+        let original: [[u64; WORDS]; 64] = std::array::from_fn(|i| {
+            std::array::from_fn(|w| raw[i * WORDS + w])
+        });
         let mut m = original;
         transpose64(&mut m);
         transpose64(&mut m);
@@ -189,8 +194,8 @@ proptest! {
 
     #[test]
     fn sliced_adder_matches_scalar_on_ragged_passes(
-        bits in (0usize..3).prop_map(|i| [8u32, 32, 64][i]),
-        raw in prop::collection::vec((any::<u64>(), any::<u64>()), 1..=LANES),
+        bits in 1u32..=64,
+        raw in prop::collection::vec((any::<u64>(), any::<u64>()), 0..=LANES * WORDS),
     ) {
         let adder = ImplyAdder::new(bits);
         let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };

@@ -75,35 +75,12 @@ impl Default for BatchPolicy {
     }
 }
 
-/// Runs `fold` over every item, merging per-chunk accumulators in chunk
-/// order. Equivalent to
-/// `items.chunks(CHUNK_SIZE).map(serial fold).fold(init(), merge)` —
-/// and bit-identical to it at any thread count.
-pub fn par_fold_chunks<T, A, I, F, M>(
-    policy: BatchPolicy,
-    items: &[T],
-    init: I,
-    fold: F,
-    merge: M,
-) -> A
-where
-    T: Sync,
-    A: Send,
-    I: Fn() -> A + Sync,
-    F: Fn(A, &T) -> A + Sync,
-    M: Fn(A, A) -> A,
-{
-    let chunk_results = run_chunks(policy, items, |chunk| chunk.iter().fold(init(), &fold));
-    chunk_results.into_iter().fold(init(), merge)
-}
-
 /// Runs `fold` over every chunk *slice*, merging per-chunk accumulators
 /// in chunk order. Equivalent to
 /// `items.chunks(CHUNK_SIZE).map(|c| fold(init(), c)).fold(init(), merge)`
 /// — and bit-identical to it at any thread count.
 ///
-/// This is the chunk-at-a-time twin of [`par_fold_chunks`]: handing the
-/// fold a whole `&[T]` lets it set up per-chunk state — scratch
+/// Handing the fold a whole `&[T]` lets it set up per-chunk state — scratch
 /// buffers, a bit-slice engine, lane packers — once per [`CHUNK_SIZE`]
 /// items instead of once per item, and lets it group items into
 /// sub-chunk lanes (e.g. 64-wide bit-sliced passes) without the
@@ -125,6 +102,47 @@ where
 {
     let chunk_results = run_chunks(policy, items, |chunk| fold(init(), chunk));
     chunk_results.into_iter().fold(init(), merge)
+}
+
+/// Items a streamed fold ([`par_fold_stream`]) draws per block. A
+/// multiple of [`CHUNK_SIZE`], so a block's chunks are exactly the
+/// chunks of the collected stream.
+pub const STREAM_BLOCK: usize = 1 << 16;
+
+/// Runs [`par_fold_slices`] over an item *stream* without collecting
+/// it: draws up to [`STREAM_BLOCK`] items at a time into one reused
+/// buffer, folds the block and merges its accumulator into the running
+/// one, in stream order.
+///
+/// The chunk decomposition is the collected stream's; only the merges
+/// regroup, block by block. The result is therefore a pure function of
+/// the stream (bit-identical at any thread count), and equals the
+/// collected [`par_fold_slices`] whenever `merge` is associative with
+/// `init()` as its identity (counts, wrapping sums).
+pub fn par_fold_stream<T, A, I, F, M>(
+    policy: BatchPolicy,
+    mut items: impl Iterator<Item = T>,
+    init: I,
+    fold: F,
+    merge: M,
+) -> A
+where
+    T: Sync,
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(A, &[T]) -> A + Sync,
+    M: Fn(A, A) -> A,
+{
+    let mut block = Vec::with_capacity(items.size_hint().0.min(STREAM_BLOCK));
+    let mut acc = init();
+    loop {
+        block.clear();
+        block.extend(items.by_ref().take(STREAM_BLOCK));
+        if block.is_empty() {
+            return acc;
+        }
+        acc = merge(acc, par_fold_slices(policy, &block, &init, &fold, &merge));
+    }
 }
 
 /// Maps every item, preserving item order in the output.
@@ -197,15 +215,10 @@ mod tests {
         // Non-associative f64 sums: only a fixed merge order keeps these
         // bit-identical across thread counts.
         let items: Vec<f64> = (0..10_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let reference = par_fold_chunks(
-            BatchPolicy::SERIAL,
-            &items,
-            || 0.0f64,
-            |acc, x| acc + x,
-            |a, b| a + b,
-        );
+        let fold = |acc: f64, chunk: &[f64]| chunk.iter().fold(acc, |a, x| a + x);
+        let reference = par_fold_slices(BatchPolicy::SERIAL, &items, || 0.0, fold, |a, b| a + b);
         for policy in policies() {
-            let sum = par_fold_chunks(policy, &items, || 0.0f64, |acc, x| acc + x, |a, b| a + b);
+            let sum = par_fold_slices(policy, &items, || 0.0, fold, |a, b| a + b);
             assert_eq!(sum.to_bits(), reference.to_bits(), "policy {policy:?}");
         }
     }
@@ -213,18 +226,16 @@ mod tests {
     #[test]
     fn slice_fold_matches_item_fold_at_every_policy() {
         // Same chunk decomposition, same merge order: the slice-level
-        // fold must reproduce the item-level fold's bits exactly, even
-        // when the slice fold groups items into sub-chunk lanes.
+        // fold must reproduce a serial item-by-item fold of each chunk,
+        // merged in chunk order, bit for bit, even when it groups items
+        // into sub-chunk lanes.
         let items: Vec<f64> = (0..5 * CHUNK_SIZE + 321)
             .map(|i| 1.0 / (i as f64 + 1.0))
             .collect();
-        let reference = par_fold_chunks(
-            BatchPolicy::SERIAL,
-            &items,
-            || 0.0f64,
-            |acc, x| acc + x,
-            |a, b| a + b,
-        );
+        let reference = items
+            .chunks(CHUNK_SIZE)
+            .map(|chunk| chunk.iter().fold(0.0f64, |acc, x| acc + x))
+            .fold(0.0, |a, b| a + b);
         for policy in policies() {
             let sum = par_fold_slices(
                 policy,
@@ -244,6 +255,38 @@ mod tests {
                 |a, b| a + b,
             );
             assert_eq!(sum.to_bits(), reference.to_bits(), "policy {policy:?}");
+        }
+    }
+
+    #[test]
+    fn stream_fold_matches_the_collected_fold_across_blocks() {
+        // Wrapping sums and counts merge associatively, so drawing the
+        // stream block by block changes nothing: every length around
+        // the block and chunk edges, at every policy.
+        let value = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let block = STREAM_BLOCK as u64;
+        for n in [
+            0,
+            1,
+            1023,
+            1025,
+            block - 1,
+            block,
+            block + 1,
+            2 * block + 321,
+        ] {
+            let items: Vec<u64> = (0..n).map(value).collect();
+            let fold = |(count, sum): (u64, u64), chunk: &[u64]| {
+                let sum = chunk.iter().fold(sum, |s, &x| s.wrapping_add(x));
+                (count + chunk.len() as u64, sum)
+            };
+            let merge = |(c1, s1): (u64, u64), (c2, s2): (u64, u64)| (c1 + c2, s1.wrapping_add(s2));
+            let reference = par_fold_slices(BatchPolicy::SERIAL, &items, || (0, 0), fold, merge);
+            assert_eq!(reference.0, n);
+            for policy in policies() {
+                let streamed = par_fold_stream(policy, (0..n).map(value), || (0, 0), fold, merge);
+                assert_eq!(streamed, reference, "{n} items, policy {policy:?}");
+            }
         }
     }
 
@@ -282,11 +325,11 @@ mod tests {
         );
         let one = [7u32];
         assert_eq!(par_map(BatchPolicy::auto(), &one, |&x| x + 1), vec![8]);
-        let sum = par_fold_chunks(
+        let sum = par_fold_slices(
             BatchPolicy::auto(),
             &empty,
             || 0u32,
-            |a, &b| a + b,
+            |a, chunk| a + chunk.iter().sum::<u32>(),
             |a, b| a + b,
         );
         assert_eq!(sum, 0);

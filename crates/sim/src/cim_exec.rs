@@ -1,7 +1,7 @@
 //! Executor for the CIM (memristor crossbar) machine.
 
 use cim_arch::{CimMachine, RunReport};
-use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES};
+use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES, WORDS};
 use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, Time, UnitCosts};
 use cim_workloads::{
     AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, ShortRead,
@@ -9,7 +9,7 @@ use cim_workloads::{
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use crate::batch::{par_fold_slices, BatchPolicy};
+use crate::batch::{par_fold_slices, par_fold_stream, BatchPolicy};
 use crate::conventional::dna_sampler;
 
 /// Runs workloads on the CIM machine model.
@@ -18,8 +18,9 @@ use crate::conventional::dna_sampler;
 /// in-crossbar primitives' semantics: DNA comparisons run through the
 /// IMPLY [`Comparator`] microprogram, additions through the ripple
 /// [`ImplyAdder`] microcode, both on the bit-sliced [`BitSliceEngine`]
-/// ([`LANES`] lanes per host word, as one instruction stream is
-/// broadcast to every crossbar row), and the results are checked
+/// ([`LANES`] lanes per comparator gate visit, `LANES * WORDS` per
+/// adder pass, as one instruction stream is broadcast to every
+/// crossbar row), and the results are checked
 /// against ground truth. Timing/energy then follow the batch
 /// aggregation with the machine's Table-1 costs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -135,24 +136,26 @@ impl CimExecutor {
         )
     }
 
-    /// The addition pass: [`LANES`] ripple additions per
-    /// [`ImplyAdder::add_sliced`] invocation. The width-masked wrapping
-    /// checksum is grouping-independent, so the digest is bit-identical
-    /// at every thread count.
-    fn additions_pass(self, bits: u32, sum_mask: u64, operands: &[(u64, u64)]) -> (u64, u64) {
+    /// The addition pass: up to `LANES * WORDS` ripple additions per
+    /// [`ImplyAdder::add_sliced`] invocation, over operand blocks drawn
+    /// from the stream (never collected whole). The width-masked
+    /// wrapping checksum is grouping-independent, so the digest is
+    /// bit-identical at every thread count and block size.
+    fn additions_pass(
+        self,
+        bits: u32,
+        sum_mask: u64,
+        operands: impl Iterator<Item = (u64, u64)>,
+    ) -> (u64, u64) {
         let adder = ImplyAdder::new(bits);
-        par_fold_slices(
+        par_fold_stream(
             self.batch,
             operands,
             || (0u64, 0u64),
             |(mut count, mut sum), chunk| {
                 let mut engine = BitSliceEngine::new();
-                // A `Vec`, not a stack array: with glibc's allocator the
-                // array measured 14 MB more peak RSS on the 10⁶-addition
-                // run (it changes which heap chunks get trimmed), for no
-                // speed gain.
-                let mut sums = vec![0u64; LANES];
-                for group in chunk.chunks(LANES) {
+                let mut sums = [0u64; LANES * WORDS];
+                for group in chunk.chunks(LANES * WORDS) {
                     adder.add_sliced(&mut engine, group, &mut sums[..group.len()]);
                     for &s in &sums[..group.len()] {
                         sum = sum.wrapping_add(s & sum_mask);
@@ -165,15 +168,20 @@ impl CimExecutor {
         )
     }
 
-    /// Shared additions driver for whole workloads and shards: executes
+    /// Shared additions driver for whole workloads and shards: streams
     /// `operands` through the adder kernel on a crossbar sized for
     /// `machine_ops` operations, then charges the executed count once
     /// through [`additions_attributed`] — the projection's own call. A
     /// whole-workload run is the full-range case
-    /// (`machine_ops == operands.len()`), so whole and full-range-shard
-    /// outcomes are bit-identical by construction — they run this exact
-    /// code path.
-    fn additions_outcome(self, bits: u32, machine_ops: u64, operands: &[(u64, u64)]) -> RunOutcome {
+    /// (`machine_ops` equal to the operand count), so whole and
+    /// full-range-shard outcomes are bit-identical by construction —
+    /// they run this exact code path.
+    fn additions_outcome(
+        self,
+        bits: u32,
+        machine_ops: u64,
+        operands: impl Iterator<Item = (u64, u64)>,
+    ) -> RunOutcome {
         // The `bits + 1`-bit sum, saturating at 64 bits (`run` has
         // checked `bits` is in 1..=64).
         let sum_mask = ((u64::MAX >> (64 - bits)) << 1) | 1;
@@ -360,17 +368,17 @@ impl ExecutionBackend<AdditionWorkload> for CimExecutor {
     /// Executes every addition in-crossbar, checksumming the
     /// (width-masked) sums for [`Workload::verify`](cim_workloads::Workload::verify) — an adder bug
     /// shows up as a checksum mismatch there. The kernel runs the
-    /// actual ripple [`ImplyAdder`] microprogram, 64 additions per pass
-    /// in slice-major form. Its sum masked to `bits + 1` bits is the
-    /// host's sum (for `bits == 64` the dropped carry slice *is* the
-    /// host's wrap), so the checksum matches
+    /// actual ripple [`ImplyAdder`] microprogram, up to `LANES * WORDS`
+    /// = 512 additions per pass in slice-major form, over operands
+    /// streamed in blocks rather than collected. Its sum masked to
+    /// `bits + 1` bits is the host's sum (for `bits == 64` the dropped
+    /// carry slice *is* the host's wrap), so the checksum matches
     /// [`AdditionWorkload::checksum`].
     ///
     /// Widths outside `1..=64` are a [`SimError::InvalidConfig`].
     fn run(&self, workload: &AdditionWorkload) -> Result<RunOutcome, SimError> {
         check_adder_width(Self::MACHINE, workload.bits)?;
-        let operands: Vec<(u64, u64)> = workload.operands().collect();
-        Ok(self.additions_outcome(workload.bits, workload.n_ops, &operands))
+        Ok(self.additions_outcome(workload.bits, workload.n_ops, workload.operands()))
     }
 
     fn project_attributed(
@@ -401,8 +409,7 @@ impl ExecutionBackend<AdditionShard> for CimExecutor {
     /// length) — the split contract's fixed-capacity machine.
     fn run(&self, shard: &AdditionShard) -> Result<RunOutcome, SimError> {
         check_adder_width(Self::MACHINE, shard.bits)?;
-        let operands: Vec<(u64, u64)> = shard.operands().collect();
-        Ok(self.additions_outcome(shard.bits, shard.machine_ops, &operands))
+        Ok(self.additions_outcome(shard.bits, shard.machine_ops, shard.operands()))
     }
 
     fn project_attributed(

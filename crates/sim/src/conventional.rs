@@ -9,7 +9,7 @@ use cim_workloads::{
 use serde::{Deserialize, Serialize};
 
 use crate::backend::{check_adder_width, CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use crate::batch::{par_fold_chunks, BatchPolicy, CHUNK_SIZE};
+use crate::batch::{par_fold_stream, BatchPolicy, CHUNK_SIZE};
 use crate::cache::{CacheConfig, CacheSim};
 use crate::event::makespan;
 use crate::hierarchy::MemoryHierarchy;
@@ -102,18 +102,28 @@ impl ConventionalExecutor {
         self.project_dna_attributed(hit_ratio).0
     }
 
-    /// Shared additions driver for whole workloads and shards: executes
+    /// Shared additions driver for whole workloads and shards: streams
     /// `operands` on a host sized for `machine_ops` operations, then
     /// charges the executed count once through [`additions_attributed`]
     /// — the projection's own call. A whole-workload run is the
-    /// full-range case (`machine_ops == operands.len()`), so whole and
-    /// full-range-shard outcomes are bit-identical by construction.
-    fn additions_outcome(self, machine_ops: u64, operands: &[(u64, u64)]) -> RunOutcome {
-        let (count, checksum) = par_fold_chunks(
+    /// full-range case (`machine_ops` equal to the operand count), so
+    /// whole and full-range-shard outcomes are bit-identical by
+    /// construction.
+    fn additions_outcome(
+        self,
+        machine_ops: u64,
+        operands: impl Iterator<Item = (u64, u64)>,
+    ) -> RunOutcome {
+        let (count, checksum) = par_fold_stream(
             self.batch,
             operands,
             || (0u64, 0u64),
-            |(count, sum), &(a, b)| (count + 1, sum.wrapping_add(a.wrapping_add(b))),
+            |(count, sum), chunk| {
+                let sum = chunk
+                    .iter()
+                    .fold(sum, |sum, &(a, b)| sum.wrapping_add(a.wrapping_add(b)));
+                (count + chunk.len() as u64, sum)
+            },
             |(c1, s1), (c2, s2)| (c1 + c2, s1.wrapping_add(s2)),
         );
         let (report, ledger) = additions_attributed(machine_ops, count);
@@ -506,8 +516,7 @@ impl ExecutionBackend<AdditionWorkload> for ConventionalExecutor {
     /// Widths outside `1..=64` are a [`SimError::InvalidConfig`].
     fn run(&self, workload: &AdditionWorkload) -> Result<RunOutcome, SimError> {
         check_adder_width(Self::MACHINE, workload.bits)?;
-        let operands: Vec<(u64, u64)> = workload.operands().collect();
-        Ok(self.additions_outcome(workload.n_ops, &operands))
+        Ok(self.additions_outcome(workload.n_ops, workload.operands()))
     }
 
     fn project_attributed(
@@ -545,8 +554,7 @@ impl ExecutionBackend<AdditionShard> for ConventionalExecutor {
     /// the split contract's fixed-capacity machine.
     fn run(&self, shard: &AdditionShard) -> Result<RunOutcome, SimError> {
         check_adder_width(Self::MACHINE, shard.bits)?;
-        let operands: Vec<(u64, u64)> = shard.operands().collect();
-        Ok(self.additions_outcome(shard.machine_ops, &operands))
+        Ok(self.additions_outcome(shard.machine_ops, shard.operands()))
     }
 
     fn project_attributed(

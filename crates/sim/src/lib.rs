@@ -17,9 +17,10 @@
 //! * [`CimExecutor`] — runs the same workloads on the CIM machine model,
 //!   with in-crossbar comparators/adders (verified against the
 //!   functional semantics) and massive parallelism;
-//! * [`BatchPolicy`] / [`par_map`] / [`par_fold_chunks`] — the
-//!   deterministic parallel batch driver behind both executors' per-item
-//!   hot loops: results are bit-identical at any thread count.
+//! * [`BatchPolicy`] / [`par_map`] / [`par_fold_slices`] /
+//!   [`par_fold_stream`] — the deterministic parallel batch driver
+//!   behind both executors' per-item hot loops: results are
+//!   bit-identical at any thread count.
 //!
 //! Both executors can also *project* a scaled run to the paper's full
 //! problem size using the closed-form operation counts and the measured
@@ -34,7 +35,9 @@ mod event;
 mod hierarchy;
 
 pub use backend::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
-pub use batch::{par_fold_chunks, par_fold_slices, par_map, par_units, BatchPolicy, CHUNK_SIZE};
+pub use batch::{
+    par_fold_slices, par_fold_stream, par_map, par_units, BatchPolicy, CHUNK_SIZE, STREAM_BLOCK,
+};
 pub use cache::{CacheConfig, CacheSim};
 pub use cim_exec::CimExecutor;
 pub use conventional::ConventionalExecutor;

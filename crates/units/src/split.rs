@@ -82,11 +82,12 @@ impl UnitScore {
 /// A deterministic partition of `units` work units between the crossbar
 /// (CIM) machine and the conventional host.
 ///
-/// Built by [`SplitPlan::balance`]: a greedy makespan-balancing loop
-/// that assigns each unit to the machine whose load-after-assignment is
-/// smaller, ties to CIM (the machine the stack exists to exercise).
-/// With per-unit scores fixed, greedy over identical units is optimal
-/// to within one unit of the ideal fractional split.
+/// Built by [`SplitPlan::balance`]: the partition a greedy
+/// makespan-balancing loop reaches when it assigns each unit to the
+/// machine whose load-after-assignment is smaller, ties to CIM (the
+/// machine the stack exists to exercise), found in closed form. With
+/// per-unit scores fixed, greedy over identical units is optimal to
+/// within one unit of the ideal fractional split.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SplitPlan {
     units: u64,
@@ -95,16 +96,39 @@ pub struct SplitPlan {
     host_score: UnitScore,
 }
 
+/// How many of `1..=n` satisfy `holds`, a predicate that holds on a
+/// prefix of `1..=n` and nowhere after it (binary search).
+fn prefix_len(n: u64, holds: impl Fn(u64) -> bool) -> u64 {
+    // `holds` is true on 1..=lo and false on hi + 1..=n.
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = hi - (hi - lo) / 2;
+        if holds(mid) {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    lo
+}
+
 impl SplitPlan {
     /// Greedy makespan-balancing partition of `units` units under the
     /// two per-unit scores. Deterministic: every comparison is between
     /// exact dyadic products (for unit counts up to
     /// [`MAX_EXACT_COUNT`]), and ties go to CIM.
+    ///
+    /// The greedy loop merges the two machines' rising load sequences,
+    /// `cim.load(1), cim.load(2), …` and `host.load(1), …`, taking the
+    /// smaller next load each step, ties to CIM. CIM's `c`-th unit is
+    /// therefore taken at step `c + #{h : host.load(h) < cim.load(c)}`,
+    /// which rises with `c`, so the plan's CIM count is the largest `c`
+    /// whose step is at most `units`. Two nested binary searches find
+    /// it in O(log² units) comparisons of the same products.
     pub fn balance(units: u64, cim_score: UnitScore, host_score: UnitScore) -> Self {
         // Zero-score sides absorb everything (their load never grows);
         // both-zero degenerates to all-CIM via the tie rule. Handling
-        // these up front keeps the greedy loop's invariant simple: both
-        // scores strictly positive.
+        // these up front keeps both load sequences strictly rising.
         if cim_score.is_zero() {
             return Self::all_cim(units, cim_score, host_score);
         }
@@ -115,20 +139,13 @@ impl SplitPlan {
             units <= MAX_EXACT_COUNT,
             "unit count {units} exceeds the exact-product range"
         );
-        let mut cim_units = 0u64;
-        let mut host_units = 0u64;
-        for _ in 0..units {
-            // Assign to the side whose load *after* taking this unit is
-            // smaller; the tie goes to the crossbar.
-            if cim_score.load(cim_units + 1) <= host_score.load(host_units + 1) {
-                cim_units += 1;
-            } else {
-                host_units += 1;
-            }
-        }
+        let step = |c: u64| {
+            let cim_load = cim_score.load(c);
+            c + prefix_len(units, |h| host_score.load(h) < cim_load)
+        };
         Self {
             units,
-            cim_units,
+            cim_units: prefix_len(units, |c| step(c) <= units),
             cim_score,
             host_score,
         }
@@ -232,7 +249,66 @@ impl SplitPlan {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+
+    /// The greedy loop [`SplitPlan::balance`] solves in closed form:
+    /// each unit goes to the side whose load after taking it is
+    /// smaller, ties to the crossbar (so a zero-score side takes all).
+    fn greedy_cim_units(units: u64, cim: UnitScore, host: UnitScore) -> u64 {
+        let (mut cim_units, mut host_units) = (0, 0);
+        for _ in 0..units {
+            if cim.load(cim_units + 1) <= host.load(host_units + 1) {
+                cim_units += 1;
+            } else {
+                host_units += 1;
+            }
+        }
+        cim_units
+    }
+
+    /// Score pairs: equal, zero on one side or both, small integers
+    /// (exact ties mid-run), and one side 3 to 10⁶ times the other.
+    fn arb_scores() -> impl Strategy<Value = (UnitScore, UnitScore)> {
+        let score = |e: f64| UnitScore::new(2f64.powf(e));
+        prop_oneof![
+            (-40.0f64..10.0).prop_map(move |e| (score(e), score(e))),
+            ((-40.0f64..10.0), 0u8..3).prop_map(move |(e, zero)| match zero {
+                0 => (UnitScore::ZERO, score(e)),
+                1 => (score(e), UnitScore::ZERO),
+                _ => (UnitScore::ZERO, UnitScore::ZERO),
+            }),
+            (1u32..8, 1u32..8)
+                .prop_map(|(c, h)| (UnitScore::new(f64::from(c)), UnitScore::new(f64::from(h)))),
+            (
+                -40.0f64..10.0,
+                prop_oneof![Just(3.0), 3.0f64..1e6, Just(1e6)],
+                any::<bool>(),
+            )
+                .prop_map(move |(e, ratio, cim_slower)| {
+                    let (fast, slow) = (score(e), UnitScore::new(2f64.powf(e) * ratio));
+                    if cim_slower {
+                        (slow, fast)
+                    } else {
+                        (fast, slow)
+                    }
+                }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn balance_matches_the_greedy_oracle(
+            units in prop_oneof![0u64..64, 0u64..=1 << 20],
+            scores in arb_scores(),
+        ) {
+            let (cim, host) = scores;
+            let plan = SplitPlan::balance(units, cim, host);
+            prop_assert_eq!(plan.cim_units(), greedy_cim_units(units, cim, host));
+            prop_assert_eq!(plan.cim_units() + plan.host_units(), units);
+        }
+    }
 
     #[test]
     fn scores_quantize_and_clamp() {

@@ -120,6 +120,55 @@ fn parallel_reports_are_bit_identical_to_serial() {
 }
 
 #[test]
+fn streamed_additions_are_invariant_at_pass_and_block_edges() {
+    // The executors draw operands in blocks of `STREAM_BLOCK` pairs and
+    // the adder takes `LANES * WORDS` pairs per pass: lengths on both
+    // sides of each edge must verify, give one outcome at every thread
+    // count, and equal the full-range shard's outcome.
+    use cim::logic::{LANES, WORDS};
+    use cim::sim::STREAM_BLOCK;
+    use cim::workloads::{AdditionShard, Shardable};
+    let pass = (LANES * WORDS) as u64;
+    let block = STREAM_BLOCK as u64;
+    for n_ops in [0, 1, pass - 1, pass, pass + 1, block - 1, block, block + 1] {
+        let workload = AdditionWorkload::scaled(n_ops, 29);
+        let shard = workload.shard(0, n_ops, n_ops);
+        let serial = (
+            ConventionalExecutor::with_batch(BatchPolicy::SERIAL)
+                .run(&workload)
+                .expect("runs"),
+            CimExecutor::with_batch(BatchPolicy::SERIAL)
+                .run(&workload)
+                .expect("runs"),
+        );
+        for run in [&serial.0, &serial.1] {
+            assert_eq!(run.digest.operations, n_ops, "{} at {n_ops}", run.machine);
+            assert!(
+                workload.verify(&run.digest).is_ok(),
+                "{} digest at {n_ops} ops",
+                run.machine
+            );
+        }
+        for threads in [1, 2, 4] {
+            let batch = BatchPolicy::with_threads(threads);
+            let conv = ConventionalExecutor::with_batch(batch);
+            let cim = CimExecutor::with_batch(batch);
+            let at = format!("{n_ops} ops, {threads} threads");
+            assert_eq!(
+                conv.run(&workload).expect("runs"),
+                serial.0,
+                "conventional, {at}"
+            );
+            assert_eq!(cim.run(&workload).expect("runs"), serial.1, "cim, {at}");
+            let conv_shard = ExecutionBackend::<AdditionShard>::run(&conv, &shard).expect("runs");
+            let cim_shard = ExecutionBackend::<AdditionShard>::run(&cim, &shard).expect("runs");
+            assert_eq!(conv_shard, serial.0, "conventional shard, {at}");
+            assert_eq!(cim_shard, serial.1, "cim shard, {at}");
+        }
+    }
+}
+
+#[test]
 fn full_experiments_are_batch_invariant() {
     // End-to-end: the ComparisonReport a user sees is the same whether
     // the driver ran serial or wide.
