@@ -1,6 +1,6 @@
 //! Crossbar solver benchmarks: lumped vs distributed, size scaling,
 //! junction types (ablation A2 companion), and the warm-vs-cold /
-//! parallel line-relaxation measurements behind `BENCH_solver.json`.
+//! batch-of-solves measurements behind `BENCH_solver.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -73,35 +73,6 @@ fn bench_warm_vs_cold_64(c: &mut Criterion) {
             black_box(a.solve_access(0, n - 1, v, BiasScheme::HalfV))
         });
     });
-    group.finish();
-}
-
-/// Deterministic parallel line relaxation on a wire-resistive 64×64
-/// array: serial vs 4 workers (bit-identical results by contract).
-fn bench_parallel_distributed_64(c: &mut Criterion) {
-    let n = 64;
-    let p = DeviceParams::table1_cim();
-    let mut group = c.benchmark_group("solver/distributed_threads_64");
-    group.sample_size(10);
-    for threads in [1usize, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(threads),
-            &threads,
-            |b, &threads| {
-                let mut a = array(n)
-                    .with_geometry(Geometry::nanowire(p.cell_area))
-                    .with_solver_threads(threads);
-                let v = p.v_set * 0.5;
-                let _ = a.solve_access(0, n - 1, v, BiasScheme::HalfV);
-                let mut bit = false;
-                b.iter(|| {
-                    a.program(n / 2, n / 2, bit);
-                    bit = !bit;
-                    black_box(a.solve_access(0, n - 1, v, BiasScheme::HalfV))
-                });
-            },
-        );
-    }
     group.finish();
 }
 
@@ -214,7 +185,6 @@ criterion_group!(
     bench_lumped_sizes,
     bench_distributed,
     bench_warm_vs_cold_64,
-    bench_parallel_distributed_64,
     bench_batch_of_solves,
     bench_junctions,
     bench_cam_search,

@@ -1,5 +1,5 @@
 //! Solver hot-path snapshot: measures the warm-start / workspace-reuse /
-//! pooled-crew numbers against a cold solve and writes them to
+//! batch-of-solves numbers against a cold solve and writes them to
 //! `BENCH_solver.json` at the workspace root, so the perf trajectory is
 //! tracked in-repo from PR to PR.
 //!
@@ -16,14 +16,14 @@
 //! array size, sample and batch counts) byte-identical and every host
 //! measurement numeric ([`cim_bench::Snapshot::check`]).
 //!
-//! ## What the parallelism numbers mean
+//! ## What the numbers mean
 //!
-//! * `distributed_serial_ns` / `distributed_pooled_ns` — raw wall
-//!   clock of one warm flip-solve on the persistent crew at 1 worker and
-//!   at `pool_workers = min(4, host_cores)`, so the pooled number never
-//!   measures oversubscription; no gate applies.
+//! * `distributed_ns` — raw wall clock of one warm flip-solve of the
+//!   nanowire (distributed-wire) array. A solve always runs on one
+//!   thread; no gate applies.
 //! * `batch_serial_ns` / `batch_pooled_ns` — wall clock of the batch of
-//!   independent solves at 1 and `pool_workers` workers.
+//!   independent solves at 1 and `pool_workers = min(4, host_cores)`
+//!   workers, so the pooled number never measures oversubscription.
 //! * `batch_solves_exposed_concurrency` — concurrency exposed by
 //!   `cim_crossbar::solve_batch` over that batch: measured total busy
 //!   time divided by the measured critical path (the largest per-worker
@@ -38,7 +38,7 @@ use cim_bench::{repo_root_file, Args, Snapshot};
 use cim_crossbar::{solve_batch, BiasScheme, Crossbar, Geometry, ResistiveCell};
 use cim_device::DeviceParams;
 
-const SCHEMA: &str = "cim-bench-solver/5";
+const SCHEMA: &str = "cim-bench-solver/6";
 const N: usize = 64;
 
 /// Workers whose banding defines the exposed-concurrency critical path,
@@ -104,23 +104,16 @@ fn main() {
         std::hint::black_box(flip_arr.solve_access(0, N - 1, v, BiasScheme::HalfV));
     });
 
-    // Distributed line relaxation on the persistent crew, serial and
-    // pooled, on the identical solve.
+    // Distributed line relaxation after a cell flip.
     let dist_samples = samples.div_ceil(10).max(5);
-    let dist = |threads: usize| {
-        let mut a = array()
-            .with_geometry(Geometry::nanowire(p.cell_area))
-            .with_solver_threads(threads);
-        let _ = a.solve_access(0, N - 1, v, BiasScheme::HalfV);
-        let mut bit = false;
-        median_ns(dist_samples, || {
-            a.program(N / 2, N / 2, bit);
-            bit = !bit;
-            std::hint::black_box(a.solve_access(0, N - 1, v, BiasScheme::HalfV));
-        })
-    };
-    let dist_serial = dist(1);
-    let dist_pooled = dist(pool_workers);
+    let mut dist_arr = array().with_geometry(Geometry::nanowire(p.cell_area));
+    let _ = dist_arr.solve_access(0, N - 1, v, BiasScheme::HalfV);
+    let mut bit = false;
+    let dist = median_ns(dist_samples, || {
+        dist_arr.program(N / 2, N / 2, bit);
+        bit = !bit;
+        std::hint::black_box(dist_arr.solve_access(0, N - 1, v, BiasScheme::HalfV));
+    });
 
     // Batch-of-solves: BATCH_ARRAYS independent warm flip-solves driven
     // through `solve_batch`. Busy time is measured per solve inside the
@@ -184,13 +177,12 @@ fn main() {
 
     println!(
         "== solver snapshot ({N}x{N}, {samples} samples, median ns, {host_cores} cores, \
-         pooled at {pool_workers}) =="
+         batch pooled at {pool_workers}) =="
     );
     println!("cold                    {cold:>12.0}");
     println!("warm, same access       {warm_same:>12.0}   ({warm_same_speedup:.1}x)");
     println!("warm, after cell flip   {warm_flip:>12.0}   ({warm_flip_speedup:.1}x)");
-    println!("distributed serial      {dist_serial:>12.0}");
-    println!("distributed pooled      {dist_pooled:>12.0}");
+    println!("distributed, nanowire   {dist:>12.0}");
     println!("batch x{BATCH_ARRAYS} serial        {batch_serial:>12.0}");
     println!("batch x{BATCH_ARRAYS} pooled        {batch_pooled:>12.0}");
     println!("batch busy / critical   {batch_busy:>12.0} / {batch_critical:.0}   ({batch_exposed:.1}x exposed)");
@@ -225,8 +217,7 @@ fn main() {
         .host("warm_after_flip_ns", warm_flip)
         .host("warm_same_speedup", warm_same_speedup)
         .host("warm_after_flip_speedup", warm_flip_speedup)
-        .host("distributed_serial_ns", dist_serial)
-        .host("distributed_pooled_ns", dist_pooled)
+        .host("distributed_ns", dist)
         .modelled("batch_arrays", BATCH_ARRAYS)
         .host("batch_serial_ns", batch_serial)
         .host("batch_pooled_ns", batch_pooled)

@@ -8,28 +8,57 @@
 //! cargo run --release -p cim-bench --bin fig3_sneak -- --threads 4
 //! ```
 //!
-//! `--threads N` fans the solver's line relaxation over N workers
-//! (0 = all cores); the results are bit-identical at any setting.
+//! `--threads N` runs the independent bias × junction studies over N
+//! workers (0 = all cores), each study's solves on one thread; the
+//! output is printed and written in the serial order afterwards, so it
+//! is bit-identical at any setting.
 //!
 //! Every point must come from converged solves. If a solve ran out of
-//! its sweep budget, the binary names the point and exits 1 without
-//! writing the CSV.
+//! its sweep budget, the binary names the first such point in that
+//! order and exits 1 without writing the CSV.
 
 use cim_bench::{write_csv, Args};
 use cim_crossbar::{
-    max_readable_size, read_margin_study_with, BiasScheme, CrsCell, ResistiveCell, SelectorCell,
-    SolverConfig, TransistorCell, WorstCasePattern,
+    max_readable_size, read_margin_study, BiasScheme, CrsCell, JunctionKind, MarginPoint,
+    ResistiveCell, SelectorCell, TransistorCell, WorstCasePattern,
 };
 use cim_device::DeviceParams;
+use cim_sim::{par_units, BatchPolicy};
 
 const SIZES: [usize; 5] = [4, 8, 16, 32, 64];
 
+const JUNCTIONS: [JunctionKind; 4] = [
+    JunctionKind::OneR,
+    JunctionKind::OneS1R,
+    JunctionKind::OneT1R,
+    JunctionKind::Crs,
+];
+
+/// The all-ones worst-case margin study of one junction under `bias`.
+fn study(junction: JunctionKind, bias: BiasScheme, p: &DeviceParams) -> Vec<MarginPoint> {
+    let pattern = WorstCasePattern::AllOnes;
+    match junction {
+        JunctionKind::OneR => {
+            read_margin_study(|_, _| ResistiveCell::new(p.clone()), &SIZES, bias, pattern)
+        }
+        JunctionKind::OneS1R => read_margin_study(
+            |_, _| SelectorCell::new(p.clone(), 10.0, p.v_set * 0.5),
+            &SIZES,
+            bias,
+            pattern,
+        ),
+        JunctionKind::OneT1R => {
+            read_margin_study(|_, _| TransistorCell::new(p.clone()), &SIZES, bias, pattern)
+        }
+        JunctionKind::Crs => {
+            read_margin_study(|_, _| CrsCell::new(p.clone()), &SIZES, bias, pattern)
+        }
+    }
+}
+
 fn main() {
     let args = Args::capture_strict(&["--bias-sweep"], &["--threads"]);
-    let config = SolverConfig {
-        threads: args.numeric("--threads", 1),
-        ..SolverConfig::default()
-    };
+    let policy = BatchPolicy::with_threads(args.numeric("--threads", 1));
     let p = DeviceParams::table1_cim();
     let mut csv = String::from("junction,bias,n,i_one_a,i_zero_a,margin\n");
 
@@ -38,57 +67,20 @@ fn main() {
     } else {
         &[BiasScheme::HalfV]
     };
+    let studies = par_units(policy, biases.len() * JUNCTIONS.len(), |unit| {
+        let (bias, junction) = (unit / JUNCTIONS.len(), unit % JUNCTIONS.len());
+        study(JUNCTIONS[junction], biases[bias], &p)
+    });
 
     println!("== Fig. 3: junction options vs sneak paths ==");
-    for &bias in biases {
+    for (&bias, studies) in biases.iter().zip(studies.chunks_exact(JUNCTIONS.len())) {
         println!("\n-- bias scheme: {bias} --");
         println!(
             "{:<10} {:>4} {:>12} {:>12} {:>10}",
             "junction", "n", "I(1)", "I(0)", "margin"
         );
-        let studies: Vec<(&str, Vec<cim_crossbar::MarginPoint>)> = vec![
-            (
-                "1R",
-                read_margin_study_with(
-                    |_, _| ResistiveCell::new(p.clone()),
-                    &SIZES,
-                    bias,
-                    WorstCasePattern::AllOnes,
-                    config,
-                ),
-            ),
-            (
-                "1S1R",
-                read_margin_study_with(
-                    |_, _| SelectorCell::new(p.clone(), 10.0, p.v_set * 0.5),
-                    &SIZES,
-                    bias,
-                    WorstCasePattern::AllOnes,
-                    config,
-                ),
-            ),
-            (
-                "1T1R",
-                read_margin_study_with(
-                    |_, _| TransistorCell::new(p.clone()),
-                    &SIZES,
-                    bias,
-                    WorstCasePattern::AllOnes,
-                    config,
-                ),
-            ),
-            (
-                "CRS",
-                read_margin_study_with(
-                    |_, _| CrsCell::new(p.clone()),
-                    &SIZES,
-                    bias,
-                    WorstCasePattern::AllOnes,
-                    config,
-                ),
-            ),
-        ];
-        for (name, points) in &studies {
+        for (junction, points) in JUNCTIONS.iter().zip(studies) {
+            let name = junction.to_string();
             if let Some(pt) = points.iter().find(|pt| !pt.converged) {
                 eprintln!(
                     "error: {name} under {bias} at n = {} did not converge \
@@ -113,7 +105,7 @@ fn main() {
                     pt.margin
                 ));
             }
-            if *name == "CRS" {
+            if *junction == JunctionKind::Crs {
                 println!("{name:<10}   (CRS senses differentially: I(0) ≫ I(1) is the signal)");
             } else {
                 match max_readable_size(points, 0.1) {

@@ -1,12 +1,12 @@
 //! Batch-of-solves: concurrent dispatch of *independent* array solves.
 //!
-//! Intra-solve parallelism (the solver's worker crew, `SolverConfig::
-//! threads`) splits one relaxation across workers and pays two barrier
-//! crossings per phase. The parallelism axis that actually matches the
-//! hardware is coarser: a CIM fabric runs **many arrays at once**, each
-//! solving its own bias point with no synchronization at all. This
-//! module exposes that axis — hand the pool a slice of arrays and an
-//! operation, get the results back in array order.
+//! A CIM fabric runs **many arrays at once**, each solving its own bias
+//! point with no synchronization at all, and that is the simulator's one
+//! parallel axis for the electrical model: every solve runs on the
+//! thread that calls it (see the solver module docs for why a solve is
+//! not split across threads). This module exposes that axis — hand the
+//! pool a slice of arrays and an operation, get the results back in
+//! array order.
 //!
 //! **Determinism.** Each array is claimed by exactly one worker
 //! ([`cim_pool::run_exclusive`] transfers the `&mut` borrow through a
@@ -22,11 +22,7 @@ use crate::crossbar::Crossbar;
 /// over `threads` pool workers (`0` = all cores), and returns the
 /// results in array order.
 ///
-/// Each solve runs *serially inside* its claimed worker — batching and
-/// intra-solve threading compose, but for many small-to-medium arrays
-/// one solve per worker is the profitable split (no per-sweep barriers),
-/// so arrays dispatched here keep whatever `SolverConfig::threads` they
-/// were built with (typically 1).
+/// Each solve runs serially inside the worker that claimed its array.
 pub fn solve_batch<C, R, F>(threads: usize, arrays: &mut [Crossbar<C>], op: F) -> Vec<R>
 where
     C: Cell,

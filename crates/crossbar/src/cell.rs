@@ -39,11 +39,11 @@ impl std::fmt::Display for JunctionKind {
 /// transistor of a 1T1R cell and is derived by the array from the selected
 /// row; two-terminal junctions ignore it.
 ///
-/// Cells must be `Send + Sync`: the solver's worker crew reads them from
-/// multiple threads during parallel relaxation sweeps, and the
-/// batch-of-solves dispatcher moves whole arrays between workers. Every
-/// junction model is plain data, so the bounds cost nothing.
-pub trait Cell: Send + Sync {
+/// Cells must be `Send`: the batch-of-solves dispatcher moves whole
+/// arrays to the workers that solve them. A solve runs on one thread, so
+/// nothing shares a cell between threads. Every junction model is plain
+/// data, so the bound costs nothing.
+pub trait Cell: Send {
     /// True when the cell is linear at fixed state and gate, so
     /// [`Cell::conductance_at`] does not depend on the voltage. The
     /// solvers then linearise such cells once per solve instead of

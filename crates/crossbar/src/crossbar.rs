@@ -102,21 +102,15 @@ impl<C: Cell> Crossbar<C> {
         self
     }
 
-    /// Opt-in deterministic parallel solving: fans each half-sweep's
-    /// independent line updates over `threads` workers (`0` = all cores).
-    /// Results are bit-identical at any thread count.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.set_solver_threads(threads);
+    /// Does nothing: every solve runs on its calling thread, and
+    /// independent arrays run in parallel through [`crate::solve_batch`].
+    /// Kept only because the `cimbench` benchmark package calls it; it
+    /// goes with the next change to that package.
+    pub fn with_solver_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// Sets the solver worker count; see [`Crossbar::with_solver_threads`].
-    pub fn set_solver_threads(&mut self, threads: usize) {
-        self.solver.config.threads = threads;
-    }
-
-    /// Replaces the whole solver configuration: sweep budget and worker
-    /// count.
+    /// Replaces the solver configuration (its sweep budget).
     pub fn with_solver_config(mut self, config: SolverConfig) -> Self {
         self.solver.config = config;
         self

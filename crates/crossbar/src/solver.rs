@@ -18,7 +18,7 @@
 //!
 //! A sweep updates every wordline node, then every bitline node, then
 //! refreshes the secant conductances. Three rules decide how a solve
-//! converges, and none of them depends on the thread count:
+//! converges:
 //!
 //! * **Stop rule.** A solve stops when two things hold. First, every
 //!   node's KCL residual is at most 1e-12 of its Norton current `Σ g·|v|`
@@ -37,9 +37,7 @@
 //!   On linear cells a cold solve under a driven (V/2, V/3) scheme takes
 //!   three or four sweeps. Floating lines with strongly
 //!   non-linear (selector) cells can oscillate under it. So once a sweep's
-//!   residual grows, the rest of the solve relaxes at ω = 0.7, a
-//!   decision made from crew-wide maxima and therefore the same at any
-//!   thread count.
+//!   residual grows, the rest of the solve relaxes at ω = 0.7.
 //! * **Exact ohmic secants.** [`Cell::OHMIC`] cells (1R, 1T1R) return
 //!   `1/R` exactly from [`Cell::conductance_at`], so their secants do not
 //!   move with the voltage. They are linearised once per solve, and the
@@ -66,23 +64,18 @@
 //!   `cell_voltages` output buffers are recycled instead of reallocated.
 //!   The distributed solver stores bitline potentials column-major and
 //!   keeps a transposed conductance copy so *both* half-sweeps stream
-//!   memory contiguously.
-//! * **deterministic parallelism** — [`SolverConfig::threads`] sizes a
-//!   persistent phase-stepped crew ([`cim_pool::run_crew`]): worker
-//!   threads are spawned once per solve and re-used for every half-sweep
-//!   *and* every conductance refresh, synchronized by a spin barrier
-//!   instead of a spawn/join round per half-sweep. A line update only
-//!   reads the *other* axis's potentials and writes its own line, the
-//!   refresh touches disjoint cells, and the convergence reduction is a
-//!   `max`, so the result is bit-identical at any thread count (the same
-//!   determinism contract `cim-sim`'s batch driver establishes). Many
-//!   *independent* arrays parallelize better still: see
-//!   [`crate::solve_batch`], which needs no intra-solve synchronization
-//!   at all.
+//!   memory contiguously, and solves each line's chain in place.
+//! * **one solve, one thread** — a solve runs on its calling thread.
+//!   The fabric's parallelism is many arrays at once, each solving its
+//!   own access, and that is the one axis the simulator runs in
+//!   parallel: [`crate::solve_batch`] hands independent arrays to pool
+//!   workers, and `fig3_sneak --threads N` fans its independent studies
+//!   out. Splitting one solve over a barrier-stepped crew lost where it
+//!   mattered: on a 2-vCPU host `cimbench crossbar_rw` (64×64 1T1R) ran
+//!   a median 6.8k ops/s at two crew workers against 11.9k at one, and
+//!   `fig3_sneak --bias-sweep` at two threads took a median 300 ms with
+//!   the crew against 231 ms with its studies fanned out.
 
-use std::sync::Mutex;
-
-use cim_pool::{band, resolve_workers, run_crew, Conductor, SharedF64};
 use cim_units::{Current, Power, Voltage};
 use serde::{Deserialize, Serialize};
 
@@ -125,20 +118,11 @@ impl SolvedRead {
 pub struct SolverConfig {
     /// Sweep budget before giving up.
     pub max_sweeps: usize,
-    /// Worker threads for the solve crew (per-line half-sweep updates
-    /// and conductance refreshes): `1` = serial (the default), `0` = all
-    /// cores. Any value produces bit-identical results; see the module
-    /// docs for why. This is the same knob `solve_batch` uses to size
-    /// its batch-of-solves pool.
-    pub threads: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        Self {
-            max_sweeps: 20_000,
-            threads: 1,
-        }
+        Self { max_sweeps: 20_000 }
     }
 }
 
@@ -179,17 +163,6 @@ enum SolverKind {
     Distributed,
 }
 
-/// Crew phase tags shared by both solvers (see [`cim_pool::run_crew`]).
-const PHASE_ROWS: u32 = 0;
-/// Column half-sweep.
-const PHASE_COLS: u32 = 1;
-/// Initial secant linearisation (undamped overwrite, `blend = 1.0`).
-const PHASE_REFRESH_INIT: u32 = 2;
-/// Damped per-sweep secant refresh.
-const PHASE_REFRESH: u32 = 3;
-/// Flag on a half-sweep tag: relax at the fallback factor.
-const DAMPED: u32 = 4;
-
 /// What the sweep loop of one solve reached.
 struct Sweeps {
     iterations: usize,
@@ -197,17 +170,33 @@ struct Sweeps {
     residual: f64,
 }
 
-/// Steps a crew through sweeps (row half-sweep, column half-sweep,
-/// damped secant refresh) until the residual and secant bounds both hold
-/// or the budget of `max_sweeps` runs out. `ohmic` cells ([`Cell::OHMIC`])
-/// skip the per-sweep refresh: the initial one already stored secants
-/// that no voltage can change, so their inconsistency is exactly 0. The
-/// half-sweeps carry the [`DAMPED`] flag from the first sweep after one
-/// whose residual grew. Every decision reads crew-wide maxima, which
-/// are order-independent, so it is the same at any thread count.
-fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
-    crew.phase(PHASE_REFRESH_INIT);
-    let mut damped = 0;
+/// The three passes of one solver's sweep over its grids. Each returns
+/// the largest measure it saw: the half-sweeps the relative KCL residual
+/// of the potentials they replace, the refresh the secant inconsistency
+/// of the conductances it replaces ([`refresh`]).
+trait Passes {
+    /// Updates every wordline node, relaxed by `omega` where the solver
+    /// relaxes.
+    fn rows(&mut self, omega: f64) -> f64;
+    /// Updates every bitline node, relaxed by `omega` where the solver
+    /// relaxes.
+    fn cols(&mut self, omega: f64) -> f64;
+    /// Moves every stored secant conductance `blend` of the way to its
+    /// cell's secant at the current potentials.
+    fn refresh(&mut self, blend: f64) -> f64;
+}
+
+/// Runs sweeps (row half-sweep, column half-sweep, damped secant refresh)
+/// until the residual and secant bounds both hold or the budget of
+/// `max_sweeps` runs out. The first refresh overwrites (`blend = 1.0`),
+/// so stale warm conductances are replaced. `ohmic` cells ([`Cell::OHMIC`])
+/// skip the per-sweep refresh: the first one already stored secants that
+/// no voltage can change, so their inconsistency is exactly 0. The
+/// half-sweeps relax at [`FALLBACK_OMEGA`] from the first sweep after one
+/// whose residual grew.
+fn sweep(passes: &mut impl Passes, max_sweeps: usize, ohmic: bool) -> Sweeps {
+    passes.refresh(1.0);
+    let mut damped = false;
     let mut previous = f64::INFINITY;
     let mut reached = Sweeps {
         iterations: 0,
@@ -215,13 +204,12 @@ fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
         residual: f64::INFINITY,
     };
     while reached.iterations < max_sweeps {
-        let measure = crew
-            .phase(PHASE_ROWS | damped)
-            .max(crew.phase(PHASE_COLS | damped));
+        let omega = if damped { FALLBACK_OMEGA } else { OMEGA };
+        let measure = passes.rows(omega).max(passes.cols(omega));
         let secant = if ohmic {
             0.0
         } else {
-            crew.phase(PHASE_REFRESH)
+            passes.refresh(CONDUCTANCE_BLEND)
         };
         reached.iterations += 1;
         reached.residual = measure;
@@ -230,11 +218,68 @@ fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
             break;
         }
         if measure > previous {
-            damped = DAMPED;
+            damped = true;
         }
         previous = measure;
     }
     reached
+}
+
+/// The line sources of one access: the selected wordline's driver and
+/// bitline's sense node, and the unselected lines' drivers where the bias
+/// scheme drives them.
+#[derive(Debug, Clone, Copy)]
+struct Sources {
+    selected: (usize, usize),
+    bias: BiasVoltages,
+    g_drv: f64,
+    g_sense: f64,
+}
+
+impl Sources {
+    fn new(selected: (usize, usize), bias: BiasVoltages, geometry: &Geometry) -> Self {
+        Self {
+            selected,
+            bias,
+            g_drv: 1.0 / geometry.driver_resistance.get(),
+            g_sense: 1.0 / geometry.sense_resistance.get(),
+        }
+    }
+
+    /// Wordline `i`'s source `(target voltage, source conductance)`, or
+    /// `None` when it floats.
+    fn wordline(&self, i: usize) -> Option<(f64, f64)> {
+        if i == self.selected.0 {
+            Some((self.bias.wl_selected.get(), self.g_drv))
+        } else {
+            self.bias.wl_unselected.map(|v| (v.get(), self.g_drv))
+        }
+    }
+
+    /// Bitline `j`'s source, or `None` when it floats.
+    fn bitline(&self, j: usize) -> Option<(f64, f64)> {
+        if j == self.selected.1 {
+            Some((self.bias.bl_selected.get(), self.g_sense))
+        } else {
+            self.bias.bl_unselected.map(|v| (v.get(), self.g_drv))
+        }
+    }
+
+    /// Whether row `i`'s access transistors are on (1T1R cells).
+    fn gate_on(&self, i: usize) -> bool {
+        i == self.selected.0
+    }
+
+    /// Where a line starts when it floats: mid-rail.
+    fn mid(&self) -> f64 {
+        self.bias.wl_selected.get() / 2.0
+    }
+
+    /// The current out of the selected bitline, at potential `v` where
+    /// it meets its sense source.
+    fn sense_current(&self, v: f64) -> f64 {
+        (v - self.bias.bl_selected.get()) * self.g_sense
+    }
 }
 
 /// Persistent scratch + warm-start state for the solvers.
@@ -242,7 +287,7 @@ fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
 /// Owned by each `Crossbar` and threaded through `solve_in`; holds the
 /// node-potential grids (which double as the warm start for the next
 /// solve of the same shape), the conductance grid and its transpose, the
-/// per-worker tridiagonal systems, and a free list of recycled
+/// distributed solver's tridiagonal system, and a free list of recycled
 /// `cell_voltages` buffers.
 ///
 /// A workspace is a pure cache: it never changes *what* is computed, only
@@ -251,22 +296,18 @@ fn sweep(crew: &Conductor<'_>, max_sweeps: usize, ohmic: bool) -> Sweeps {
 #[derive(Debug, Default, Clone)]
 pub struct SolverWorkspace {
     /// Wordline potentials: per row (lumped) or per crosspoint, row-major
-    /// (distributed). Stored as a [`SharedF64`] so every crew phase can
-    /// read and write through `&self`: relaxed accesses compile to plain
-    /// moves, and the crew barrier provides the cross-phase ordering —
-    /// which is also why the one-worker (serial) crew runs the identical
-    /// instruction stream.
-    w: SharedF64,
+    /// (distributed).
+    w: Vec<f64>,
     /// Bitline potentials: per column (lumped) or per crosspoint,
     /// **column-major** (distributed) so the column half-sweep reads and
     /// writes contiguously.
-    b: SharedF64,
+    b: Vec<f64>,
     /// Secant cell conductances, row-major.
-    g: SharedF64,
+    g: Vec<f64>,
     /// Transposed (column-major) copy of `g` for the column half-sweep.
-    g_t: SharedF64,
-    /// Per-worker scratch for the distributed line solves.
-    lanes: Vec<LaneScratch>,
+    g_t: Vec<f64>,
+    /// The distributed solver's line system, rebuilt for every line.
+    tri: Tridiagonal,
     /// Recycled `cell_voltages` buffers.
     spare: Vec<Vec<f64>>,
     /// Which access the potentials in `w`/`b` solved, if any.
@@ -282,16 +323,6 @@ struct Access {
     cols: usize,
     selected: (usize, usize),
     bias: BiasVoltages,
-}
-
-/// One crew member's private solve scratch: a reusable tridiagonal
-/// system plus the line buffer it copies each chain into and solves in
-/// place (the copy costs nothing measurable and keeps every storage
-/// path — serial or crew — on the same arithmetic).
-#[derive(Debug, Clone)]
-struct LaneScratch {
-    tri: Tridiagonal,
-    line: Vec<f64>,
 }
 
 /// Retained `spare` buffers; enough for the deepest caller pipeline
@@ -330,32 +361,16 @@ impl SolverWorkspace {
             SolverKind::Lumped => (rows, cols),
             SolverKind::Distributed => (rows * cols, rows * cols),
         };
-        self.w.resize(w_len);
-        self.b.resize(b_len);
-        self.g.resize(rows * cols);
-        self.g_t.resize(rows * cols);
+        self.w.resize(w_len, 0.0);
+        self.b.resize(b_len, 0.0);
+        self.g.resize(rows * cols, 0.0);
+        self.g_t.resize(rows * cols, 0.0);
         warm
     }
 
     /// Records that `w`/`b` now hold the final potentials of `access`.
     fn finish(&mut self, access: Access) {
         self.warm = Some(access);
-    }
-
-    /// Ensures `workers` lane scratches of at least `capacity` nodes.
-    fn grow_lanes(&mut self, workers: usize, capacity: usize) {
-        let too_small = self
-            .lanes
-            .first()
-            .is_some_and(|lane| lane.tri.capacity() < capacity);
-        if self.lanes.len() < workers || too_small {
-            self.lanes = (0..workers.max(1))
-                .map(|_| LaneScratch {
-                    tri: Tridiagonal::new(capacity),
-                    line: vec![0.0; capacity],
-                })
-                .collect();
-        }
     }
 
     /// A zeroed buffer of `len` f64s, recycled if possible.
@@ -438,26 +453,7 @@ impl LumpedSolver {
             selected.0 < rows && selected.1 < cols,
             "selection out of bounds"
         );
-        let (sel_r, sel_c) = selected;
-        let g_drv = 1.0 / geometry.driver_resistance.get();
-        let g_sense = 1.0 / geometry.sense_resistance.get();
-
-        // Line sources: Some((target_voltage, source_conductance)).
-        let wl_source = |i: usize| -> Option<(f64, f64)> {
-            if i == sel_r {
-                Some((bias.wl_selected.get(), g_drv))
-            } else {
-                bias.wl_unselected.map(|v| (v.get(), g_drv))
-            }
-        };
-        let bl_source = |j: usize| -> Option<(f64, f64)> {
-            if j == sel_c {
-                Some((bias.bl_selected.get(), g_sense))
-            } else {
-                bias.bl_unselected.map(|v| (v.get(), g_drv))
-            }
-        };
-
+        let sources = Sources::new(selected, bias, geometry);
         let access = Access {
             kind: SolverKind::Lumped,
             rows,
@@ -466,106 +462,110 @@ impl LumpedSolver {
             bias,
         };
         let warm = ws.begin(access);
-        let workers = resolve_workers(self.config.threads, rows.max(cols));
         let out = ws.take_voltage_buffer(rows * cols);
         let SolverWorkspace { w, b, g, g_t, .. } = ws;
-        let (w, b, g, g_t) = (&*w, &*b, &*g, &*g_t);
 
         // Initial guess: previous converged solution if warm, else source
         // targets / mid-rail for floating lines.
-        let mid = bias.wl_selected.get() / 2.0;
         if !warm {
-            for i in 0..rows {
-                w.set(i, wl_source(i).map_or(mid, |(v, _)| v));
+            for (i, node) in w.iter_mut().enumerate() {
+                *node = sources.wordline(i).map_or(sources.mid(), |(v, _)| v);
             }
-            for j in 0..cols {
-                b.set(j, bl_source(j).map_or(mid, |(v, _)| v));
+            for (j, node) in b.iter_mut().enumerate() {
+                *node = sources.bitline(j).map_or(sources.mid(), |(v, _)| v);
             }
         }
 
-        let gate_on = |i: usize| i == sel_r;
-        // One phase function serves every crew member; the serial path is
-        // the one-worker crew running the same code inline, which is what
-        // makes thread counts bit-invisible. Secant conductances are
-        // geometrically damped between sweeps: with strongly non-linear
-        // cells (1S1R selectors) an undamped fixed-point iteration
-        // flip-flops between on/off linearisations. The initial refresh
-        // overwrites (blend = 1.0), so stale warm conductances are
-        // replaced.
-        let phase_fn = |worker: usize, tag: u32| -> f64 {
-            let omega = if tag & DAMPED == 0 {
-                OMEGA
-            } else {
-                FALLBACK_OMEGA
-            };
-            match tag & !DAMPED {
-                PHASE_ROWS => {
-                    let mut measure = 0.0f64;
-                    for i in band(worker, workers, rows) {
-                        let mut node = NodeSums::default();
-                        if let Some((v_src, g_src)) = wl_source(i) {
-                            node.add(g_src, v_src);
-                        }
-                        let row = g.iter_range(i * cols..(i + 1) * cols);
-                        for (gc, v) in row.zip(b.iter_range(0..cols)) {
-                            node.add(gc, v);
-                        }
-                        measure = measure.max(node.relax(w, i, omega));
-                    }
-                    measure
-                }
-                PHASE_COLS => {
-                    let mut measure = 0.0f64;
-                    for j in band(worker, workers, cols) {
-                        let mut node = NodeSums::default();
-                        if let Some((v_src, g_src)) = bl_source(j) {
-                            node.add(g_src, v_src);
-                        }
-                        let col = g_t.iter_range(j * rows..(j + 1) * rows);
-                        for (gc, v) in col.zip(w.iter_range(0..rows)) {
-                            node.add(gc, v);
-                        }
-                        measure = measure.max(node.relax(b, j, omega));
-                    }
-                    measure
-                }
-                tag => refresh_band(
-                    cells,
-                    rows,
-                    cols,
-                    band(worker, workers, rows),
-                    g,
-                    g_t,
-                    gate_on,
-                    |i, j| w.get(i) - b.get(j),
-                    if tag == PHASE_REFRESH_INIT {
-                        1.0
-                    } else {
-                        CONDUCTANCE_BLEND
-                    },
-                ),
-            }
-        };
-        let reached = run_crew(workers, phase_fn, |crew| {
-            sweep(crew, self.config.max_sweeps, C::OHMIC)
-        });
-
-        let solved = LumpedSolution {
+        let reached = sweep(
+            &mut LumpedGrids {
+                cells,
+                cols,
+                sources,
+                w,
+                b,
+                g,
+                g_t,
+            },
+            self.config.max_sweeps,
+            C::OHMIC,
+        );
+        let solved = package(
             cells,
-            rows,
             cols,
-            selected,
-            w,
-            b,
-            gate_on,
-            // Sense current: everything flowing out of the selected
-            // bitline into its sense source.
-            sense_current: (b.get(sel_c) - bias.bl_selected.get()) * g_sense,
-            reached,
-        }
-        .package(out);
+            &sources,
+            |i, j| w[i] - b[j],
+            sources.sense_current(b[selected.1]),
+            &reached,
+            out,
+        );
         ws.finish(access);
         solved
+    }
+}
+
+/// The lumped solver's grids during one solve: one potential per line.
+struct LumpedGrids<'a, C> {
+    cells: &'a [C],
+    cols: usize,
+    sources: Sources,
+    w: &'a mut [f64],
+    b: &'a mut [f64],
+    g: &'a mut [f64],
+    g_t: &'a mut [f64],
+}
+
+impl<C: Cell> Passes for LumpedGrids<'_, C> {
+    fn rows(&mut self, omega: f64) -> f64 {
+        let mut measure = 0.0f64;
+        for (node, (i, row)) in self
+            .w
+            .iter_mut()
+            .zip(self.g.chunks_exact(self.cols).enumerate())
+        {
+            let mut sums = NodeSums::default();
+            if let Some((v_src, g_src)) = self.sources.wordline(i) {
+                sums.add(g_src, v_src);
+            }
+            for (&gc, &v) in row.iter().zip(self.b.iter()) {
+                sums.add(gc, v);
+            }
+            measure = measure.max(sums.relax(node, omega));
+        }
+        measure
+    }
+
+    fn cols(&mut self, omega: f64) -> f64 {
+        let mut measure = 0.0f64;
+        let rows = self.w.len();
+        for (node, (j, col)) in self
+            .b
+            .iter_mut()
+            .zip(self.g_t.chunks_exact(rows).enumerate())
+        {
+            let mut sums = NodeSums::default();
+            if let Some((v_src, g_src)) = self.sources.bitline(j) {
+                sums.add(g_src, v_src);
+            }
+            for (&gc, &v) in col.iter().zip(self.w.iter()) {
+                sums.add(gc, v);
+            }
+            measure = measure.max(sums.relax(node, omega));
+        }
+        measure
+    }
+
+    fn refresh(&mut self, blend: f64) -> f64 {
+        let (w, b, sources) = (&*self.w, &*self.b, self.sources);
+        refresh(
+            self.cells,
+            w.len(),
+            self.cols,
+            self.g,
+            self.g_t,
+            |i| sources.gate_on(i),
+            |i, j| w[i] - b[j],
+            blend,
+        )
     }
 }
 
@@ -602,15 +602,15 @@ impl NodeSums {
         (self.num - self.den * v).abs() / self.mag.max(f64::MIN_POSITIVE)
     }
 
-    /// One Gauss-Seidel update of `nodes[index]` relaxed by `omega`;
-    /// returns the residual of the potential it replaces.
-    fn relax(&self, nodes: &SharedF64, index: usize, omega: f64) -> f64 {
+    /// One Gauss-Seidel update of `node` relaxed by `omega`; returns the
+    /// residual of the potential it replaces.
+    fn relax(&self, node: &mut f64, omega: f64) -> f64 {
         if self.den <= 0.0 {
             return 0.0;
         }
-        let node = nodes.get(index);
-        nodes.set(index, node + omega * (self.num / self.den - node));
-        self.residual(node)
+        let old = *node;
+        *node = old + omega * (self.num / self.den - old);
+        self.residual(old)
     }
 }
 
@@ -661,7 +661,7 @@ impl DistributedSolver {
     ///
     /// Panics if `cells.len() != rows * cols` or the selection is out of
     /// bounds.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    #[allow(clippy::too_many_arguments)]
     pub fn solve_in<C: Cell>(
         &self,
         ws: &mut SolverWorkspace,
@@ -683,26 +683,7 @@ impl DistributedSolver {
             }
             .solve_in(ws, cells, rows, cols, selected, bias, geometry);
         }
-        let (sel_r, sel_c) = selected;
-        let g_line = 1.0 / geometry.line_resistance.get();
-        let g_drv = 1.0 / geometry.driver_resistance.get();
-        let g_sense = 1.0 / geometry.sense_resistance.get();
-
-        let wl_source = |i: usize| -> Option<(f64, f64)> {
-            if i == sel_r {
-                Some((bias.wl_selected.get(), g_drv))
-            } else {
-                bias.wl_unselected.map(|v| (v.get(), g_drv))
-            }
-        };
-        let bl_source = |j: usize| -> Option<(f64, f64)> {
-            if j == sel_c {
-                Some((bias.bl_selected.get(), g_sense))
-            } else {
-                bias.bl_unselected.map(|v| (v.get(), g_drv))
-            }
-        };
-
+        let sources = Sources::new(selected, bias, geometry);
         let access = Access {
             kind: SolverKind::Distributed,
             rows,
@@ -711,159 +692,188 @@ impl DistributedSolver {
             bias,
         };
         let warm = ws.begin(access);
-        let workers = resolve_workers(self.config.threads, rows.max(cols));
-        ws.grow_lanes(workers, rows.max(cols));
+        if ws.tri.capacity() < rows.max(cols) {
+            ws.tri = Tridiagonal::new(rows.max(cols));
+        }
         let out = ws.take_voltage_buffer(rows * cols);
         let SolverWorkspace {
-            w,
-            b,
-            g,
-            g_t,
-            lanes,
-            ..
+            w, b, g, g_t, tri, ..
         } = ws;
-        let (w, b, g, g_t) = (&*w, &*b, &*g, &*g_t);
-        // Once-locked mutexes hand each crew member exclusive use of its
-        // own tridiagonal system and line buffer (warm capacity, reused
-        // across sweeps and solves); a lock per phase, not per line.
-        let lanes: Vec<Mutex<&mut LaneScratch>> =
-            lanes[..workers].iter_mut().map(Mutex::new).collect();
 
         // `w` is row-major (each wordline contiguous); `b` is
         // column-major (each bitline contiguous) so both half-sweeps
         // solve their chains in place without gather/scatter copies.
-        let mid = bias.wl_selected.get() / 2.0;
         if !warm {
-            for i in 0..rows {
-                let init = wl_source(i).map_or(mid, |(v, _)| v);
-                w.fill_range(i * cols..(i + 1) * cols, init);
+            for (i, line) in w.chunks_exact_mut(cols).enumerate() {
+                line.fill(sources.wordline(i).map_or(sources.mid(), |(v, _)| v));
             }
-            for j in 0..cols {
-                let init = bl_source(j).map_or(mid, |(v, _)| v);
-                b.fill_range(j * rows..(j + 1) * rows, init);
+            for (j, line) in b.chunks_exact_mut(rows).enumerate() {
+                line.fill(sources.bitline(j).map_or(sources.mid(), |(v, _)| v));
             }
         }
 
-        // Line relaxation: the wire conductance dwarfs the cell
-        // conductances (stiff system), so pointwise Gauss-Seidel stalls.
-        // Instead each sweep solves every wordline and bitline *chain*
-        // exactly (Thomas tridiagonal solve) with the crossing lines held
-        // fixed — the textbook cure for anisotropic coupling.
-        let gate_on = |i: usize| i == sel_r;
-        // The line solves are exact, so there is nothing to relax and the
-        // DAMPED flag is ignored.
-        let phase_fn = |worker: usize, tag: u32| -> f64 {
-            match tag & !DAMPED {
-                PHASE_ROWS => {
-                    let mut lane = lanes[worker].lock().expect("lane scratch");
-                    let LaneScratch { tri, line } = &mut **lane;
-                    let line = &mut line[..cols];
-                    let mut measure = 0.0f64;
-                    for i in band(worker, workers, rows) {
-                        let base = i * cols;
-                        for (slot, value) in line.iter_mut().zip(w.iter_range(base..base + cols)) {
-                            *slot = value;
-                        }
-                        tri.reset(cols);
-                        for j in 0..cols {
-                            if j > 0 {
-                                tri.couple(j - 1, j, g_line);
-                            } else if let Some((v_src, g_src)) = wl_source(i) {
-                                tri.source(0, v_src, g_src);
-                            }
-                            tri.source(j, b.get(j * rows + i), g.get(base + j));
-                        }
-                        measure = measure.max(tri.residual(line));
-                        tri.solve_into(line);
-                        w.store_range(base, line);
-                    }
-                    measure
-                }
-                PHASE_COLS => {
-                    let mut lane = lanes[worker].lock().expect("lane scratch");
-                    let LaneScratch { tri, line } = &mut **lane;
-                    let line = &mut line[..rows];
-                    let mut measure = 0.0f64;
-                    for j in band(worker, workers, cols) {
-                        let base = j * rows;
-                        for (slot, value) in line.iter_mut().zip(b.iter_range(base..base + rows)) {
-                            *slot = value;
-                        }
-                        tri.reset(rows);
-                        for i in 0..rows {
-                            if i > 0 {
-                                tri.couple(i - 1, i, g_line);
-                            }
-                            if i + 1 == rows {
-                                if let Some((v_src, g_src)) = bl_source(j) {
-                                    tri.source(i, v_src, g_src);
-                                }
-                            }
-                            tri.source(i, w.get(i * cols + j), g_t.get(base + i));
-                        }
-                        measure = measure.max(tri.residual(line));
-                        tri.solve_into(line);
-                        b.store_range(base, line);
-                    }
-                    measure
-                }
-                tag => refresh_band(
-                    cells,
-                    rows,
-                    cols,
-                    band(worker, workers, rows),
-                    g,
-                    g_t,
-                    gate_on,
-                    |i, j| w.get(i * cols + j) - b.get(j * rows + i),
-                    if tag == PHASE_REFRESH_INIT {
-                        1.0
-                    } else {
-                        CONDUCTANCE_BLEND
-                    },
-                ),
-            }
-        };
-        let reached = run_crew(workers, phase_fn, |crew| {
-            sweep(crew, self.config.max_sweeps, C::OHMIC)
-        });
-
-        // Per-cell voltages and sense current at the selected bitline's
-        // bottom end.
-        let sense_node = sel_c * rows + (rows - 1);
-        let sense_current = (b.get(sense_node) - bias.bl_selected.get()) * g_sense;
-        let mut cell_voltages = out;
-        let mut parasitic = 0.0;
-        for i in 0..rows {
-            for j in 0..cols {
-                let idx = i * cols + j;
-                let dv = w.get(idx) - b.get(j * rows + i);
-                cell_voltages[idx] = dv;
-                if (i, j) != (sel_r, sel_c) {
-                    let current = cells[idx].current(Voltage::new(dv), gate_on(i));
-                    parasitic += (current.get() * dv).abs();
-                }
-            }
-        }
-        let solved = SolvedRead {
-            sense_current: Current::new(sense_current),
-            cell_voltages,
+        let reached = sweep(
+            &mut DistributedGrids {
+                cells,
+                rows,
+                cols,
+                sources,
+                g_line: 1.0 / geometry.line_resistance.get(),
+                w,
+                b,
+                g,
+                g_t,
+                tri,
+            },
+            self.config.max_sweeps,
+            C::OHMIC,
+        );
+        // Sense current at the selected bitline's bottom end.
+        let solved = package(
+            cells,
             cols,
-            parasitic_power: Power::new(parasitic),
-            iterations: reached.iterations,
-            converged: reached.converged,
-            residual: reached.residual,
-        };
+            &sources,
+            |i, j| w[i * cols + j] - b[j * rows + i],
+            sources.sense_current(b[selected.1 * rows + (rows - 1)]),
+            &reached,
+            out,
+        );
         ws.finish(access);
         solved
+    }
+}
+
+/// The distributed solver's grids during one solve: one potential per
+/// crosspoint on each line.
+///
+/// Line relaxation: the wire conductance dwarfs the cell conductances
+/// (stiff system), so pointwise Gauss-Seidel stalls. Instead each sweep
+/// solves every wordline and bitline *chain* exactly (Thomas tridiagonal
+/// solve) with the crossing lines held fixed — the textbook cure for
+/// anisotropic coupling. The line solves are exact, so there is nothing
+/// to relax and both half-sweeps ignore `omega`.
+struct DistributedGrids<'a, C> {
+    cells: &'a [C],
+    rows: usize,
+    cols: usize,
+    sources: Sources,
+    g_line: f64,
+    w: &'a mut [f64],
+    b: &'a mut [f64],
+    g: &'a mut [f64],
+    g_t: &'a mut [f64],
+    tri: &'a mut Tridiagonal,
+}
+
+impl<C: Cell> Passes for DistributedGrids<'_, C> {
+    fn rows(&mut self, _omega: f64) -> f64 {
+        let (rows, cols, tri) = (self.rows, self.cols, &mut *self.tri);
+        let mut measure = 0.0f64;
+        for (i, (line, g_row)) in self
+            .w
+            .chunks_exact_mut(cols)
+            .zip(self.g.chunks_exact(cols))
+            .enumerate()
+        {
+            tri.reset(cols);
+            for (j, &g_cell) in g_row.iter().enumerate() {
+                if j > 0 {
+                    tri.couple(j - 1, j, self.g_line);
+                } else if let Some((v_src, g_src)) = self.sources.wordline(i) {
+                    tri.source(0, v_src, g_src);
+                }
+                tri.source(j, self.b[j * rows + i], g_cell);
+            }
+            measure = measure.max(tri.residual(line));
+            tri.solve_into(line);
+        }
+        measure
+    }
+
+    fn cols(&mut self, _omega: f64) -> f64 {
+        let (rows, cols, tri) = (self.rows, self.cols, &mut *self.tri);
+        let mut measure = 0.0f64;
+        for (j, (line, g_col)) in self
+            .b
+            .chunks_exact_mut(rows)
+            .zip(self.g_t.chunks_exact(rows))
+            .enumerate()
+        {
+            tri.reset(rows);
+            for (i, &g_cell) in g_col.iter().enumerate() {
+                if i > 0 {
+                    tri.couple(i - 1, i, self.g_line);
+                }
+                if i + 1 == rows {
+                    if let Some((v_src, g_src)) = self.sources.bitline(j) {
+                        tri.source(i, v_src, g_src);
+                    }
+                }
+                tri.source(i, self.w[i * cols + j], g_cell);
+            }
+            measure = measure.max(tri.residual(line));
+            tri.solve_into(line);
+        }
+        measure
+    }
+
+    fn refresh(&mut self, blend: f64) -> f64 {
+        let (rows, cols) = (self.rows, self.cols);
+        let (w, b, sources) = (&*self.w, &*self.b, self.sources);
+        refresh(
+            self.cells,
+            rows,
+            cols,
+            self.g,
+            self.g_t,
+            |i| sources.gate_on(i),
+            |i, j| w[i * cols + j] - b[j * rows + i],
+            blend,
+        )
+    }
+}
+
+/// Packages a solve: the voltage `dv(i, j)` across every cell into the
+/// pre-sized `cell_voltages` buffer, and the power burned in every cell
+/// but the selected one.
+fn package<C: Cell>(
+    cells: &[C],
+    cols: usize,
+    sources: &Sources,
+    dv: impl Fn(usize, usize) -> f64,
+    sense_current: f64,
+    reached: &Sweeps,
+    mut cell_voltages: Vec<f64>,
+) -> SolvedRead {
+    debug_assert_eq!(cell_voltages.len(), cells.len());
+    let mut parasitic = 0.0;
+    for i in 0..cells.len() / cols {
+        for j in 0..cols {
+            let idx = i * cols + j;
+            let dv = dv(i, j);
+            cell_voltages[idx] = dv;
+            if (i, j) != sources.selected {
+                let current = cells[idx].current(Voltage::new(dv), sources.gate_on(i));
+                parasitic += (current.get() * dv).abs();
+            }
+        }
+    }
+    SolvedRead {
+        sense_current: Current::new(sense_current),
+        cell_voltages,
+        cols,
+        parasitic_power: Power::new(parasitic),
+        iterations: reached.iterations,
+        converged: reached.converged,
+        residual: reached.residual,
     }
 }
 
 /// Conductance floor that keeps log-space damping well defined.
 const G_FLOOR: f64 = 1e-18;
 
-/// Slots in [`refresh_band`]'s per-call memo of damped secants (a power
-/// of two: the slot is the top bits of a multiplicative hash).
+/// Slots in [`refresh`]'s per-call memo of damped secants (a power of
+/// two: the slot is the top bits of a multiplicative hash).
 const SECANT_MEMO_SLOTS: usize = 16;
 
 /// Damped secant refresh: moves the stored conductance `old` a fraction
@@ -879,12 +889,11 @@ fn secant_memo_slot(old_bits: u64, secant_bits: u64) -> usize {
     (mixed >> (64 - SECANT_MEMO_SLOTS.trailing_zeros())) as usize
 }
 
-/// Refreshes one crew member's band of rows of the damped secant
-/// conductances in `g` and its transpose `g_t`; `blend = 1.0`
-/// overwrites, anything smaller applies [`damped_secant`]. Returns the
-/// band's secant inconsistency before the update: the largest
-/// `|secant/g − 1|` over the stored conductances `g` (floored at
-/// [`G_FLOOR`]), which the stop rule bounds.
+/// Refreshes the damped secant conductances in `g` and its transpose
+/// `g_t`; `blend = 1.0` overwrites, anything smaller applies
+/// [`damped_secant`]. Returns the secant inconsistency before the
+/// update: the largest `|secant/g − 1|` over the stored conductances `g`
+/// (floored at [`G_FLOOR`]), which the stop rule bounds.
 ///
 /// Two shortcuts keep the transcendentals off the hot path, and neither
 /// can change a bit. Cells whose secant already equals the stored value
@@ -902,16 +911,14 @@ fn secant_memo_slot(old_bits: u64, secant_bits: u64) -> usize {
 /// the first refresh of a solve ([`Cell::OHMIC`]). The table is a local
 /// of each call and [`damped_secant`] is a pure function of `(old,
 /// secant, blend)` with `blend` fixed per call, so a hit returns exactly
-/// the bits a recomputation would, nothing is shared between crew
-/// members, and thread counts stay bit-invisible.
+/// the bits a recomputation would.
 #[allow(clippy::too_many_arguments)]
-fn refresh_band<C: Cell>(
+fn refresh<C: Cell>(
     cells: &[C],
     rows: usize,
     cols: usize,
-    rows_band: std::ops::Range<usize>,
-    g: &SharedF64,
-    g_t: &SharedF64,
+    g: &mut [f64],
+    g_t: &mut [f64],
     gate_on: impl Fn(usize) -> bool,
     dv: impl Fn(usize, usize) -> f64,
     blend: f64,
@@ -920,15 +927,15 @@ fn refresh_band<C: Cell>(
     // NaN pattern, which `max(G_FLOOR)` never produces.
     let mut memo = [(u64::MAX, 0u64, 0.0f64); SECANT_MEMO_SLOTS];
     let mut max_rel = 0.0f64;
-    for i in rows_band {
+    for i in 0..rows {
         for j in 0..cols {
             let idx = i * cols + j;
             let t_idx = j * rows + i;
             let secant = cells[idx]
                 .conductance_at(Voltage::new(dv(i, j)), gate_on(i))
                 .max(G_FLOOR);
-            let stored = g.get(idx);
-            if secant == stored && g_t.get(t_idx) == stored {
+            let stored = g[idx];
+            if secant == stored && g_t[t_idx] == stored {
                 continue;
             }
             let old = stored.max(G_FLOOR);
@@ -945,8 +952,8 @@ fn refresh_band<C: Cell>(
                 }
                 slot.2
             };
-            g.set(idx, next);
-            g_t.set(t_idx, next);
+            g[idx] = next;
+            g_t[t_idx] = next;
         }
     }
     max_rel
@@ -954,7 +961,7 @@ fn refresh_band<C: Cell>(
 
 /// A reusable symmetric tridiagonal system `A·x = rhs` built from
 /// chain couplings and grounded sources, solved by the Thomas algorithm.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default, Clone)]
 struct Tridiagonal {
     diag: Vec<f64>,
     off: Vec<f64>,
@@ -1078,51 +1085,6 @@ impl Tridiagonal {
                 };
             x[i] = value;
             next = value;
-        }
-    }
-}
-
-/// Converged lumped-solver state, ready to be packaged into a
-/// [`SolvedRead`].
-struct LumpedSolution<'a, C, G> {
-    cells: &'a [C],
-    rows: usize,
-    cols: usize,
-    selected: (usize, usize),
-    /// Wordline potentials, one per row.
-    w: &'a SharedF64,
-    /// Bitline potentials, one per column.
-    b: &'a SharedF64,
-    gate_on: G,
-    sense_current: f64,
-    reached: Sweeps,
-}
-
-impl<C: Cell, G: Fn(usize) -> bool> LumpedSolution<'_, C, G> {
-    /// Derives per-cell voltages and parasitic power from the line
-    /// potentials, filling the (pre-sized) `cell_voltages` buffer.
-    fn package(self, mut cell_voltages: Vec<f64>) -> SolvedRead {
-        debug_assert_eq!(cell_voltages.len(), self.rows * self.cols);
-        let mut parasitic = 0.0;
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                let dv = self.w.get(i) - self.b.get(j);
-                cell_voltages[i * self.cols + j] = dv;
-                if (i, j) != self.selected {
-                    let current =
-                        self.cells[i * self.cols + j].current(Voltage::new(dv), (self.gate_on)(i));
-                    parasitic += (current.get() * dv).abs();
-                }
-            }
-        }
-        SolvedRead {
-            sense_current: Current::new(self.sense_current),
-            cell_voltages,
-            cols: self.cols,
-            parasitic_power: Power::new(parasitic),
-            iterations: self.reached.iterations,
-            converged: self.reached.converged,
-            residual: self.reached.residual,
         }
     }
 }
@@ -1278,31 +1240,6 @@ mod tests {
         let a = DistributedSolver::default().solve(&cells, 3, 3, (1, 1), bias, &geometry());
         let b = LumpedSolver::default().solve(&cells, 3, 3, (1, 1), bias, &geometry());
         assert_eq!(a.sense_current, b.sense_current);
-    }
-
-    #[test]
-    fn parallel_line_relaxation_is_bit_identical() {
-        // The determinism contract: any thread count reproduces the
-        // serial solve bit for bit, for both solvers.
-        let n = 12;
-        let cells = grid(n, n, |i, j| (i * 3 + j) % 2 == 0);
-        let v = Voltage::from_volts(1.0);
-        let bias = BiasScheme::HalfV.voltages(v);
-        let mut nanowire = geometry();
-        nanowire.line_resistance = Resistance::from_ohms(2.5);
-        for threads in [2, 4, 0] {
-            let config = SolverConfig {
-                threads,
-                ..SolverConfig::default()
-            };
-            let serial = LumpedSolver::default().solve(&cells, n, n, (1, 9), bias, &geometry());
-            let parallel = LumpedSolver { config }.solve(&cells, n, n, (1, 9), bias, &geometry());
-            assert_eq!(serial, parallel, "lumped, threads = {threads}");
-            let serial = DistributedSolver::default().solve(&cells, n, n, (1, 9), bias, &nanowire);
-            let parallel =
-                DistributedSolver { config }.solve(&cells, n, n, (1, 9), bias, &nanowire);
-            assert_eq!(serial, parallel, "distributed, threads = {threads}");
-        }
     }
 
     #[test]
@@ -1475,10 +1412,8 @@ mod tests {
                 g0_t[t_idx] = if stored_kinds[idx] == 1 { 0.0 } else { value };
             }
 
-            let (g, g_t) = (SharedF64::new(n), SharedF64::new(n));
-            g.store_range(0, &g0);
-            g_t.store_range(0, &g0_t);
-            let max_rel = refresh_band(&cells, rows, cols, 0..rows, &g, &g_t, gate_on, dv, blend);
+            let (mut got, mut got_t) = (g0.clone(), g0_t.clone());
+            let max_rel = refresh(&cells, rows, cols, &mut got, &mut got_t, gate_on, dv, blend);
 
             let (mut expect, mut expect_t) = (g0.clone(), g0_t.clone());
             let mut expect_rel = 0.0f64;
@@ -1499,9 +1434,6 @@ mod tests {
                 expect_t[t_idx] = next;
             }
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            let (mut got, mut got_t) = (vec![0.0; n], vec![0.0; n]);
-            g.store_to(&mut got);
-            g_t.store_to(&mut got_t);
             prop_assert_eq!(bits(&got), bits(&expect), "g");
             prop_assert_eq!(bits(&got_t), bits(&expect_t), "g_t");
             prop_assert_eq!(max_rel.to_bits(), expect_rel.to_bits(), "max_rel");

@@ -318,10 +318,14 @@ fn distances(solved: &SolvedRead, exact: &oracle::Exact, amplitude: Voltage) -> 
 fn crossbar_rw_accesses_match_the_reference() {
     // The benchmark's array shape (1T1R under V/2) at side 8, mixed bits,
     // every cell selected at the read amplitude and at ± the write
-    // amplitude, through the array's warm-starting workspace.
+    // amplitude, through the array's warm-starting workspace. Then the
+    // bits the benchmark checks: every read returns the stored bit, and
+    // every write of the complement verifies and reads back, with no
+    // other cell disturbed.
     let side = 8;
+    let pattern = |r: usize, c: usize| (r * 7 + c * 3) % 5 < 2;
     let mut array = Crossbar::homogeneous(side, side, one_t1r);
-    array.fill(|r, c| (r * 7 + c * 3) % 5 < 2);
+    array.fill(pattern);
     let cell = array.cell(0, 0);
     let amplitudes = [
         cell.read_amplitude(),
@@ -354,6 +358,28 @@ fn crossbar_rw_accesses_match_the_reference() {
     }
     currents.assert_within(IDEAL.current, "sense current");
     voltages.assert_within(IDEAL.voltage, "cell voltage");
+
+    let bias = BiasScheme::HalfV;
+    let reads = |array: &mut Crossbar<TransistorCell>| -> Vec<bool> {
+        (0..side * side)
+            .map(|k| array.read(k / side, k % side, bias).bit)
+            .collect()
+    };
+    let stored: Vec<bool> = (0..side * side)
+        .map(|k| pattern(k / side, k % side))
+        .collect();
+    assert_eq!(reads(&mut array), stored, "reads of the stored pattern");
+    for (k, &bit) in stored.iter().enumerate() {
+        let (r, c) = (k / side, k % side);
+        let outcome = array.write(r, c, !bit, bias);
+        assert!(
+            outcome.verified && outcome.flipped,
+            "write of {} at ({r}, {c}): {outcome:?}",
+            !bit
+        );
+    }
+    let flipped: Vec<bool> = stored.iter().map(|&bit| !bit).collect();
+    assert_eq!(reads(&mut array), flipped, "reads after the writes");
 }
 
 /// One access of a `rows × cols` grid of `make`'s cells programmed to

@@ -5,13 +5,14 @@
 //! fixed point, so `solve_access` on a warm array is pinned to the same
 //! access on a copy whose warm start was dropped
 //! (`Crossbar::invalidate_warm_start`), within the solver's accuracy,
-//! across every junction kind × bias scheme. Parallel line relaxation is
-//! pinned harder still — bit-identical `ReadResult`s at any thread count —
-//! and three reference solves are pinned to their exact output bits.
+//! across every junction kind × bias scheme. Arrays read through the
+//! batch-of-solves dispatcher are pinned harder still — bit-identical
+//! `ReadResult`s at any thread count — and three reference solves are
+//! pinned to their exact output bits.
 
 use cim_crossbar::{
-    BiasScheme, Cell, Crossbar, CrsCell, DistributedSolver, Geometry, LumpedSolver, ReadResult,
-    ResistiveCell, SelectorCell, SolvedRead, TransistorCell,
+    solve_batch, BiasScheme, Cell, Crossbar, CrsCell, DistributedSolver, Geometry, LumpedSolver,
+    ReadResult, ResistiveCell, SelectorCell, SolvedRead, TransistorCell,
 };
 use cim_device::DeviceParams;
 use cim_units::Voltage;
@@ -92,32 +93,44 @@ fn warm_solves_match_cold_on_distributed_wires() {
     }
 }
 
-/// Runs the same operation sequence on a fresh array with the given
-/// solver thread count and returns every `ReadResult` it produced.
-fn scripted_reads(threads: usize) -> Vec<ReadResult> {
+/// Independent nanowire arrays, each holding its own bit pattern.
+fn nanowire_arrays() -> Vec<Crossbar<ResistiveCell>> {
     let p = DeviceParams::table1_cim();
-    let mut array = Crossbar::homogeneous(N, N, || ResistiveCell::new(p.clone()))
-        .with_geometry(Geometry::nanowire(p.cell_area))
-        .with_solver_threads(threads);
-    array.fill(|r, c| (r * 7 + c) % 3 == 0);
+    (0..5)
+        .map(|k| {
+            let mut array = Crossbar::homogeneous(N, N, || ResistiveCell::new(p.clone()))
+                .with_geometry(Geometry::nanowire(p.cell_area));
+            array.fill(|r, c| (r * 7 + c + k) % 3 == 0);
+            array
+        })
+        .collect()
+}
+
+/// Programs, reads (two bias schemes) and multistage-reads array `k`,
+/// returning every `ReadResult` in order.
+fn scripted_reads(k: usize, array: &mut Crossbar<ResistiveCell>) -> Vec<ReadResult> {
     let mut out = Vec::new();
-    for step in 0..4 {
+    for step in k..k + 4 {
         array.program(step, (step * 5 + 2) % N, step % 2 == 0);
         out.push(array.read(step, (step * 5 + 2) % N, BiasScheme::HalfV));
         out.push(array.read(N - 1 - step, step, BiasScheme::ThirdV));
     }
-    out.push(array.read_multistage(0, N - 1, BiasScheme::HalfV));
+    out.push(array.read_multistage(0, N - 1 - k, BiasScheme::HalfV));
     out
 }
 
 #[test]
-fn read_results_are_bit_identical_across_thread_counts() {
-    let serial = scripted_reads(1);
-    for threads in [2, 4, 0] {
-        let parallel = scripted_reads(threads);
+fn batched_nanowire_reads_are_bit_identical_across_thread_counts() {
+    let serial: Vec<Vec<ReadResult>> = nanowire_arrays()
+        .iter_mut()
+        .enumerate()
+        .map(|(k, array)| scripted_reads(k, array))
+        .collect();
+    for threads in [1, 2, 4, 0] {
+        let batched = solve_batch(threads, &mut nanowire_arrays(), scripted_reads);
         assert_eq!(
-            serial, parallel,
-            "parallel line relaxation must be bit-identical at {threads} threads"
+            serial, batched,
+            "batched solves must be bit-identical at {threads} threads"
         );
     }
 }

@@ -20,13 +20,14 @@
 //! streams each block, chunk by chunk, through one serial cache replay
 //! that keeps integer event counts and prices them once at the end.
 //!
-//! The same contract governs parallelism below this layer:
-//! `cim-crossbar`'s opt-in parallel line relaxation
-//! (`SolverConfig::threads`) runs a phase-stepped worker crew from the
-//! same `cim-pool` substrate over fixed line bands merged in band order,
-//! and `cim_crossbar::solve_batch` dispatches whole independent array
-//! solves through [`cim_pool::run_exclusive`] — so electrical results
-//! are likewise bit-identical at any thread count (DESIGN.md §5).
+//! The same contract governs the electrical model below this layer, and
+//! with the same single axis: a crossbar solve always runs on one
+//! thread, and only independent work runs in parallel.
+//! `cim_crossbar::solve_batch` dispatches whole independent array solves
+//! through [`cim_pool::run_exclusive`], and `fig3_sneak --threads N`
+//! fans its independent margin studies out through [`par_units`], so
+//! electrical results are likewise bit-identical at any thread count
+//! (DESIGN.md §5).
 
 use serde::{Deserialize, Serialize};
 
