@@ -78,9 +78,6 @@ pub struct CimMachine {
     /// Miss penalty in nanoseconds (Table 1 reuses the 165-cycle figure
     /// at the conventional machine's 1 GHz clock).
     pub miss_penalty: Time,
-    /// CMOS controller energy overhead per operation (the paper assumes
-    /// none; ablation hook).
-    pub controller_energy_per_op: Energy,
 }
 
 impl CimMachine {
@@ -94,7 +91,6 @@ impl CimMachine {
             tech: MemristorTech::table1_5nm(),
             memory_hit_ratio: 0.5,
             miss_penalty: Time::from_nano_seconds(165.0),
-            controller_energy_per_op: Energy::ZERO,
         }
     }
 
@@ -109,7 +105,6 @@ impl CimMachine {
             tech: MemristorTech::table1_5nm(),
             memory_hit_ratio: 0.98,
             miss_penalty: Time::from_nano_seconds(165.0),
-            controller_energy_per_op: Energy::ZERO,
         }
     }
 
@@ -138,7 +133,7 @@ impl CimMachine {
 
     /// Dynamic energy of one operation.
     pub fn op_dynamic_energy(&self) -> Energy {
-        self.op.cost(&self.tech).energy + self.controller_energy_per_op
+        self.op.cost(&self.tech).energy
     }
 
     /// Attributes `n_ops` in-array operations executed in `rounds`
@@ -149,9 +144,10 @@ impl CimMachine {
     /// `op_latency × rounds`; [`Component::DramAccess`] takes the
     /// expected operand stream-in residual (Table 1 quotes no energy for
     /// it, so only time lands there); [`Component::Controller`] takes the
-    /// per-op CMOS overhead and static power over the makespan (both
-    /// zero in the paper's model — "practically zero leakage"). Time
-    /// charges sum to the makespan exactly.
+    /// static power over the makespan (zero in the paper's model —
+    /// "practically zero leakage";
+    /// [`TileGrid::charge_modelled`](crate::TileGrid::charge_modelled)
+    /// prices a real sequencer). Time charges sum to the makespan exactly.
     ///
     /// The round count is explicit so a crossbar scaled with its problem
     /// (the executed DNA pass) prices its own rounds on this machine's
@@ -164,12 +160,6 @@ impl CimMachine {
         let makespan = self.op_latency() * rounds;
         let compute_time = cost.latency * rounds;
         ledger.charge(cost.component, phase, cost.energy * n, compute_time, n_ops);
-        ledger.charge_energy(
-            Component::Controller,
-            phase,
-            self.controller_energy_per_op * n,
-            0,
-        );
         ledger.charge_time(Component::DramAccess, phase, makespan - compute_time);
         ledger.charge_energy(
             Component::Controller,

@@ -25,13 +25,14 @@ mod finfet;
 mod grid;
 mod metrics;
 mod taxonomy;
-mod tiles;
 
 pub use cache::CacheSpec;
 pub use cim::{CimMachine, CimOp, MemristorTech};
 pub use conventional::{ByteComparator, ClaAdder, ConventionalMachine, FunctionalUnit};
 pub use finfet::FinfetTech;
-pub use grid::{OperandSpan, PlaceError, Placement, TileAssignment, TileCoord, TileGrid};
+pub use grid::{
+    Controller, Interconnect, OperandSpan, PlaceError, Placement, TileAssignment, TileCoord,
+    TileGrid,
+};
 pub use metrics::{Metrics, MetricsError, RunReport};
 pub use taxonomy::{working_set_sweep, LocationCost, WorkingSetLocation};
-pub use tiles::{Controller, Interconnect, TiledCim};

@@ -10,6 +10,7 @@
 //! cargo run --release -p cim-bench --bin table2 -- --smoke --breakdown
 //! cargo run --release -p cim-bench --bin table2 -- --ablate-comparator
 //! cargo run --release -p cim-bench --bin table2 -- --ablate-hitrate
+//! cargo run --release -p cim-bench --bin table2 -- --ablate-overhead
 //! ```
 //!
 //! `--breakdown` additionally renders the per-component cost-ledger
@@ -23,7 +24,7 @@
 
 use cim_arch::{
     ByteComparator, Controller, ConventionalMachine, FunctionalUnit, Interconnect, Metrics,
-    TiledCim,
+    TileGrid,
 };
 use cim_bench::{write_csv, Args};
 use cim_core::paper_mode;
@@ -271,24 +272,26 @@ fn ablate_overhead() {
             },
         ),
     ];
-    for (name, ic, ctl) in configs {
-        let machine = TiledCim::math(workload.n_ops, workload.bits, ic, ctl);
+    let base = TileGrid::paper_math(workload.n_ops, workload.bits);
+    for (name, interconnect, controller) in configs {
+        let grid = TileGrid {
+            interconnect,
+            controller,
+            ..base.clone()
+        };
         let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Add, workload.n_ops);
-        let report = cim_arch::RunReport::from_ledger(workload.n_ops, machine.area(), &ledger);
+        grid.charge_modelled(&mut ledger, Phase::Add, workload.n_ops);
+        let report =
+            cim_arch::RunReport::from_ledger(workload.n_ops, grid.modelled_area(), &ledger);
         let m = Metrics::from_run(&report).expect("overhead configs are non-degenerate");
         let (edp_gain, eff_gain, _) = m.improvement_over(&conv_metrics);
+        let factor = grid.energy_overhead_factor();
         println!(
-            "{:>28} {:>10.2} {:>14.4e} {:>12.1} {:>12.1}",
-            name,
-            machine.energy_overhead_factor(),
-            m.ops_per_joule,
-            eff_gain,
-            edp_gain
+            "{name:>28} {factor:>10.2} {:>14.4e} {eff_gain:>12.1} {edp_gain:>12.1}",
+            m.ops_per_joule
         );
         csv.push_str(&format!(
-            "{name},{},{:e},{eff_gain},{edp_gain}\n",
-            machine.energy_overhead_factor(),
+            "{name},{factor},{:e},{eff_gain},{edp_gain}\n",
             m.ops_per_joule
         ));
     }

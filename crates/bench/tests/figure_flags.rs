@@ -3,10 +3,20 @@
 //! flag without its value, or a value that does not parse exits with
 //! status 2 before anything runs, so nothing is printed and no CSV or
 //! `BENCH_*.json` is written. A flag that selects a different run, such
-//! as `table2 --ablate-comparator`, does not skip the check.
+//! as `table2 --ablate-comparator`, does not skip the check. A valid
+//! `table2 --ablate-overhead` run, in the same kind of scratch root,
+//! writes the checked-in Ablation A5 CSV byte for byte.
 
 use std::fs;
+use std::path::PathBuf;
 use std::process::Command;
+
+/// A per-test scratch root. Binaries run in it, or in directories under
+/// it, that hold only a `Cargo.toml`, which the tools take for the
+/// workspace root: any CSV or snapshot they write lands there.
+fn scratch_root(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("cim-figure-flags-{test}-{}", std::process::id()))
+}
 
 #[test]
 fn figure_binaries_reject_unknown_flags_before_running() {
@@ -39,10 +49,7 @@ fn figure_binaries_reject_unknown_flags_before_running() {
             &["--ablate-overhead", "--hit-ratio", "bogus"],
         ),
     ];
-    // Each binary runs in an empty directory that holds only a
-    // `Cargo.toml`, which the tools take for the workspace root: any CSV
-    // or snapshot they wrote would land there.
-    let root = std::env::temp_dir().join(format!("cim-figure-flags-{}", std::process::id()));
+    let root = scratch_root("flags");
     for (case, (binary, argv)) in cases.into_iter().enumerate() {
         let dir = root.join(case.to_string());
         fs::create_dir_all(&dir).expect("create scratch directory");
@@ -63,5 +70,35 @@ fn figure_binaries_reject_unknown_flags_before_running() {
             .collect();
         assert!(written.is_empty(), "{binary} {argv:?} wrote {written:?}");
     }
+    fs::remove_dir_all(&root).expect("remove scratch directory");
+}
+
+/// Ablation A5 writes exactly the checked-in `results/ablation_overhead.csv`.
+#[test]
+fn ablate_overhead_writes_the_checked_in_csv() {
+    let root = scratch_root("ablate-overhead");
+    fs::create_dir_all(&root).expect("create scratch directory");
+    fs::write(root.join("Cargo.toml"), "").expect("write root marker");
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .arg("--ablate-overhead")
+        .current_dir(&root)
+        .output()
+        .expect("table2 starts");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = fs::read(root.join("results/ablation_overhead.csv")).expect("CSV written");
+    let checked_in = fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/ablation_overhead.csv"
+    ))
+    .expect("checked-in CSV");
+    assert!(
+        written == checked_in,
+        "table2 --ablate-overhead wrote:\n{}",
+        String::from_utf8_lossy(&written)
+    );
     fs::remove_dir_all(&root).expect("remove scratch directory");
 }

@@ -8,7 +8,7 @@
 //! per-tile ledgers sum bit-for-bit to the fabric ledger.
 //!
 //! Time prices are **throughput-amortized makespan shares**: a tile
-//! executes `parallel_ops_per_tile` primitives concurrently, so one
+//! executes `tile_devices / op devices` primitives concurrently, so one
 //! primitive's share of the makespan is `latency / slots`; likewise the
 //! H-tree's `modeled_tiles` links carry words concurrently, so one
 //! hop's share is `hop_latency / modeled_tiles`. Summed over all counts

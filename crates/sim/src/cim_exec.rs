@@ -2,7 +2,7 @@
 
 use cim_arch::{CimMachine, RunReport};
 use cim_logic::{BitSliceEngine, Comparator, ImplyAdder, LANES, WORDS};
-use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, Time, UnitCosts};
+use cim_units::{Component, CostLedger, CountLedger, Energy, Phase, UnitCosts};
 use cim_workloads::{
     AdditionShard, AdditionWorkload, DnaSpec, DnaWorkload, ExecutionDigest, Genome, ShortRead,
 };
@@ -231,9 +231,8 @@ fn dna_parallel_scaled(machine: &CimMachine, spec: &DnaSpec) -> u64 {
 ///
 /// Prices decompose exactly like [`CimMachine::charge_batched`]: the
 /// op's own component takes the switching energy and its compute-time
-/// share, the controller its (paper: zero) per-op CMOS overhead, and
-/// `DramAccess` the expected operand stream-in time with no energy
-/// (Table 1 quotes none). The per-op time prices amortise one round's
+/// share, and `DramAccess` the expected operand stream-in time with no
+/// energy (Table 1 quotes none). The per-op time prices amortise one round's
 /// latency over the parallel slots, so the predicted makespan is the
 /// smooth `n/parallel` form of the executor's `⌈n/parallel⌉` rounds —
 /// identical when the slots divide the work, a sub-round residual
@@ -243,7 +242,6 @@ fn cim_estimate(machine: &CimMachine, phase: Phase, n_ops: u64, parallel: u64) -
     let slots = parallel.max(1) as f64;
     let mut counts = CountLedger::new();
     counts.charge(cost.component, phase, n_ops);
-    counts.charge(Component::Controller, phase, n_ops);
     counts.charge(Component::DramAccess, phase, n_ops);
     let mut prices = UnitCosts::new();
     prices.set(
@@ -251,12 +249,6 @@ fn cim_estimate(machine: &CimMachine, phase: Phase, n_ops: u64, parallel: u64) -
         phase,
         cost.energy,
         cost.latency * (1.0 / slots),
-    );
-    prices.set(
-        Component::Controller,
-        phase,
-        machine.controller_energy_per_op,
-        Time::ZERO,
     );
     prices.set(
         Component::DramAccess,
