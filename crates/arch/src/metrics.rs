@@ -1,78 +1,44 @@
 //! The three Table-2 figures of merit.
 
-use cim_units::{Area, CostLedger, Energy, EnergyDelay, Power, Time};
+use cim_units::{Area, CostLedger, Energy, EnergyDelay, Time};
 use serde::{Deserialize, Serialize};
 
-/// The raw outcome of executing a workload on one machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The raw outcome of executing a workload on one machine: how many
+/// operations it completed, the area it occupied, and the [`CostLedger`]
+/// that attributes every joule and second of it. The ledger is the only
+/// record of the run's cost; the totals are read from it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunReport {
     /// Operations completed.
     pub operations: u64,
-    /// Wall-clock makespan.
-    pub total_time: Time,
-    /// Total energy: dynamic + static over the makespan.
-    pub total_energy: Energy,
     /// Machine area used.
     pub area: Area,
+    /// Component/phase attribution of the run's energy and time.
+    pub ledger: CostLedger,
 }
 
 impl RunReport {
-    /// The shared batch aggregation (DESIGN.md §4): `n_ops` uniform
-    /// operations scheduled as `R = ⌈n_ops / parallel⌉` rounds of
-    /// `op_latency`, with dynamic energy per operation and leakage over
-    /// the makespan.
-    pub fn batched(
-        n_ops: u64,
-        parallel: u64,
-        op_latency: Time,
-        op_energy: Energy,
-        static_power: Power,
-        area: Area,
-    ) -> Self {
-        let rounds = n_ops.div_ceil(parallel.max(1));
-        let total_time = op_latency * rounds as f64;
-        let total_energy = op_energy * n_ops as f64 + static_power * total_time;
-        RunReport {
-            operations: n_ops,
-            total_time,
-            total_energy,
-            area,
-        }
+    /// Wall-clock makespan: the ledger's canonical-order time sum.
+    pub fn total_time(&self) -> Time {
+        self.ledger.total_time()
     }
 
-    /// Derives the report from a [`CostLedger`]: the totals are the
-    /// ledger's canonical-order sums, so the conservation invariant
-    /// ([`conserves`](Self::conserves)) holds bit-exactly by
-    /// construction — and keeps holding as long as nobody edits the
-    /// totals behind the ledger's back.
-    pub fn from_ledger(operations: u64, area: Area, ledger: &CostLedger) -> Self {
-        RunReport {
-            operations,
-            total_time: ledger.total_time(),
-            total_energy: ledger.total_energy(),
-            area,
-        }
-    }
-
-    /// The conservation invariant: the ledger's component-wise sums
-    /// reproduce this report's totals **to the bit**. Reports built via
-    /// [`from_ledger`](Self::from_ledger) satisfy this by construction;
-    /// tests hold every executor to it.
-    pub fn conserves(&self, ledger: &CostLedger) -> bool {
-        ledger.total_energy().get().to_bits() == self.total_energy.get().to_bits()
-            && ledger.total_time().get().to_bits() == self.total_time.get().to_bits()
+    /// Total energy, dynamic + static over the makespan: the ledger's
+    /// canonical-order energy sum.
+    pub fn total_energy(&self) -> Energy {
+        self.ledger.total_energy()
     }
 
     /// Average latency contribution of one operation (makespan / ops ×
     /// parallelism is folded into the makespan already; this is the
     /// per-op share of the total time).
     pub fn time_per_op(&self) -> Time {
-        self.total_time / self.operations as f64
+        self.total_time() / self.operations as f64
     }
 
     /// Average energy of one operation.
     pub fn energy_per_op(&self) -> Energy {
-        self.total_energy / self.operations as f64
+        self.total_energy() / self.operations as f64
     }
 }
 
@@ -133,12 +99,13 @@ impl Metrics {
         if run.operations == 0 {
             return Err(MetricsError::NoOperations);
         }
+        let (time, energy) = (run.total_time(), run.total_energy());
         // NaN slips past `<= 0.0`, so reject it explicitly — a NaN total
         // is as degenerate as a zero one.
-        if run.total_time.get() <= 0.0 || run.total_time.get().is_nan() {
+        if time.get() <= 0.0 || time.get().is_nan() {
             return Err(MetricsError::NoTime);
         }
-        if run.total_energy.get() <= 0.0 || run.total_energy.get().is_nan() {
+        if energy.get() <= 0.0 || energy.get().is_nan() {
             return Err(MetricsError::NoEnergy);
         }
         if run.area.get() <= 0.0 || run.area.get().is_nan() {
@@ -147,10 +114,8 @@ impl Metrics {
         let ops = run.operations as f64;
         Ok(Self {
             energy_delay_per_op: run.energy_per_op() * run.time_per_op(),
-            ops_per_joule: ops / run.total_energy.as_joules(),
-            ops_per_second_per_mm2: ops
-                / run.total_time.as_seconds()
-                / run.area.as_square_milli_meters(),
+            ops_per_joule: ops / energy.as_joules(),
+            ops_per_second_per_mm2: ops / time.as_seconds() / run.area.as_square_milli_meters(),
         })
     }
 
@@ -180,32 +145,30 @@ impl std::fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cim_units::{Component, Phase};
 
-    fn run() -> RunReport {
+    /// A report over `ledger`: 1,000 operations on 4 mm².
+    fn report(ledger: CostLedger) -> RunReport {
         RunReport {
             operations: 1_000,
-            total_time: Time::from_micro_seconds(1.0),
-            total_energy: Energy::from_micro_joules(2.0),
             area: Area::from_square_milli_meters(4.0),
+            ledger,
         }
     }
 
-    #[test]
-    fn batched_reports_round_up_and_charge_leakage() {
-        let r = RunReport::batched(
-            1_001,
-            100,
-            Time::from_nano_seconds(10.0),
-            Energy::from_pico_joules(2.0),
-            Power::from_milli_watts(1.0),
-            Area::from_square_milli_meters(3.0),
-        );
-        assert_eq!(r.operations, 1_001);
-        // ⌈1001/100⌉ = 11 rounds × 10 ns.
-        assert!((r.total_time.as_nano_seconds() - 110.0).abs() < 1e-9);
-        // 1001 × 2 pJ + 1 mW × 110 ns = 2.002 nJ + 0.11 nJ.
-        assert!((r.total_energy.as_nano_joules() - 2.112).abs() < 1e-9);
-        assert!((r.area.as_square_milli_meters() - 3.0).abs() < 1e-12);
+    /// A ledger with one cell charged `energy` and `time`.
+    fn charged(energy: Energy, time: Time) -> CostLedger {
+        let mut ledger = CostLedger::new();
+        ledger.charge(Component::ImplyStep, Phase::Map, energy, time, 1_000);
+        ledger
+    }
+
+    /// 1,000 operations over 1 µs and 2 µJ.
+    fn run() -> RunReport {
+        report(charged(
+            Energy::from_micro_joules(2.0),
+            Time::from_micro_seconds(1.0),
+        ))
     }
 
     #[test]
@@ -242,18 +205,39 @@ mod tests {
 
     #[test]
     fn rejects_empty_runs() {
-        let mut r = run();
-        r.operations = 0;
-        assert_eq!(Metrics::from_run(&r), Err(MetricsError::NoOperations));
-        r = run();
-        r.total_time = Time::from_seconds(0.0);
-        assert_eq!(Metrics::from_run(&r), Err(MetricsError::NoTime));
-        r = run();
-        r.total_energy = Energy::from_joules(0.0);
-        assert_eq!(Metrics::from_run(&r), Err(MetricsError::NoEnergy));
-        r = run();
-        r.area = Area::from_square_milli_meters(0.0);
-        assert_eq!(Metrics::from_run(&r), Err(MetricsError::NoArea));
+        let (energy, time) = (
+            Energy::from_micro_joules(2.0),
+            Time::from_micro_seconds(1.0),
+        );
+        let cases = [
+            (
+                RunReport {
+                    operations: 0,
+                    ..run()
+                },
+                MetricsError::NoOperations,
+            ),
+            (report(CostLedger::new()), MetricsError::NoTime),
+            (report(charged(Energy::ZERO, time)), MetricsError::NoEnergy),
+            (
+                report(charged(energy, Time::from_seconds(f64::NAN))),
+                MetricsError::NoTime,
+            ),
+            (
+                report(charged(Energy::from_joules(f64::NAN), time)),
+                MetricsError::NoEnergy,
+            ),
+            (
+                RunReport {
+                    area: Area::from_square_milli_meters(0.0),
+                    ..run()
+                },
+                MetricsError::NoArea,
+            ),
+        ];
+        for (degenerate, expected) in cases {
+            assert_eq!(Metrics::from_run(&degenerate), Err(expected));
+        }
         assert_eq!(
             MetricsError::NoOperations.to_string(),
             "run must contain operations"

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use cim_core::{AdditionsExperiment, Experiment};
-use cim_sim::{BatchPolicy, CimExecutor, ConventionalExecutor};
+use cim_sim::{BatchPolicy, CimExecutor, ConventionalExecutor, ExecutionBackend};
 use cim_workloads::{DnaSpec, DnaWorkload};
 
 fn dna_experiment(ref_len: u64) -> Experiment<DnaWorkload> {
@@ -40,9 +40,10 @@ fn bench_experiments(c: &mut Criterion) {
     group.bench_function("projections_only", |b| {
         let conv = ConventionalExecutor::new();
         let cim = CimExecutor::new();
+        let dna = DnaWorkload::paper(1);
         b.iter(|| {
-            black_box(conv.project_dna(0.5));
-            black_box(cim.project_dna(0.5));
+            black_box(conv.project(&dna, 0.5));
+            black_box(cim.project(&dna, 0.5));
         });
     });
     group.finish();

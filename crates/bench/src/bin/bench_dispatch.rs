@@ -242,7 +242,8 @@ fn prove_split_contracts(adds: &AdditionWorkload, capacity: u64) {
             .run_split(adds, capacity, &plan)
             .expect("split re-run");
         assert_eq!(
-            outcome.ledger, reference_outcome.ledger,
+            outcome.ledger(),
+            reference_outcome.ledger(),
             "split ledger differs at {threads} threads"
         );
         assert_eq!(outcome.checksum(), reference_outcome.checksum());

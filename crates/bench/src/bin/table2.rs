@@ -24,7 +24,7 @@
 
 use cim_arch::{
     ByteComparator, Controller, ConventionalMachine, FunctionalUnit, Interconnect, Metrics,
-    TileGrid,
+    RunReport, TileGrid,
 };
 use cim_bench::{write_csv, Args};
 use cim_core::paper_mode;
@@ -192,9 +192,11 @@ fn ablate_hitrate() {
         "hit", "conv EDP/op", "CIM EDP/op", "CIM gain"
     );
     let mut csv = String::from("hit_ratio,conv_edp,cim_edp,gain\n");
+    let paper = DnaWorkload::paper(42);
     for hit in [0.30, 0.50, 0.70, 0.90, 0.98] {
-        let c = Metrics::from_run(&conv.project_dna(hit)).expect("projection is non-degenerate");
-        let i = Metrics::from_run(&cim.project_dna(hit)).expect("projection is non-degenerate");
+        let c =
+            Metrics::from_run(&conv.project(&paper, hit)).expect("projection is non-degenerate");
+        let i = Metrics::from_run(&cim.project(&paper, hit)).expect("projection is non-degenerate");
         let gain = c.energy_delay_per_op.get() / i.energy_delay_per_op.get();
         println!(
             "{hit:>6.2} {:>14.4e} {:>14.4e} {:>12.1}",
@@ -236,7 +238,7 @@ fn ablate_overhead() {
     let conv_report = conv
         .run(&workload)
         .expect("additions always execute")
-        .report;
+        .report();
     let conv_metrics = Metrics::from_run(&conv_report).expect("executed run is non-degenerate");
 
     println!(
@@ -281,8 +283,11 @@ fn ablate_overhead() {
         };
         let mut ledger = CostLedger::new();
         grid.charge_modelled(&mut ledger, Phase::Add, workload.n_ops);
-        let report =
-            cim_arch::RunReport::from_ledger(workload.n_ops, grid.modelled_area(), &ledger);
+        let report = RunReport {
+            operations: workload.n_ops,
+            area: grid.modelled_area(),
+            ledger,
+        };
         let m = Metrics::from_run(&report).expect("overhead configs are non-degenerate");
         let (edp_gain, eff_gain, _) = m.improvement_over(&conv_metrics);
         let factor = grid.energy_overhead_factor();
@@ -304,9 +309,13 @@ fn ablate_overhead() {
     write_csv("ablation_overhead.csv", &csv);
 }
 
-fn project(machine: &ConventionalMachine) -> cim_arch::RunReport {
-    let ops = DnaSpec::paper().comparisons();
+fn project(machine: &ConventionalMachine) -> RunReport {
+    let operations = DnaSpec::paper().comparisons();
     let mut ledger = CostLedger::new();
-    machine.charge_batched(&mut ledger, Phase::Map, ops);
-    cim_arch::RunReport::from_ledger(ops, machine.area(), &ledger)
+    machine.charge_batched(&mut ledger, Phase::Map, operations);
+    RunReport {
+        operations,
+        area: machine.area(),
+        ledger,
+    }
 }

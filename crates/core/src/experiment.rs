@@ -150,13 +150,8 @@ impl<W: Workload> Experiment<W> {
         let conv_run = self.verified(conv_exec.run(&self.workload)?)?;
         let cim_run = self.verified(cim_exec.run(&self.workload)?)?;
 
-        let (conv, conv_ledger, cim, cim_ledger) = match self.workload.projection() {
-            ProjectionKind::ExecutedScale => (
-                conv_run.report,
-                conv_run.ledger.clone(),
-                cim_run.report,
-                cim_run.ledger.clone(),
-            ),
+        let (conv, cim) = match self.workload.projection() {
+            ProjectionKind::ExecutedScale => (conv_run.report(), cim_run.report()),
             ProjectionKind::PaperScale { assumed_hit_ratio } => {
                 let hit_ratio = match self.hit_ratio_mode {
                     HitRatioMode::PaperAssumption => assumed_hit_ratio,
@@ -164,14 +159,14 @@ impl<W: Workload> Experiment<W> {
                         conv_run.measured_hit_ratio.unwrap_or(assumed_hit_ratio)
                     }
                 };
-                let (conv, conv_ledger) = conv_exec.project_attributed(&self.workload, hit_ratio);
-                let (cim, cim_ledger) = cim_exec.project_attributed(&self.workload, hit_ratio);
-                (conv, conv_ledger, cim, cim_ledger)
+                (
+                    conv_exec.project(&self.workload, hit_ratio),
+                    cim_exec.project(&self.workload, hit_ratio),
+                )
             }
         };
 
-        let mut report =
-            ComparisonReport::new(&self.workload.name(), conv, cim, conv_ledger, cim_ledger)?;
+        let mut report = ComparisonReport::new(&self.workload.name(), conv, cim)?;
         for note in conv_run.notes.iter().chain(cim_run.notes.iter()) {
             report = report.with_note(note.clone());
         }
@@ -262,8 +257,8 @@ mod tests {
             .expect("measured-mode run");
         // Different hit ratios shift the conventional projection.
         assert_ne!(
-            assumed.conventional().total_time,
-            measured.conventional().total_time
+            assumed.conventional().total_time(),
+            measured.conventional().total_time()
         );
     }
 
@@ -279,24 +274,35 @@ mod tests {
 
     #[test]
     fn experiment_reports_conserve_their_ledgers() {
-        let additions = AdditionsExperiment::scaled(5_000, 7).run().expect("runs");
-        assert!(additions
-            .conventional()
-            .conserves(additions.conventional_ledger()));
-        assert!(additions.cim().conserves(additions.cim_ledger()));
+        // An executed-scale comparison carries each machine's run ledger
+        // unchanged, and a paper-scale one each machine's projection.
+        let workload = AdditionWorkload::scaled(5_000, 7);
+        let additions = Experiment::new(workload).run().expect("runs");
+        let conv = ConventionalExecutor::new().run(&workload).expect("runs");
+        let cim = CimExecutor::new().run(&workload).expect("runs");
+        assert_eq!(additions.conventional(), &conv.report());
+        assert_eq!(additions.cim(), &cim.report());
 
-        let dna = Experiment::new(DnaWorkload {
+        let dna = DnaWorkload {
             spec: DnaSpec {
                 ref_len: 30_000,
                 coverage: 2,
                 read_len: 100,
             },
             seed: 3,
-        })
-        .run()
-        .expect("runs");
-        assert!(dna.conventional().conserves(dna.conventional_ledger()));
-        assert!(dna.cim().conserves(dna.cim_ledger()));
+        };
+        let report = Experiment::new(dna).run().expect("runs");
+        let ProjectionKind::PaperScale {
+            assumed_hit_ratio: hit,
+        } = dna.projection()
+        else {
+            panic!("DNA projects to paper scale");
+        };
+        assert_eq!(
+            report.conventional(),
+            &ConventionalExecutor::new().project(&dna, hit)
+        );
+        assert_eq!(report.cim(), &CimExecutor::new().project(&dna, hit));
     }
 
     #[test]

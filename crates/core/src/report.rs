@@ -2,7 +2,7 @@
 
 use cim_arch::{Metrics, MetricsError, RunReport};
 use cim_dispatch::DispatchTrace;
-use cim_units::{Component, CostEntry, CostLedger};
+use cim_units::{Component, CostEntry};
 use serde::{Deserialize, Serialize};
 
 /// Conventional-vs-CIM results for one workload.
@@ -11,8 +11,6 @@ pub struct ComparisonReport {
     workload: String,
     conventional: RunReport,
     cim: RunReport,
-    conventional_ledger: CostLedger,
-    cim_ledger: CostLedger,
     conventional_metrics: Metrics,
     cim_metrics: Metrics,
     notes: Vec<String>,
@@ -21,9 +19,9 @@ pub struct ComparisonReport {
 }
 
 impl ComparisonReport {
-    /// Builds the comparison and derives both metric sets. The ledgers
-    /// carry the component/phase attribution behind each report's totals
-    /// (see [`RunReport::conserves`]).
+    /// Builds the comparison and derives both metric sets. Each report's
+    /// ledger carries the component/phase attribution its totals are
+    /// read from.
     ///
     /// # Errors
     ///
@@ -33,8 +31,6 @@ impl ComparisonReport {
         workload: &str,
         conventional: RunReport,
         cim: RunReport,
-        conventional_ledger: CostLedger,
-        cim_ledger: CostLedger,
     ) -> Result<Self, MetricsError> {
         Ok(Self {
             workload: workload.to_string(),
@@ -42,8 +38,6 @@ impl ComparisonReport {
             cim_metrics: Metrics::from_run(&cim)?,
             conventional,
             cim,
-            conventional_ledger,
-            cim_ledger,
             notes: Vec::new(),
             dispatch: None,
         })
@@ -81,16 +75,6 @@ impl ComparisonReport {
     /// The CIM machine's run.
     pub fn cim(&self) -> &RunReport {
         &self.cim
-    }
-
-    /// The conventional run's component/phase attribution.
-    pub fn conventional_ledger(&self) -> &CostLedger {
-        &self.conventional_ledger
-    }
-
-    /// The CIM run's component/phase attribution.
-    pub fn cim_ledger(&self) -> &CostLedger {
-        &self.cim_ledger
     }
 
     /// The conventional machine's Table-2 metrics.
@@ -181,16 +165,16 @@ impl ComparisonReport {
         Component::ALL
             .iter()
             .filter_map(|&component| {
-                let conv = self.conventional_ledger.component_totals(component);
-                let cim = self.cim_ledger.component_totals(component);
+                let conv = self.conventional.ledger.component_totals(component);
+                let cim = self.cim.ledger.component_totals(component);
                 (!conv.is_zero() || !cim.is_zero()).then_some((component, conv, cim))
             })
             .collect()
     }
 
     /// Renders the per-component breakdown as a markdown table: where
-    /// each machine's joules and seconds went. Rows sum to the Table-2
-    /// totals (the conservation invariant, rendered).
+    /// each machine's joules and seconds went. The `total` row is read
+    /// from the same ledgers, so the rows sum to it.
     pub fn breakdown_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {} — component breakdown\n\n", self.workload));
@@ -204,12 +188,12 @@ impl ComparisonReport {
         }
         out.push_str(&format!(
             "| **total** | {} | {} | {} | {} | {} | {} |\n",
-            self.conventional.total_energy,
-            self.conventional.total_time,
-            self.conventional_ledger.total_count(),
-            self.cim.total_energy,
-            self.cim.total_time,
-            self.cim_ledger.total_count(),
+            self.conventional.total_energy(),
+            self.conventional.total_time(),
+            self.conventional.ledger.total_count(),
+            self.cim.total_energy(),
+            self.cim.total_time(),
+            self.cim.ledger.total_count(),
         ));
         out
     }
@@ -315,11 +299,10 @@ impl Table2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cim_units::{Area, Energy, Phase, Time};
+    use cim_units::{Area, CostLedger, Energy, Phase, Time};
 
-    /// A toy ledger whose totals *are* the toy report's totals: the
-    /// energy/time split 70/30 across two components so breakdowns have
-    /// more than one row.
+    /// A toy ledger: the energy/time split 70/30 across two components
+    /// so breakdowns have more than one row.
     fn ledger(scale: f64, component_a: Component, component_b: Component) -> CostLedger {
         let mut ledger = CostLedger::new();
         let energy = Energy::from_micro_joules(scale);
@@ -336,11 +319,11 @@ mod tests {
     }
 
     fn report(scale: f64, lead: Component) -> RunReport {
-        RunReport::from_ledger(
-            1_000,
-            Area::from_square_milli_meters(1.0),
-            &ledger(scale, lead, Component::DramAccess),
-        )
+        RunReport {
+            operations: 1_000,
+            area: Area::from_square_milli_meters(1.0),
+            ledger: ledger(scale, lead, Component::DramAccess),
+        }
     }
 
     fn comparison() -> ComparisonReport {
@@ -348,8 +331,6 @@ mod tests {
             "toy",
             report(100.0, Component::CacheAccess),
             report(1.0, Component::ImplyStep),
-            ledger(100.0, Component::CacheAccess, Component::DramAccess),
-            ledger(1.0, Component::ImplyStep, Component::DramAccess),
         )
         .expect("toy runs are non-degenerate")
         .with_note("synthetic".to_string())
@@ -409,24 +390,14 @@ mod tests {
             operations: 0,
             ..report(1.0, Component::ImplyStep)
         };
-        let err = ComparisonReport::new(
-            "toy",
-            zero_ops,
-            report(1.0, Component::ImplyStep),
-            CostLedger::new(),
-            CostLedger::new(),
-        )
-        .expect_err("zero operations cannot yield metrics");
+        let err = ComparisonReport::new("toy", zero_ops, report(1.0, Component::ImplyStep))
+            .expect_err("zero operations cannot yield metrics");
         assert_eq!(err, MetricsError::NoOperations);
     }
 
     #[test]
     fn breakdown_conserves_and_renders_every_component() {
         let c = comparison();
-        // The reports were derived from these very ledgers, so the
-        // invariant holds to the bit.
-        assert!(c.conventional().conserves(c.conventional_ledger()));
-        assert!(c.cim().conserves(c.cim_ledger()));
         let md = c.breakdown_markdown();
         for label in ["cache_access", "imply_step", "dram_access", "total"] {
             assert!(md.contains(label), "missing {label} in\n{md}");
@@ -450,10 +421,10 @@ mod tests {
             cim_e += cells[5].parse::<f64>().unwrap();
             cim_t += cells[6].parse::<f64>().unwrap();
         }
-        assert!((conv_e / c.conventional().total_energy.as_joules() - 1.0).abs() < 1e-12);
-        assert!((conv_t / c.conventional().total_time.as_seconds() - 1.0).abs() < 1e-12);
-        assert!((cim_e / c.cim().total_energy.as_joules() - 1.0).abs() < 1e-12);
-        assert!((cim_t / c.cim().total_time.as_seconds() - 1.0).abs() < 1e-12);
+        assert!((conv_e / c.conventional().total_energy().as_joules() - 1.0).abs() < 1e-12);
+        assert!((conv_t / c.conventional().total_time().as_seconds() - 1.0).abs() < 1e-12);
+        assert!((cim_e / c.cim().total_energy().as_joules() - 1.0).abs() < 1e-12);
+        assert!((cim_t / c.cim().total_time().as_seconds() - 1.0).abs() < 1e-12);
     }
 
     #[test]

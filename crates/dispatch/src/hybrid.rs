@@ -8,12 +8,11 @@
 //! bit-identical at any thread count (the `cim-sim` batch contract),
 //! so the recorded [`DispatchTrace`] is too.
 
+use cim_arch::RunReport;
 use cim_sim::{CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use cim_units::{CostLedger, DispatchObjective};
+use cim_units::DispatchObjective;
 use cim_workloads::Workload;
 use serde::{Deserialize, Serialize};
-
-use cim_arch::RunReport;
 
 use crate::calibrate::Calibrator;
 use crate::trace::{DispatchDecision, DispatchTrace, Route};
@@ -86,7 +85,7 @@ impl<C, H> HybridExecutor<C, H> {
 
     /// Both machines' calibrated predictions and the route they imply.
     /// Ties go to the CIM machine (the architecture under evaluation).
-    fn choose<W>(&self, workload: &W) -> (Route, CostEstimate, CostEstimate)
+    fn choose<W>(&self, workload: &W) -> Choice
     where
         W: Workload,
         C: ExecutionBackend<W>,
@@ -102,7 +101,13 @@ impl<C, H> HybridExecutor<C, H> {
         } else {
             Route::Host
         };
-        (route, cim_estimate, host_estimate)
+        Choice {
+            route,
+            cim_estimate,
+            host_estimate,
+            cim_score,
+            host_score,
+        }
     }
 
     /// Routes and runs one workload, records the decision in the
@@ -116,10 +121,13 @@ impl<C, H> HybridExecutor<C, H> {
         C: ExecutionBackend<W>,
         H: ExecutionBackend<W>,
     {
-        let (route, cim_estimate, host_estimate) = self.choose(workload);
-        let cim_score = cim_estimate.calibrated_score(self.objective, self.calibrator.cim_scales());
-        let host_score =
-            host_estimate.calibrated_score(self.objective, self.calibrator.host_scales());
+        let Choice {
+            route,
+            cim_estimate,
+            host_estimate,
+            cim_score,
+            host_score,
+        } = self.choose(workload);
         let outcome = match route {
             Route::Cim => self.cim.run(workload)?,
             Route::Host => self.host.run(workload)?,
@@ -150,6 +158,16 @@ impl<C, H> HybridExecutor<C, H> {
     }
 }
 
+/// One routing decision: both machines' estimates, their calibrated
+/// scores under the executor's objective, and the route those imply.
+struct Choice {
+    route: Route,
+    cim_estimate: CostEstimate,
+    host_estimate: CostEstimate,
+    cim_score: f64,
+    host_score: f64,
+}
+
 impl<W, C, H> ExecutionBackend<W> for HybridExecutor<C, H>
 where
     W: Workload,
@@ -165,26 +183,26 @@ where
     /// no calibration happens (use [`HybridExecutor::dispatch`] for
     /// the stateful path).
     fn run(&self, workload: &W) -> Result<RunOutcome, SimError> {
-        match self.choose(workload).0 {
+        match self.choose(workload).route {
             Route::Cim => self.cim.run(workload),
             Route::Host => self.host.run(workload),
         }
     }
 
-    fn project_attributed(&self, workload: &W, hit_ratio: f64) -> (RunReport, CostLedger) {
-        match self.choose(workload).0 {
-            Route::Cim => self.cim.project_attributed(workload, hit_ratio),
-            Route::Host => self.host.project_attributed(workload, hit_ratio),
+    fn project(&self, workload: &W, hit_ratio: f64) -> RunReport {
+        match self.choose(workload).route {
+            Route::Cim => self.cim.project(workload, hit_ratio),
+            Route::Host => self.host.project(workload, hit_ratio),
         }
     }
 
     /// The chosen machine's estimate — the prediction dispatch would
     /// act on, certified by that machine's own counts and prices.
     fn estimate(&self, workload: &W) -> CostEstimate {
-        let (route, cim_estimate, host_estimate) = self.choose(workload);
-        match route {
-            Route::Cim => cim_estimate,
-            Route::Host => host_estimate,
+        let choice = self.choose(workload);
+        match choice.route {
+            Route::Cim => choice.cim_estimate,
+            Route::Host => choice.host_estimate,
         }
     }
 }
@@ -233,7 +251,7 @@ mod tests {
         let executor = hybrid(1);
         let dna = DnaWorkload::scaled(1 << 12, 64);
         let hybrid_outcome = executor.run(&dna).expect("hybrid runs");
-        let solo = match executor.choose(&dna).0 {
+        let solo = match executor.choose(&dna).route {
             Route::Cim => executor.cim.run(&dna),
             Route::Host => executor.host.run(&dna),
         }

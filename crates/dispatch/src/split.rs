@@ -14,13 +14,12 @@
 //! the two certified shard estimates and the calibrator's scales (all
 //! dyadic count-space currency), each shard run is bit-identical at
 //! any thread count (the `cim-sim` batch contract), and the combined
-//! ledger is defined as the deterministic merge of the two shard
-//! ledgers, CIM first. The conservation contract for a split is
-//! therefore: shard unit counts partition the workload's units, shard
-//! checksums wrapping-sum to the whole workload's checksum, and
-//! [`SplitOutcome::ledger`] equals the cell-wise merge of the two
-//! shard ledgers bit-for-bit (`cim_verify::certify_split` audits the
-//! claim-side of this).
+//! ledger, [`SplitOutcome::ledger`], is not stored but merged from the
+//! two shard ledgers on demand, CIM first. The conservation contract
+//! for a split is therefore: shard unit counts partition the workload's
+//! units and shard checksums wrapping-sum to the whole workload's
+//! checksum (`cim_verify::certify_split` audits the claim side of
+//! this).
 
 use cim_sim::{ExecutionBackend, RunOutcome, SimError};
 use cim_units::{CostLedger, Energy, SplitPlan, Time, UnitScore};
@@ -29,9 +28,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::hybrid::HybridExecutor;
 
-/// Everything one split run produced: the plan, the per-machine shard
-/// outcomes (absent for a side the plan left empty), and the combined
-/// ledger (the deterministic merge of the shard ledgers, CIM first).
+/// Everything one split run produced: the plan and the per-machine
+/// shard outcomes (absent for a side the plan left empty). The shard
+/// ledgers are the split's only cost record; [`ledger`](Self::ledger)
+/// merges them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SplitOutcome {
     /// The partition the run executed.
@@ -42,14 +42,21 @@ pub struct SplitOutcome {
     /// The host shard's outcome; `None` when the plan sent nothing
     /// there.
     pub host: Option<RunOutcome>,
-    /// The split workload's ledger: `merge(cim.ledger, host.ledger)`
-    /// in that fixed order — energy sums, and per-cell counts
-    /// partition the workload's op counts across the two machines'
-    /// (disjoint) component cells.
-    pub ledger: CostLedger,
 }
 
 impl SplitOutcome {
+    /// The split workload's ledger: `merge(cim.ledger, host.ledger)` in
+    /// that fixed order — energy sums, and per-cell counts partition the
+    /// workload's op counts across the two machines' (disjoint)
+    /// component cells.
+    pub fn ledger(&self) -> CostLedger {
+        let mut ledger = CostLedger::new();
+        for outcome in [&self.cim, &self.host].into_iter().flatten() {
+            ledger.merge(&outcome.ledger);
+        }
+        ledger
+    }
+
     /// The split's makespan: the slower shard's modelled time (the two
     /// machines run concurrently and the dispatcher waits for both).
     pub fn makespan(&self) -> Time {
@@ -69,7 +76,7 @@ impl SplitOutcome {
 
     /// The split's energy: both shards' ledgers summed.
     pub fn energy(&self) -> Energy {
-        self.ledger.total_energy()
+        self.ledger().total_energy()
     }
 
     /// Operations executed across both shards.
@@ -133,9 +140,9 @@ impl<C, H> HybridExecutor<C, H> {
 
     /// Executes `plan` over `workload`: the CIM shard (the unit prefix
     /// `0..cim_units`) runs on the calling thread while the host shard
-    /// (the suffix) runs on a scoped worker — genuinely concurrent,
-    /// with the combined ledger merged in fixed CIM-then-host order so
-    /// the outcome is independent of which side finishes first. A side
+    /// (the suffix) runs on a scoped worker — genuinely concurrent, and
+    /// each shard's outcome lands in its own fixed slot, so the outcome
+    /// is independent of which side finishes first. A side
     /// the plan left empty is skipped entirely.
     ///
     /// # Errors
@@ -171,17 +178,10 @@ impl<C, H> HybridExecutor<C, H> {
                 host_handle.map(|handle| handle.join().expect("host shard worker panicked"));
             (cim_result, host_result)
         });
-        let cim = cim_result.transpose()?;
-        let host = host_result.transpose()?;
-        let mut ledger = CostLedger::new();
-        for outcome in [&cim, &host].into_iter().flatten() {
-            ledger.merge(&outcome.ledger);
-        }
         Ok(SplitOutcome {
             plan: *plan,
-            cim,
-            host,
-            ledger,
+            cim: cim_result.transpose()?,
+            host: host_result.transpose()?,
         })
     }
 
@@ -280,14 +280,14 @@ mod tests {
         assert!(outcome.host.is_none());
         let solo = ExecutionBackend::run(&executor.cim, &full).expect("solo cim");
         assert_eq!(outcome.cim.as_ref(), Some(&solo));
-        assert_eq!(outcome.ledger, solo.ledger);
+        assert_eq!(outcome.ledger(), solo.ledger);
 
         let all_host = SplitPlan::all_host(w.n_ops, score, score);
         let outcome = executor.run_split(&w, capacity, &all_host).expect("runs");
         assert!(outcome.cim.is_none());
         let solo = ExecutionBackend::run(&executor.host, &full).expect("solo host");
         assert_eq!(outcome.host.as_ref(), Some(&solo));
-        assert_eq!(outcome.ledger, solo.ledger);
+        assert_eq!(outcome.ledger(), solo.ledger);
     }
 
     #[test]
@@ -319,7 +319,7 @@ mod tests {
         let outcome = executor.dispatch_split(&w, capacity).expect("split");
         let mut merged = outcome.cim.as_ref().expect("cim side").ledger.clone();
         merged.merge(&outcome.host.as_ref().expect("host side").ledger);
-        assert_eq!(outcome.ledger, merged);
+        assert_eq!(outcome.ledger(), merged);
         // Per-cell op counts partition the workload: the two machines
         // charge disjoint component cells, so the combined count is
         // the sum of two shard counts summing to n per charged cell.

@@ -381,12 +381,10 @@ impl ExecutionBackend<ServeWorkload> for FabricExecutor {
     fn run(&self, workload: &ServeWorkload) -> Result<RunOutcome, SimError> {
         let queries = workload.traffic.generate();
         let outcome = self.execute(&queries)?;
-        let report =
-            RunReport::from_ledger(outcome.digest.operations, self.area(), &outcome.ledger);
         Ok(RunOutcome {
             machine: Self::MACHINE,
-            report,
-            ledger: outcome.ledger.clone(),
+            area: self.area(),
+            ledger: outcome.ledger,
             digest: outcome.digest,
             measured_hit_ratio: None,
             index_hit_ratio: None,
@@ -398,18 +396,14 @@ impl ExecutionBackend<ServeWorkload> for FabricExecutor {
         })
     }
 
-    fn project_attributed(
-        &self,
-        workload: &ServeWorkload,
-        _hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
+    fn project(&self, workload: &ServeWorkload, _hit_ratio: f64) -> RunReport {
         let queries = workload.traffic.generate();
         let (_, ledger) = self.project_batch(&queries);
-        let operations: u64 = queries.iter().map(|q| q.kind.operations()).sum();
-        (
-            RunReport::from_ledger(operations, self.area(), &ledger),
+        RunReport {
+            operations: queries.iter().map(|q| q.kind.operations()).sum(),
+            area: self.area(),
             ledger,
-        )
+        }
     }
 
     /// The fabric's estimate is *exact*: the batch's counts are charged
@@ -522,11 +516,8 @@ mod tests {
         };
         let run = fabric.run(&workload).expect("run");
         assert!(workload.verify(&run.digest).is_ok());
-        assert!(run.report.conserves(&run.ledger));
-        // Projection (cost-only) equals execution's ledger bitwise: the
+        // Projection (cost-only) equals execution's report bitwise: the
         // counts are charged through the same single definition.
-        let (report, ledger) = fabric.project_attributed(&workload, 0.5);
-        assert_eq!(ledger, run.ledger);
-        assert_eq!(report.total_energy, run.report.total_energy);
+        assert_eq!(fabric.project(&workload, 0.5), run.report());
     }
 }

@@ -134,37 +134,31 @@ impl DispatchPolicy {
     }
 }
 
-/// Routing decisions precomputed per (kind × locality) cell.
+/// Routing decisions precomputed per (kind × locality) cell, as the
+/// number of the cell's [`SPLIT_LANES`] lanes that go to the crossbar.
 ///
 /// A query's charge laws ([`Query::charge_kind`],
 /// [`Query::charge_host_kind`]) are pure functions of its kind and
 /// operand locality, so the whole dispatch policy collapses to six
 /// certified cost comparisons done once per serve run — dispatch inside
 /// the serving loop is a table lookup, bit-identical for any thread
-/// count by construction.
+/// count by construction. Whole-machine policies use only the two
+/// extremes: `SPLIT_LANES` (every query to the crossbar) and 0 (every
+/// query to the host), which route without hashing the query.
 ///
-/// The `mispredict` plane compares the *calibrated* choice against the
-/// choice the uncalibrated certified prices would have made; a set bit
-/// means the calibration scales flipped this cell, which the report
+/// `truth` holds the lane counts the uncalibrated certified prices
+/// would have chosen; a query whose route differs between `calibrated`
+/// and `truth` was flipped by the calibration scales, which the report
 /// surfaces as a misprediction count per completed query.
 struct RouteTable {
-    cim: [[bool; 2]; 3],
-    mispredict: [[bool; 2]; 3],
-    /// Present only under [`DispatchPolicy::SplitHybrid`]: per-cell CIM
-    /// lane shares out of [`SPLIT_LANES`], calibrated and true.
-    split: Option<SplitLanes>,
-}
-
-/// Lane granularity of the split-hybrid interleave: a cell's stream is
-/// cut into this many identity-hashed lanes and the CIM side takes a
-/// whole number of them.
-const SPLIT_LANES: u64 = 64;
-
-/// Per (kind × locality) CIM lane counts of a split-hybrid route table.
-struct SplitLanes {
     calibrated: [[u64; 2]; 3],
     truth: [[u64; 2]; 3],
 }
+
+/// Lane granularity of the routing table: a cell's stream is cut into
+/// this many identity-hashed lanes and the CIM side takes a whole number
+/// of them.
+const SPLIT_LANES: u64 = 64;
 
 /// The lane a query occupies, a pure bit-mix (splitmix64 finalizer) of
 /// the query's own identity — never of batch composition, tile count,
@@ -201,11 +195,15 @@ impl RouteTable {
     fn build(policy: &DispatchPolicy, fabric: &FabricExecutor) -> Self {
         let (objective, cim_scales, host_scales) = match policy {
             DispatchPolicy::AlwaysCim | DispatchPolicy::AlwaysHost => {
+                let lanes = if matches!(policy, DispatchPolicy::AlwaysCim) {
+                    SPLIT_LANES
+                } else {
+                    0
+                };
                 return Self {
-                    cim: [[matches!(policy, DispatchPolicy::AlwaysCim); 2]; 3],
-                    mispredict: [[false; 2]; 3],
-                    split: None,
-                }
+                    calibrated: [[lanes; 2]; 3],
+                    truth: [[lanes; 2]; 3],
+                };
             }
             DispatchPolicy::Hybrid {
                 objective,
@@ -247,45 +245,50 @@ impl RouteTable {
                 ];
             }
         }
-        if matches!(policy, DispatchPolicy::SplitHybrid { .. }) {
-            let lanes =
-                |v: usize| scores.map(|row| row.map(|cell| balanced_lanes(cell[v].0, cell[v].1)));
-            return Self {
-                cim: [[false; 2]; 3],
-                mispredict: [[false; 2]; 3],
-                split: Some(SplitLanes {
-                    calibrated: lanes(0),
-                    truth: lanes(1),
-                }),
-            };
-        }
-        // Ties go to the crossbar: it is the machine the fabric exists
-        // to exercise.
-        let wins = |v: usize| scores.map(|row| row.map(|cell| cell[v].0 <= cell[v].1));
-        let (cim, truth) = (wins(0), wins(1));
+        let split = matches!(policy, DispatchPolicy::SplitHybrid { .. });
+        let lanes = |v: usize| {
+            scores.map(|row| {
+                row.map(|cell| {
+                    let (cim, host) = cell[v];
+                    if split {
+                        balanced_lanes(cim, host)
+                    } else if cim <= host {
+                        // Ties go to the crossbar: it is the machine the
+                        // fabric exists to exercise.
+                        SPLIT_LANES
+                    } else {
+                        0
+                    }
+                })
+            })
+        };
         Self {
-            cim,
-            mispredict: std::array::from_fn(|k| std::array::from_fn(|s| cim[k][s] != truth[k][s])),
-            split: None,
+            calibrated: lanes(0),
+            truth: lanes(1),
         }
     }
 
-    fn to_cim(&self, query: &Query, grid: &TileGrid) -> bool {
+    fn cell(&self, query: &Query, grid: &TileGrid) -> (u64, u64) {
         let (kind, slot) = (query.kind.index(), usize::from(query.is_local(grid)));
-        match &self.split {
-            Some(lanes) => split_lane(query) < lanes.calibrated[kind][slot],
-            None => self.cim[kind][slot],
+        (self.calibrated[kind][slot], self.truth[kind][slot])
+    }
+
+    fn to_cim(&self, query: &Query, grid: &TileGrid) -> bool {
+        match self.cell(query, grid).0 {
+            0 => false,
+            SPLIT_LANES => true,
+            lanes => split_lane(query) < lanes,
         }
     }
 
     fn mispredicted(&self, query: &Query, grid: &TileGrid) -> bool {
-        let (kind, slot) = (query.kind.index(), usize::from(query.is_local(grid)));
-        match &self.split {
-            Some(lanes) => {
+        match self.cell(query, grid) {
+            (calibrated, truth) if calibrated == truth => false,
+            (0 | SPLIT_LANES, 0 | SPLIT_LANES) => true,
+            (calibrated, truth) => {
                 let lane = split_lane(query);
-                (lane < lanes.calibrated[kind][slot]) != (lane < lanes.truth[kind][slot])
+                (lane < calibrated) != (lane < truth)
             }
-            None => self.mispredict[kind][slot],
         }
     }
 }
@@ -438,9 +441,9 @@ pub struct ServeReport {
     pub cim_queries: u64,
     /// Completed queries routed to the conventional host.
     pub host_queries: u64,
-    /// Completed queries whose route-table cell was flipped by the
-    /// calibration scales relative to the uncalibrated certified
-    /// choice — the serving layer's misprediction counter.
+    /// Completed queries whose route the calibration scales flipped
+    /// relative to the uncalibrated certified choice — the serving
+    /// layer's misprediction counter.
     pub mispredictions: u64,
     /// Batches dispatched.
     pub batches: u64,

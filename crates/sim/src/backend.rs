@@ -16,24 +16,29 @@
 //!   [`SimError`]s, never panics.
 //! * **Honest digests** — `RunOutcome::digest` reports what was actually
 //!   executed so [`Workload::verify`](cim_workloads::Workload::verify) can hold it against ground truth.
+//! * **One cost record** — a run's or a projection's cost is one
+//!   [`CostLedger`]; its totals and the Table-2 metrics are read from
+//!   that ledger, never stored beside it.
 
 use cim_arch::RunReport;
-use cim_units::{CostLedger, CountLedger, DispatchObjective, Energy, ScaleTable, Time, UnitCosts};
+use cim_units::{
+    Area, CostLedger, CountLedger, DispatchObjective, Energy, ScaleTable, Time, UnitCosts,
+};
 use cim_workloads::{ExecutionDigest, Workload};
 use serde::{Deserialize, Serialize};
 
 /// Everything one backend produces for one workload run: the
-/// executed-scale [`RunReport`], the functional [`ExecutionDigest`], and
-/// machine-specific measurements.
+/// component/phase [`CostLedger`], the machine area, the functional
+/// [`ExecutionDigest`], and machine-specific measurements. The ledger is
+/// the run's one cost record; [`report`](Self::report) reads the
+/// executed-scale [`RunReport`] from it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunOutcome {
     /// Which machine produced this (`"conventional"` / `"cim"`).
     pub machine: &'static str,
-    /// Timing/energy/area of the run at the executed scale.
-    pub report: RunReport,
-    /// Component/phase attribution of the run. `report` is derived from
-    /// this ledger (`RunReport::from_ledger`), so
-    /// `report.conserves(&ledger)` holds bit-exactly.
+    /// Machine area at the executed scale.
+    pub area: Area,
+    /// Component/phase attribution of the run's energy and time.
     pub ledger: CostLedger,
     /// Functional summary for [`Workload::verify`](cim_workloads::Workload::verify).
     pub digest: ExecutionDigest,
@@ -44,6 +49,18 @@ pub struct RunOutcome {
     pub index_hit_ratio: Option<f64>,
     /// Human-readable provenance notes, in significance order.
     pub notes: Vec<String>,
+}
+
+impl RunOutcome {
+    /// The run at the executed scale: the digest's operations on this
+    /// outcome's area, costed by its ledger.
+    pub fn report(&self) -> RunReport {
+        RunReport {
+            operations: self.digest.operations,
+            area: self.area,
+            ledger: self.ledger.clone(),
+        }
+    }
 }
 
 /// A certified, pre-execution cost prediction for one workload on one
@@ -192,14 +209,8 @@ pub trait ExecutionBackend<W: Workload> {
     /// Projects the workload to paper scale via the closed-form counts,
     /// with the conventional cache modelled at `hit_ratio` (backends
     /// without a cache ignore it), attributing every joule and picosecond
-    /// into a [`CostLedger`]. The report is derived from the ledger, so
-    /// `report.conserves(&ledger)` holds bit-exactly.
-    fn project_attributed(&self, workload: &W, hit_ratio: f64) -> (RunReport, CostLedger);
-
-    /// Projects the workload to paper scale, totals only.
-    fn project(&self, workload: &W, hit_ratio: f64) -> RunReport {
-        self.project_attributed(workload, hit_ratio).0
-    }
+    /// into the report's [`CostLedger`].
+    fn project(&self, workload: &W, hit_ratio: f64) -> RunReport;
 
     /// Predicts what executing this workload would cost, **without**
     /// executing it, as certified count-space data (see

@@ -49,26 +49,6 @@ impl CimExecutor {
         Self { batch }
     }
 
-    /// Projects the paper-scale DNA run (6×10⁹ comparisons on the
-    /// 1.536×10⁸-device crossbar) with a given resident ratio,
-    /// attributing the closed-form batch into a ledger.
-    pub fn project_dna_attributed(&self, memory_hit_ratio: f64) -> (RunReport, CostLedger) {
-        let mut machine = CimMachine::dna_paper();
-        machine.memory_hit_ratio = memory_hit_ratio;
-        let comparisons = DnaSpec::paper().comparisons();
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Map, comparisons);
-        (
-            RunReport::from_ledger(comparisons, machine.area(), &ledger),
-            ledger,
-        )
-    }
-
-    /// Projects the paper-scale DNA run, totals only.
-    pub fn project_dna(&self, memory_hit_ratio: f64) -> RunReport {
-        self.project_dna_attributed(memory_hit_ratio).0
-    }
-
     /// The DNA pass: [`LANES`] character comparisons per comparator
     /// invocation. Each read's symbols pack lane-wise against the genome
     /// window (bit `k` of each input slice = lane `k`'s bit), one
@@ -186,10 +166,10 @@ impl CimExecutor {
         // checked `bits` is in 1..=64).
         let sum_mask = ((u64::MAX >> (64 - bits)) << 1) | 1;
         let (count, checksum) = self.additions_pass(bits, sum_mask, operands);
-        let (report, ledger) = additions_attributed(bits, machine_ops, count);
+        let RunReport { area, ledger, .. } = additions_attributed(bits, machine_ops, count);
         RunOutcome {
             machine: Self::MACHINE,
-            report,
+            area,
             ledger,
             digest: ExecutionDigest {
                 items_total: count,
@@ -210,14 +190,15 @@ impl CimExecutor {
 /// `machine_ops` operations. Executed runs and projections, of whole
 /// workloads and of shards, all price through this one call, so a run's
 /// ledger equals its projection's by construction.
-fn additions_attributed(bits: u32, machine_ops: u64, n_ops: u64) -> (RunReport, CostLedger) {
+fn additions_attributed(bits: u32, machine_ops: u64, n_ops: u64) -> RunReport {
     let machine = CimMachine::math_paper(machine_ops, bits);
     let mut ledger = CostLedger::new();
     machine.charge_batched(&mut ledger, Phase::Add, n_ops);
-    (
-        RunReport::from_ledger(n_ops, machine.area(), &ledger),
+    RunReport {
+        operations: n_ops,
+        area: machine.area(),
         ledger,
-    )
+    }
 }
 
 /// Parallel comparator slots of the DNA crossbar scaled with the
@@ -306,15 +287,10 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
         let rounds = comparisons.div_ceil(dna_parallel_scaled(&machine, &spec));
         let mut ledger = CostLedger::new();
         machine.charge_rounds(&mut ledger, Phase::Map, comparisons, rounds);
-        let report = RunReport::from_ledger(
-            comparisons,
-            machine.area() * spec.scale_vs_paper().max(f64::MIN_POSITIVE),
-            &ledger,
-        );
 
         Ok(RunOutcome {
             machine: Self::MACHINE,
-            report,
+            area: machine.area() * spec.scale_vs_paper().max(f64::MIN_POSITIVE),
             ledger,
             digest: ExecutionDigest {
                 items_total: reads.len() as u64,
@@ -332,12 +308,21 @@ impl ExecutionBackend<DnaWorkload> for CimExecutor {
         })
     }
 
-    fn project_attributed(
-        &self,
-        _workload: &DnaWorkload,
-        hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
-        self.project_dna_attributed(hit_ratio)
+    /// Projects the paper-scale DNA run (6×10⁹ comparisons on the
+    /// 1.536×10⁸-device crossbar) with `hit_ratio` of the operands
+    /// resident, attributing the closed-form batch into the report's
+    /// ledger. The workload's own (scaled) spec does not enter.
+    fn project(&self, _workload: &DnaWorkload, hit_ratio: f64) -> RunReport {
+        let mut machine = CimMachine::dna_paper();
+        machine.memory_hit_ratio = hit_ratio;
+        let comparisons = DnaSpec::paper().comparisons();
+        let mut ledger = CostLedger::new();
+        machine.charge_batched(&mut ledger, Phase::Map, comparisons);
+        RunReport {
+            operations: comparisons,
+            area: machine.area(),
+            ledger,
+        }
     }
 
     /// Certifies the (clamped) executed scale: the comparator invocation
@@ -373,11 +358,7 @@ impl ExecutionBackend<AdditionWorkload> for CimExecutor {
         Ok(self.additions_outcome(workload.bits, workload.n_ops, workload.operands()))
     }
 
-    fn project_attributed(
-        &self,
-        workload: &AdditionWorkload,
-        _hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
+    fn project(&self, workload: &AdditionWorkload, _hit_ratio: f64) -> RunReport {
         additions_attributed(workload.bits, workload.n_ops, workload.n_ops)
     }
 
@@ -404,11 +385,7 @@ impl ExecutionBackend<AdditionShard> for CimExecutor {
         Ok(self.additions_outcome(shard.bits, shard.machine_ops, shard.operands()))
     }
 
-    fn project_attributed(
-        &self,
-        shard: &AdditionShard,
-        _hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
+    fn project(&self, shard: &AdditionShard, _hit_ratio: f64) -> RunReport {
         additions_attributed(shard.bits, shard.machine_ops, shard.len)
     }
 
@@ -441,8 +418,7 @@ mod tests {
         let run = exec.run(&workload).expect("comparator cannot diverge");
         // coverage · L = 20 000 characters compared.
         assert_eq!(run.digest.operations, 20_000);
-        assert_eq!(run.report.operations, 20_000);
-        assert!(run.report.total_time.get() > 0.0);
+        assert!(run.ledger.total_time().get() > 0.0);
         assert!(workload.verify(&run.digest).is_ok());
         assert!(run.notes[0].contains("comparator"));
     }
@@ -474,12 +450,12 @@ mod tests {
     #[test]
     fn paper_projection_shape() {
         let exec = CimExecutor::new();
-        let report = exec.project_dna(0.5);
+        let report = exec.project(&DnaWorkload::paper(0), 0.5);
         assert_eq!(report.operations, 6_000_000_000);
         // 6e9 / 11.8M comparators = 508 rounds × 85.7 ns ≈ 43.6 µs.
-        assert!((report.total_time.as_micro_seconds() - 43.6).abs() < 1.0);
+        assert!((report.total_time().as_micro_seconds() - 43.6).abs() < 1.0);
         // Energy is purely dynamic: 6e9 × 45 fJ = 0.27 mJ (zero leakage).
-        assert!((report.total_energy.as_milli_joules() - 0.27).abs() < 0.01);
+        assert!((report.total_energy().as_milli_joules() - 0.27).abs() < 0.01);
     }
 
     #[test]
@@ -496,7 +472,7 @@ mod tests {
             let run = exec.run(&w).expect("additions always execute");
             assert_eq!(run.digest.checksum, Some(w.checksum()), "{} bits", w.bits);
             assert!(w.verify(&run.digest).is_ok());
-            assert_eq!(run.report.operations, w.n_ops);
+            assert_eq!(run.digest.operations, w.n_ops);
         }
     }
 
@@ -549,15 +525,16 @@ mod tests {
         let cim = CimExecutor::new();
         let conv = crate::conventional::ConventionalExecutor::new();
 
-        let cim_dna = Metrics::from_run(&cim.project_dna(0.5)).expect("non-degenerate");
-        let conv_dna = Metrics::from_run(&conv.project_dna(0.5)).expect("non-degenerate");
+        let dna = DnaWorkload::paper(0);
+        let cim_dna = Metrics::from_run(&cim.project(&dna, 0.5)).expect("non-degenerate");
+        let conv_dna = Metrics::from_run(&conv.project(&dna, 0.5)).expect("non-degenerate");
         let (edp, eff, _) = cim_dna.improvement_over(&conv_dna);
         assert!(edp > 100.0, "DNA EDP improvement only {edp}");
         assert!(eff > 5.0, "DNA efficiency improvement only {eff}");
 
         let w = AdditionWorkload::paper(1);
-        let cim_math = cim.run(&w).expect("cim additions run").report;
-        let conv_math = conv.run(&w).expect("conventional additions run").report;
+        let cim_math = cim.run(&w).expect("cim additions run").report();
+        let conv_math = conv.run(&w).expect("conventional additions run").report();
         let (edp, eff, perf) = Metrics::from_run(&cim_math)
             .expect("non-degenerate")
             .improvement_over(&Metrics::from_run(&conv_math).expect("non-degenerate"));

@@ -82,26 +82,6 @@ impl ConventionalExecutor {
         )
     }
 
-    /// Projects the paper-scale DNA run with a given hit ratio (use the
-    /// measured one, or Table 1's 0.5 for as-published numbers),
-    /// attributing the closed-form batch into a ledger.
-    pub fn project_dna_attributed(&self, hit_ratio: f64) -> (RunReport, CostLedger) {
-        let mut machine = ConventionalMachine::dna_paper();
-        machine.cache = machine.cache.with_hit_ratio(hit_ratio);
-        let comparisons = DnaSpec::paper().comparisons();
-        let mut ledger = CostLedger::new();
-        machine.charge_batched(&mut ledger, Phase::Map, comparisons);
-        (
-            RunReport::from_ledger(comparisons, machine.area(), &ledger),
-            ledger,
-        )
-    }
-
-    /// Projects the paper-scale DNA run, totals only.
-    pub fn project_dna(&self, hit_ratio: f64) -> RunReport {
-        self.project_dna_attributed(hit_ratio).0
-    }
-
     /// Shared additions driver for whole workloads and shards: streams
     /// `operands` on a host sized for `machine_ops` operations, then
     /// charges the executed count once through [`additions_attributed`]
@@ -126,10 +106,10 @@ impl ConventionalExecutor {
             },
             |(c1, s1), (c2, s2)| (c1 + c2, s1.wrapping_add(s2)),
         );
-        let (report, ledger) = additions_attributed(machine_ops, count);
+        let RunReport { area, ledger, .. } = additions_attributed(machine_ops, count);
         RunOutcome {
             machine: Self::MACHINE,
-            report,
+            area,
             ledger,
             digest: ExecutionDigest {
                 items_total: count,
@@ -148,14 +128,15 @@ impl ConventionalExecutor {
 /// operations. Executed runs and projections, of whole workloads and of
 /// shards, all price through this one call, so a run's ledger equals its
 /// projection's by construction.
-fn additions_attributed(machine_ops: u64, n_ops: u64) -> (RunReport, CostLedger) {
+fn additions_attributed(machine_ops: u64, n_ops: u64) -> RunReport {
     let machine = ConventionalMachine::math_paper(machine_ops);
     let mut ledger = CostLedger::new();
     machine.charge_batched(&mut ledger, Phase::Add, n_ops);
-    (
-        RunReport::from_ledger(n_ops, machine.area(), &ledger),
+    RunReport {
+        operations: n_ops,
+        area: machine.area(),
         ledger,
-    )
+    }
 }
 
 /// Closed-form host cost model for `n_ops` uniform operations amortised
@@ -441,10 +422,7 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
         ledger.charge_energy(Component::GateLeakage, Phase::Map, gate_leak, 0);
         ledger.charge_energy(Component::CacheStatic, Phase::Map, cache_static, 0);
 
-        let area_scaled = machine.area() * (clusters_scaled as f64 / machine.clusters as f64);
         let comparisons = counts[COMPARE];
-        let report = RunReport::from_ledger(comparisons, area_scaled, &ledger);
-
         let items_total = durations.len();
         let measured_hit_ratio = cache.hit_ratio();
         let (index_hits, index_misses) = (counts[HIT_INDEX], counts[MISS_INDEX]);
@@ -452,7 +430,7 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
 
         Ok(RunOutcome {
             machine: Self::MACHINE,
-            report,
+            area: machine.area() * (clusters_scaled as f64 / machine.clusters as f64),
             ledger,
             digest: ExecutionDigest {
                 items_total: items_total as u64,
@@ -470,12 +448,21 @@ impl ExecutionBackend<DnaWorkload> for ConventionalExecutor {
         })
     }
 
-    fn project_attributed(
-        &self,
-        _workload: &DnaWorkload,
-        hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
-        self.project_dna_attributed(hit_ratio)
+    /// Projects the paper-scale DNA run (6×10⁹ comparisons) with the
+    /// cache at `hit_ratio` (the measured one, or Table 1's 0.5 for
+    /// as-published numbers), attributing the closed-form batch into the
+    /// report's ledger. The workload's own (scaled) spec does not enter.
+    fn project(&self, _workload: &DnaWorkload, hit_ratio: f64) -> RunReport {
+        let mut machine = ConventionalMachine::dna_paper();
+        machine.cache = machine.cache.with_hit_ratio(hit_ratio);
+        let comparisons = DnaSpec::paper().comparisons();
+        let mut ledger = CostLedger::new();
+        machine.charge_batched(&mut ledger, Phase::Map, comparisons);
+        RunReport {
+            operations: comparisons,
+            area: machine.area(),
+            ledger,
+        }
     }
 
     /// A closed-form prior at the workload's own scale: `coverage ×
@@ -519,11 +506,7 @@ impl ExecutionBackend<AdditionWorkload> for ConventionalExecutor {
         Ok(self.additions_outcome(workload.n_ops, workload.operands()))
     }
 
-    fn project_attributed(
-        &self,
-        workload: &AdditionWorkload,
-        _hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
+    fn project(&self, workload: &AdditionWorkload, _hit_ratio: f64) -> RunReport {
         additions_attributed(workload.n_ops, workload.n_ops)
     }
 
@@ -557,11 +540,7 @@ impl ExecutionBackend<AdditionShard> for ConventionalExecutor {
         Ok(self.additions_outcome(shard.machine_ops, shard.operands()))
     }
 
-    fn project_attributed(
-        &self,
-        shard: &AdditionShard,
-        _hit_ratio: f64,
-    ) -> (RunReport, CostLedger) {
+    fn project(&self, shard: &AdditionShard, _hit_ratio: f64) -> RunReport {
         additions_attributed(shard.machine_ops, shard.len)
     }
 
@@ -609,7 +588,7 @@ mod tests {
         );
         assert!(workload.verify(&run.digest).is_ok());
         assert!(run.digest.operations > 0);
-        assert!(run.report.total_time.get() > 0.0);
+        assert!(run.ledger.total_time().get() > 0.0);
         assert!(run.notes[0].contains("reads mapped"));
     }
 
@@ -665,10 +644,10 @@ mod tests {
     #[test]
     fn paper_projection_uses_full_scale_counts() {
         let exec = ConventionalExecutor::new();
-        let report = exec.project_dna(0.5);
+        let report = exec.project(&DnaWorkload::paper(0), 0.5);
         assert_eq!(report.operations, 6_000_000_000);
         // 6e9 comparisons / 600k units = 10 000 rounds × 84 ns = 840 µs.
-        assert!((report.total_time.as_micro_seconds() - 840.0).abs() < 1.0);
+        assert!((report.total_time().as_micro_seconds() - 840.0).abs() < 1.0);
         let m = Metrics::from_run(&report).expect("projection is non-degenerate");
         assert!(m.ops_per_joule > 0.0);
     }
@@ -680,9 +659,9 @@ mod tests {
         let run = exec.run(&w).expect("additions always execute");
         assert_eq!(run.digest.checksum, Some(w.checksum()));
         assert!(w.verify(&run.digest).is_ok());
-        assert_eq!(run.report.operations, 10_000);
+        assert_eq!(run.digest.operations, 10_000);
         // 10 000 ops on ≥313 clusters × 32 units → single round.
-        assert!((run.report.total_time.as_nano_seconds() - 5.28).abs() < 0.01);
+        assert!((run.ledger.total_time().as_nano_seconds() - 5.28).abs() < 0.01);
         assert!(run.notes[0].contains("checksum"));
     }
 

@@ -1,14 +1,14 @@
 //! Hierarchical cost attribution: every joule and picosecond of a run,
 //! tagged by hardware component and pipeline phase.
 //!
-//! `RunReport`-style totals answer *how much* a run cost; the
-//! [`CostLedger`] answers *where it went*. Executors and machine models
-//! charge typed entries `(Component, Phase) → (energy, time, count)`
-//! instead of summing ad hoc, and the report totals are then **derived**
-//! from the ledger (`RunReport::from_ledger` in `cim-arch`), which makes
-//! the conservation invariant — component-wise sums reproduce the run
-//! totals bit-exactly — hold by construction and stay checkable forever
-//! after.
+//! The [`CostLedger`] answers both *how much* a run cost and *where it
+//! went*. Executors and machine models charge typed entries
+//! `(Component, Phase) → (energy, time, count)` instead of summing ad
+//! hoc, and the ledger is a run's one cost record: `RunReport` in
+//! `cim-arch` stores it and reads its totals from
+//! [`CostLedger::total_energy`] and [`CostLedger::total_time`], so
+//! there is no second copy of the totals that could drift from the
+//! attribution.
 //!
 //! Determinism: the ledger is a dense table over the fixed
 //! [`Component`] × [`Phase`] taxonomy, so iteration, merging
@@ -297,10 +297,9 @@ impl CostLedger {
 
     /// Total energy: canonical-order sum over every cell.
     ///
-    /// This is *the* definition of a run's total energy —
-    /// `RunReport::from_ledger` copies it, so the conservation invariant
-    /// (`ledger.total_energy() == report.total_energy`, bitwise) holds by
-    /// construction.
+    /// This is *the* definition of a run's total energy:
+    /// `RunReport::total_energy` in `cim-arch` reads it, and every
+    /// Table-2 metric is computed from it.
     pub fn total_energy(&self) -> Energy {
         self.cells
             .iter()

@@ -57,7 +57,9 @@ fn main() {
     );
     println!(
         "scaled run: {} comparisons in {} using {}",
-        run.digest.operations, run.report.total_time, run.report.total_energy
+        run.digest.operations,
+        run.ledger.total_time(),
+        run.ledger.total_energy()
     );
 
     // Hierarchy sensitivity: what an L2 between the 8 kB cluster cache

@@ -155,14 +155,12 @@ proptest! {
         let solo = executor.cim.run(&whole).expect("solo cim");
         prop_assert_eq!(outcome.cim.as_ref(), Some(&solo));
         prop_assert!(outcome.host.is_none());
-        prop_assert_eq!(&outcome.ledger, &solo.ledger);
 
         let all_host = SplitPlan::all_host(workload.units(), score, score);
         let outcome = executor.run_split(&workload, capacity, &all_host).expect("all-host");
         let solo = executor.host.run(&whole).expect("solo host");
         prop_assert_eq!(outcome.host.as_ref(), Some(&solo));
         prop_assert!(outcome.cim.is_none());
-        prop_assert_eq!(&outcome.ledger, &solo.ledger);
     }
 
     #[test]
@@ -186,19 +184,12 @@ proptest! {
         let solo = hybrid(1, DispatchObjective::Makespan).cim.run(&whole).expect("whole");
         prop_assert_eq!(reference.operations(), n_ops);
         prop_assert_eq!(reference.checksum(), solo.digest.checksum);
-        // The combined ledger is exactly the CIM-first merge of the
-        // shard ledgers.
-        let mut merged = cim::units::CostLedger::new();
-        for side in [&reference.cim, &reference.host].into_iter().flatten() {
-            merged.merge(&side.ledger);
-        }
-        prop_assert_eq!(&reference.ledger, &merged);
-        // And the whole outcome is thread-count independent.
+        // The whole outcome, each shard ledger included, is
+        // thread-count independent.
         for threads in [2usize, 4] {
             let outcome = hybrid(threads, DispatchObjective::Makespan)
                 .run_split(&workload, capacity, &plan)
                 .expect("split re-run");
-            prop_assert_eq!(&outcome.ledger, &reference.ledger, "{} threads", threads);
             prop_assert_eq!(outcome.checksum(), reference.checksum());
             prop_assert_eq!(outcome.makespan(), reference.makespan());
             prop_assert_eq!(&outcome.cim, &reference.cim);

@@ -86,7 +86,7 @@ fn experiments_are_deterministic_given_a_seed() {
         a.conventional_metrics().ops_per_joule,
         b.conventional_metrics().ops_per_joule
     );
-    assert_eq!(a.cim().total_time, b.cim().total_time);
+    assert_eq!(a.cim().total_time(), b.cim().total_time());
 }
 
 #[test]

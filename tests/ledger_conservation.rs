@@ -1,18 +1,19 @@
 //! Tier-1 conservation properties for the hierarchical cost ledger.
 //!
 //! Every joule and picosecond an executor reports must be attributed to
-//! exactly one `(component, phase)` cell. Three guarantees, on both
+//! exactly one `(component, phase)` cell. Four guarantees, on both
 //! backends, for arbitrary small workload specs:
 //!
-//! 1. **conservation** — `RunReport::conserves` holds: the ledger's
-//!    canonical-order sums reproduce the report totals to the bit;
+//! 1. **one record** — structural: a `RunOutcome` and a `RunReport`
+//!    store only their `CostLedger`, and every total is read from its
+//!    canonical-order sums, so no second copy exists to drift;
 //! 2. **thread invariance** — the ledger itself (not just the totals) is
 //!    identical at every thread count;
 //! 3. **decomposition** — re-summing the per-component subtotals
 //!    reproduces the totals (up to f64 reassociation);
 //! 4. **run ≡ projection** — an executed addition run (whole workload or
 //!    shard) charges its count through the projection's own call, so its
-//!    ledger and report equal `project_attributed`'s bit for bit.
+//!    report equals `project`'s bit for bit.
 
 use cim::prelude::*;
 use cim::workloads::Shardable;
@@ -29,56 +30,42 @@ fn dna_workload(ref_len: u64, seed: u64) -> DnaWorkload {
     }
 }
 
-/// Conservation + decomposition checks shared by every case below.
-fn check_outcome(run: &RunOutcome, context: &str) -> Result<(), TestCaseError> {
-    prop_assert!(
-        run.report.conserves(&run.ledger),
-        "{context}: report totals diverged from the ledger"
-    );
-    prop_assert!(!run.ledger.is_empty(), "{context}: nothing was attributed");
+/// Guarantee 3 on one ledger: something was attributed, and the
+/// per-component subtotals re-sum to the ledger's totals.
+fn check_decomposes(ledger: &CostLedger, context: &str) -> Result<(), TestCaseError> {
+    prop_assert!(!ledger.is_empty(), "{context}: nothing was attributed");
     let energy: f64 = Component::ALL
         .iter()
-        .map(|&c| run.ledger.component_totals(c).energy.get())
+        .map(|&c| ledger.component_totals(c).energy.get())
         .sum();
     let time: f64 = Component::ALL
         .iter()
-        .map(|&c| run.ledger.component_totals(c).time.get())
+        .map(|&c| ledger.component_totals(c).time.get())
         .sum();
     prop_assert!(
-        (energy / run.report.total_energy.get() - 1.0).abs() < 1e-12,
+        (energy / ledger.total_energy().get() - 1.0).abs() < 1e-12,
         "{context}: component energies do not re-sum to the total"
     );
     prop_assert!(
-        (time / run.report.total_time.get() - 1.0).abs() < 1e-12,
+        (time / ledger.total_time().get() - 1.0).abs() < 1e-12,
         "{context}: component times do not re-sum to the total"
     );
     Ok(())
 }
 
-/// Guarantee 4 for one executor on one workload: the run's ledger and
-/// report are exactly the projection's.
+/// Guarantee 4 for one executor on one workload: the run's report is
+/// exactly the projection's, ledger cells and totals included.
 fn check_run_is_projection<W, B>(exec: &B, workload: &W, context: &str) -> Result<(), TestCaseError>
 where
     W: Workload,
     B: ExecutionBackend<W>,
 {
-    let run = exec.run(workload).expect("runs");
-    let (report, ledger) = exec.project_attributed(workload, 0.5);
-    prop_assert_eq!(
-        &run.ledger,
-        &ledger,
-        "{}: run ledger != projection",
-        context
-    );
-    prop_assert_eq!(
-        &run.report,
-        &report,
-        "{}: run report != projection",
-        context
-    );
+    let run = exec.run(workload).expect("runs").report();
+    let projected = exec.project(workload, 0.5);
+    prop_assert_eq!(&run, &projected, "{}: run report != projection", context);
     for (ours, theirs) in [
-        (run.ledger.total_energy().get(), ledger.total_energy().get()),
-        (run.ledger.total_time().get(), ledger.total_time().get()),
+        (run.total_energy().get(), projected.total_energy().get()),
+        (run.total_time().get(), projected.total_time().get()),
     ] {
         prop_assert_eq!(
             ours.to_bits(),
@@ -131,23 +118,14 @@ proptest! {
             ),
         ];
         for (context, one_thread, four_threads) in &cases {
-            check_outcome(one_thread, context)?;
-            check_outcome(four_threads, context)?;
-            // Bit-exact thread invariance of the whole attribution, not
-            // just the totals.
+            check_decomposes(&one_thread.ledger, context)?;
+            // Bit-exact thread invariance of the whole attribution, which
+            // every total is read from.
             prop_assert_eq!(
                 &one_thread.ledger,
                 &four_threads.ledger,
                 "{} ledger diverged across thread counts",
                 context
-            );
-            prop_assert_eq!(
-                one_thread.report.total_energy.get().to_bits(),
-                four_threads.report.total_energy.get().to_bits()
-            );
-            prop_assert_eq!(
-                one_thread.report.total_time.get().to_bits(),
-                four_threads.report.total_time.get().to_bits()
             );
         }
 
@@ -182,7 +160,7 @@ proptest! {
         ref_len in 20_000u64..35_000,
     ) {
         // Worker count ({1, 2, 4, 8}) changes wall-clock only — every
-        // RunOutcome field (digest, checksum, ledger, report, notes) is
+        // RunOutcome field (digest, checksum, ledger, area, notes) is
         // bit-identical to the serial reference. 100-symbol reads and
         // random operand counts leave ragged 64-lane tails.
         let additions = AdditionWorkload::scaled(n_ops, seed);
@@ -208,26 +186,21 @@ proptest! {
     ) {
         let dna = DnaWorkload::paper(seed);
         let additions = AdditionWorkload::paper(seed);
-        for threads in [1usize, 4] {
+        let project = |threads: usize| {
             let batch = BatchPolicy::with_threads(threads);
             let conv = ConventionalExecutor::with_batch(batch);
             let cim = CimExecutor::with_batch(batch);
-
-            for (context, (report, ledger)) in [
-                ("conventional/dna", conv.project_attributed(&dna, hit)),
-                ("cim/dna", cim.project_attributed(&dna, hit)),
-                ("conventional/additions", conv.project_attributed(&additions, hit)),
-                ("cim/additions", cim.project_attributed(&additions, hit)),
-            ] {
-                prop_assert!(
-                    report.conserves(&ledger),
-                    "{context} projection at {threads} threads is not conserved"
-                );
-                // `project` is exactly the report half of the pair.
-                prop_assert!(!ledger.is_empty(), "{context}: empty projection ledger");
-            }
-            prop_assert_eq!(conv.project(&dna, hit), conv.project_attributed(&dna, hit).0);
-            prop_assert_eq!(cim.project(&dna, hit), cim.project_attributed(&dna, hit).0);
+            [
+                ("conventional/dna", conv.project(&dna, hit)),
+                ("cim/dna", cim.project(&dna, hit)),
+                ("conventional/additions", conv.project(&additions, hit)),
+                ("cim/additions", cim.project(&additions, hit)),
+            ]
+        };
+        let serial = project(1);
+        for (context, report) in &serial {
+            check_decomposes(&report.ledger, context)?;
         }
+        prop_assert_eq!(project(4), serial);
     }
 }
