@@ -13,8 +13,9 @@
 //!
 //! Every run re-proves the fabric's two contracts before writing the
 //! snapshot: the serve trace is bit-identical across executed tile
-//! counts and thread counts, and the per-tile ledgers sum bit-for-bit
-//! to the fabric ledger (checked through `cim_verify::certify_tiles`).
+//! counts and thread counts, and the per-tile counts merge to the
+//! fabric counts, whose priced evaluation is the fabric ledger
+//! (checked through `cim_verify::certify_tiles`).
 //!
 //! The `host_*` fields are wall clocks of the machine that ran the
 //! snapshot, recorded with its `host_cores`; every other field is
@@ -48,7 +49,7 @@ fn front_end(tiles: usize, threads: usize, config: ServeConfig) -> ServeFrontEnd
 }
 
 /// Asserts the full determinism + conservation contract of `report`
-/// against re-runs on other partitions, and certifies the tile ledgers.
+/// against re-runs on other partitions, and certifies the tile counts.
 fn prove_contracts(
     fe: &ServeFrontEnd,
     report: &ServeReport,
@@ -79,12 +80,11 @@ fn prove_contracts(
         .map(|t| TileClaim {
             tile: t.tile,
             counts: t.counts.clone(),
-            ledger: t.ledger.clone(),
         })
         .collect();
     let cert = certify_tiles(
         "serve",
-        fe.fabric.prices(),
+        &fe.prices(),
         &claims,
         &report.fabric_counts,
         &report.fabric_ledger,

@@ -11,17 +11,15 @@ pub struct ComparisonReport {
     workload: String,
     conventional: RunReport,
     cim: RunReport,
-    conventional_metrics: Metrics,
-    cim_metrics: Metrics,
     notes: Vec<String>,
     #[serde(default, skip_serializing_if = "Option::is_none")]
     dispatch: Option<DispatchTrace>,
 }
 
 impl ComparisonReport {
-    /// Builds the comparison and derives both metric sets. Each report's
-    /// ledger carries the component/phase attribution its totals are
-    /// read from.
+    /// Builds the comparison. Each report's ledger carries the
+    /// component/phase attribution its totals are read from, and the
+    /// Table-2 metrics are computed from the reports when read.
     ///
     /// # Errors
     ///
@@ -32,10 +30,10 @@ impl ComparisonReport {
         conventional: RunReport,
         cim: RunReport,
     ) -> Result<Self, MetricsError> {
+        Metrics::from_run(&conventional)?;
+        Metrics::from_run(&cim)?;
         Ok(Self {
             workload: workload.to_string(),
-            conventional_metrics: Metrics::from_run(&conventional)?,
-            cim_metrics: Metrics::from_run(&cim)?,
             conventional,
             cim,
             notes: Vec::new(),
@@ -78,13 +76,13 @@ impl ComparisonReport {
     }
 
     /// The conventional machine's Table-2 metrics.
-    pub fn conventional_metrics(&self) -> &Metrics {
-        &self.conventional_metrics
+    pub fn conventional_metrics(&self) -> Metrics {
+        metrics(&self.conventional)
     }
 
     /// The CIM machine's Table-2 metrics.
-    pub fn cim_metrics(&self) -> &Metrics {
-        &self.cim_metrics
+    pub fn cim_metrics(&self) -> Metrics {
+        metrics(&self.cim)
     }
 
     /// Provenance notes.
@@ -95,30 +93,30 @@ impl ComparisonReport {
     /// CIM-over-conventional improvement ratios
     /// `(EDP, efficiency, perf/area)` — all > 1 means CIM wins.
     pub fn improvements(&self) -> (f64, f64, f64) {
-        self.cim_metrics
-            .improvement_over(&self.conventional_metrics)
+        self.cim_metrics()
+            .improvement_over(&self.conventional_metrics())
     }
 
     /// Renders a markdown table in the paper's Table-2 arrangement.
     pub fn to_markdown(&self) -> String {
         let (edp, eff, perf) = self.improvements();
+        let (conv, cim) = (self.conventional_metrics(), self.cim_metrics());
         let mut out = String::new();
         out.push_str(&format!("### {}\n\n", self.workload));
         out.push_str("| Metric | Conventional | CIM | CIM gain |\n");
         out.push_str("|---|---|---|---|\n");
         out.push_str(&format!(
             "| Energy-delay / op (J·s) | {:.4e} | {:.4e} | {edp:.1}× |\n",
-            self.conventional_metrics.energy_delay_per_op.get(),
-            self.cim_metrics.energy_delay_per_op.get(),
+            conv.energy_delay_per_op.get(),
+            cim.energy_delay_per_op.get(),
         ));
         out.push_str(&format!(
             "| Computing efficiency (ops/J) | {:.4e} | {:.4e} | {eff:.1}× |\n",
-            self.conventional_metrics.ops_per_joule, self.cim_metrics.ops_per_joule,
+            conv.ops_per_joule, cim.ops_per_joule,
         ));
         out.push_str(&format!(
             "| Performance / area (ops/s/mm²) | {:.4e} | {:.4e} | {perf:.1}× |\n",
-            self.conventional_metrics.ops_per_second_per_mm2,
-            self.cim_metrics.ops_per_second_per_mm2,
+            conv.ops_per_second_per_mm2, cim.ops_per_second_per_mm2,
         ));
         for note in &self.notes {
             out.push_str(&format!("\n_{note}_\n"));
@@ -222,8 +220,8 @@ impl ComparisonReport {
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         for (machine, m) in [
-            ("conventional", &self.conventional_metrics),
-            ("cim", &self.cim_metrics),
+            ("conventional", self.conventional_metrics()),
+            ("cim", self.cim_metrics()),
         ] {
             out.push_str(&format!(
                 "{},{},energy_delay_per_op_js,{:e}\n",
@@ -242,6 +240,11 @@ impl ComparisonReport {
         }
         out
     }
+}
+
+/// Table-2 metrics of a run [`ComparisonReport::new`] accepted.
+fn metrics(run: &RunReport) -> Metrics {
+    Metrics::from_run(run).expect("ComparisonReport::new rejects degenerate runs")
 }
 
 /// Both workloads' comparisons — the full Table 2.

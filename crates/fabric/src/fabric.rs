@@ -12,18 +12,20 @@
 //!
 //! **Determinism and conservation.** Per-tile outcomes are pure
 //! functions of the tile's query slice; the fabric merges them in tile
-//! order. Counts merge exactly (integer), checksums fold commutatively,
-//! and ledgers are dyadic evaluations of counts — so the fabric outcome
-//! is bit-identical for any executed tile count and any thread count,
-//! and the fabric ledger equals the tile-order sum of per-tile ledgers
-//! bit-for-bit (`cim_units::counts` has the proof obligations).
+//! order. Counts merge exactly (integer) and checksums fold
+//! commutatively, so the fabric outcome is bit-identical for any
+//! executed tile count and any thread count. Counts are the one cost
+//! record: a reader prices a tile's or the batch's counts with
+//! [`FabricExecutor::prices`], and because the prices are dyadic the
+//! tile ledgers so priced sum bit-for-bit to the priced fabric counts
+//! (`cim_units::counts` has the proof obligations).
 
 use std::sync::OnceLock;
 
 use cim_arch::{Placement, RunReport, TileCoord, TileGrid};
 use cim_logic::{BitSliceEngine, Comparator, ImplyAdder};
 use cim_sim::{par_units, BatchPolicy, CostEstimate, ExecutionBackend, RunOutcome, SimError};
-use cim_units::{Area, CostLedger, CountLedger, UnitCosts, MAX_EXACT_COUNT};
+use cim_units::{Area, CountLedger, UnitCosts, MAX_EXACT_COUNT};
 use cim_workloads::{ExecutionDigest, ProjectionKind, Workload, WorkloadError};
 use serde::{Deserialize, Serialize};
 
@@ -43,9 +45,6 @@ pub struct TileOutcome {
     pub checksum: u64,
     /// Exact op counts (merge to the fabric counts).
     pub counts: CountLedger,
-    /// Priced ledger (`evaluate(counts)`; sums bit-for-bit to the
-    /// fabric ledger).
-    pub ledger: CostLedger,
 }
 
 /// The merged result of one batch across the fabric.
@@ -55,18 +54,9 @@ pub struct FabricOutcome {
     pub tiles: Vec<TileOutcome>,
     /// Functional summary of the batch.
     pub digest: ExecutionDigest,
-    /// Exact fabric-wide op counts.
+    /// Exact fabric-wide op counts (the tile-order merge of the tile
+    /// counts).
     pub counts: CountLedger,
-    /// The fabric ledger: `evaluate(counts)` — bit-equal to the
-    /// tile-order merge of the per-tile ledgers.
-    pub ledger: CostLedger,
-}
-
-impl FabricOutcome {
-    /// Modelled makespan of the batch (sum of ledger time shares).
-    pub fn makespan(&self) -> cim_units::Time {
-        self.ledger.total_time()
-    }
 }
 
 /// The fabric's equality comparator, compiled on first use and then
@@ -235,7 +225,6 @@ impl FabricExecutor {
             operations += outcome.operations;
             tile_outcomes.push(outcome);
         }
-        let ledger = self.prices.evaluate(&counts);
         debug_assert!(
             cim_units::Component::ALL.iter().all(|&c| {
                 cim_units::Phase::ALL
@@ -253,19 +242,17 @@ impl FabricExecutor {
                 checksum: Some(checksum),
             },
             counts,
-            ledger,
         })
     }
 
-    /// Prices a batch without executing it: the closed-form projection
+    /// Counts a batch without executing it: the closed-form projection
     /// (identical counts, no functional pass).
-    pub fn project_batch(&self, queries: &[Query]) -> (CountLedger, CostLedger) {
+    pub fn project_batch(&self, queries: &[Query]) -> CountLedger {
         let mut counts = CountLedger::new();
         for query in queries {
             query.charge(&mut counts, &self.grid);
         }
-        let ledger = self.prices.evaluate(&counts);
-        (counts, ledger)
+        counts
     }
 
     /// The [`SimError::Diverged`] detail for `query` on tile `index`,
@@ -305,7 +292,6 @@ impl FabricExecutor {
             operations += query.kind.operations();
             query.charge(&mut counts, &self.grid);
         }
-        let ledger = self.prices.evaluate(&counts);
         (
             TileOutcome {
                 tile: self.grid.coord_of(index as u64),
@@ -313,7 +299,6 @@ impl FabricExecutor {
                 operations,
                 checksum,
                 counts,
-                ledger,
             },
             diverged,
         )
@@ -384,7 +369,7 @@ impl ExecutionBackend<ServeWorkload> for FabricExecutor {
         Ok(RunOutcome {
             machine: Self::MACHINE,
             area: self.area(),
-            ledger: outcome.ledger,
+            ledger: self.prices.evaluate(&outcome.counts),
             digest: outcome.digest,
             measured_hit_ratio: None,
             index_hit_ratio: None,
@@ -398,11 +383,10 @@ impl ExecutionBackend<ServeWorkload> for FabricExecutor {
 
     fn project(&self, workload: &ServeWorkload, _hit_ratio: f64) -> RunReport {
         let queries = workload.traffic.generate();
-        let (_, ledger) = self.project_batch(&queries);
         RunReport {
             operations: queries.iter().map(|q| q.kind.operations()).sum(),
             area: self.area(),
-            ledger,
+            ledger: self.prices.evaluate(&self.project_batch(&queries)),
         }
     }
 
@@ -411,10 +395,9 @@ impl ExecutionBackend<ServeWorkload> for FabricExecutor {
     /// uses, so the predicted ledger is bit-equal to the run's.
     fn estimate(&self, workload: &ServeWorkload) -> CostEstimate {
         let queries = workload.traffic.generate();
-        let (counts, _) = self.project_batch(&queries);
         CostEstimate {
             machine: Self::MACHINE,
-            counts,
+            counts: self.project_batch(&queries),
             prices: self.prices.clone(),
             certified: true,
         }
@@ -455,24 +438,8 @@ mod tests {
                 let outcome = fabric.execute(&queries).expect("sharded run");
                 assert_eq!(outcome.digest, reference.digest, "{rows}x{cols}@{threads}");
                 assert_eq!(outcome.counts, reference.counts);
-                assert_eq!(outcome.ledger, reference.ledger);
             }
         }
-    }
-
-    #[test]
-    fn fabric_ledger_is_the_bitwise_sum_of_tile_ledgers() {
-        let fabric = FabricExecutor::paper(2, 2, BatchPolicy::SERIAL);
-        let outcome = fabric.execute(&traffic(400)).expect("run");
-        let mut folded = CostLedger::new();
-        for tile in &outcome.tiles {
-            folded.merge(&tile.ledger);
-        }
-        assert_eq!(folded, outcome.ledger);
-        assert_eq!(
-            folded.total_energy().get().to_bits(),
-            outcome.ledger.total_energy().get().to_bits()
-        );
     }
 
     #[test]

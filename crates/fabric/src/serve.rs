@@ -18,10 +18,14 @@
 //! **plans** the whole trace serially, then **executes** every admitted
 //! query in one pool call, and **folds** the checksums (DESIGN.md §9.4).
 //!
-//! Accounting is conserved at three granularities, all in exact count
-//! space: per-tenant counts, per-tile counts, and the fabric counts
-//! merge to the same totals, and the priced ledgers sum bit-for-bit
-//! (dyadic unit prices; see `cim_units::counts`).
+//! Counts are the one cost record. Tenant, tile, fabric and host
+//! accounts each keep exact op counts; the tile counts merge to the
+//! fabric counts, and the tenant counts to the fabric plus host counts
+//! ([`ServeReport::conserves`]). A reader prices any of them with
+//! [`ServeFrontEnd::prices`]: the two machines charge disjoint cells,
+//! so one table prices every view, and with dyadic unit prices the
+//! priced views sum bit-for-bit (see `cim_units::counts`). The report
+//! keeps only the two machine ledgers priced.
 
 use std::collections::VecDeque;
 use std::iter::Take;
@@ -405,9 +409,6 @@ pub struct TenantAccount {
     /// Exact op counts attributed to this tenant (both machines; the
     /// two charge into disjoint component cells).
     pub counts: CountLedger,
-    /// Priced per-tenant ledger (`evaluate(counts)` under the combined
-    /// fabric-plus-host price table).
-    pub ledger: CostLedger,
 }
 
 /// Per-tile serving account (aggregated over all batches).
@@ -419,9 +420,6 @@ pub struct TileAccount {
     pub queries: u64,
     /// Exact op counts this tile accumulated.
     pub counts: CountLedger,
-    /// Priced per-tile ledger (`evaluate(counts)`; these sum
-    /// bit-for-bit to [`ServeReport::fabric_ledger`]).
-    pub ledger: CostLedger,
 }
 
 /// Everything one serve run produced.
@@ -460,16 +458,16 @@ pub struct ServeReport {
     /// Per-tile accounts, in tile order.
     pub tiles: Vec<TileAccount>,
     /// Exact fabric-wide counts (merge of the tile counts, and of the
-    /// tenant counts).
+    /// fabric share of the tenant counts).
     pub fabric_counts: CountLedger,
-    /// The fabric ledger: `evaluate(fabric_counts)` — bit-equal to the
-    /// sum of the per-tile ledgers.
+    /// The fabric ledger: `evaluate(fabric_counts)` under
+    /// [`ServeFrontEnd::prices`].
     pub fabric_ledger: CostLedger,
     /// Exact op counts charged by host-routed queries (merge of the
     /// host share of the tenant counts).
     pub host_counts: CountLedger,
-    /// The host ledger: `evaluate(host_counts)`; fabric and host
-    /// ledgers together sum bit-for-bit to the tenant ledgers.
+    /// The host ledger: `evaluate(host_counts)` under
+    /// [`ServeFrontEnd::prices`].
     pub host_ledger: CostLedger,
     /// Order-insensitive checksum over completed queries' results
     /// (machine-independent: both machines compute the same values).
@@ -487,34 +485,21 @@ impl ServeReport {
         self.histogram.quantile(0.99)
     }
 
-    /// True when every conservation invariant holds bit-for-bit:
-    /// tile counts merge to the fabric counts and tile ledgers sum to
-    /// the fabric ledger; tenant counts merge to the fabric *plus* host
-    /// counts and tenant ledgers sum to the fabric plus host ledgers.
-    /// The cross-machine halves are exact because the two machines
-    /// charge disjoint component cells and every per-cell product is a
-    /// dyadic price times an in-range exact count.
+    /// True when the counts conserve exactly: the tile counts merge to
+    /// the fabric counts, and the tenant counts merge to the fabric
+    /// *plus* host counts.
     pub fn conserves(&self) -> bool {
         let mut tile_counts = CountLedger::new();
-        let mut tile_ledgers = CostLedger::new();
         for tile in &self.tiles {
             tile_counts.merge(&tile.counts);
-            tile_ledgers.merge(&tile.ledger);
         }
         let mut tenant_counts = CountLedger::new();
-        let mut tenant_ledgers = CostLedger::new();
         for tenant in &self.tenants {
             tenant_counts.merge(&tenant.counts);
-            tenant_ledgers.merge(&tenant.ledger);
         }
         let mut machine_counts = self.fabric_counts.clone();
         machine_counts.merge(&self.host_counts);
-        let mut machine_ledgers = self.fabric_ledger.clone();
-        machine_ledgers.merge(&self.host_ledger);
-        tile_counts == self.fabric_counts
-            && tenant_counts == machine_counts
-            && tile_ledgers == self.fabric_ledger
-            && tenant_ledgers == machine_ledgers
+        tile_counts == self.fabric_counts && tenant_counts == machine_counts
     }
 }
 
@@ -600,10 +585,12 @@ impl ServeFrontEnd {
     /// a zero queue depth or tenant quota admits nothing, a zero batch
     /// size dispatches nothing, an empty tile set has nowhere to
     /// execute, and a mean gap whose worst-case arrival clock
-    /// (`queries × (2·mean_gap_ps − 1)` ps) does not fit in a `u64`
-    /// would overflow — all would hang, divide by zero or wrap
+    /// (`max(queries, 1) × (2·mean_gap_ps − 1)` ps) does not fit in a
+    /// `u64` would overflow — all would hang, divide by zero or wrap
     /// downstream, so they surface as typed [`SimError::InvalidConfig`]
-    /// errors instead.
+    /// errors instead. The clock is bounded for at least one query even
+    /// when there are none, because the plan derives its gap span
+    /// before it draws an arrival.
     fn validate(&self, traffic: &TrafficSpec) -> Result<(), SimError> {
         let invalid = |detail: &str| SimError::InvalidConfig {
             machine: FabricExecutor::MACHINE,
@@ -624,7 +611,7 @@ impl ServeFrontEnd {
             ));
         }
         let max_gap = 2 * u128::from(self.config.mean_gap_ps.max(1)) - 1;
-        if u128::from(traffic.queries) * max_gap > u128::from(u64::MAX) {
+        if u128::from(traffic.queries.max(1)) * max_gap > u128::from(u64::MAX) {
             return Err(invalid(
                 "mean_gap_ps is too large; the arrival clock would overflow u64 picoseconds",
             ));
@@ -632,12 +619,13 @@ impl ServeFrontEnd {
         Ok(())
     }
 
-    /// The combined price table tenant ledgers are evaluated against:
-    /// the fabric's cells verbatim plus the host's `GateDynamic` /
+    /// The combined price table for every count a serve reports: the
+    /// fabric's cells verbatim plus the host's `GateDynamic` /
     /// `CacheAccess` cells. The two machines charge disjoint component
-    /// cells, so one table prices a tenant's mixed-machine counts in a
-    /// single pass and the ledgers still conserve bit-for-bit.
-    fn serve_prices(&self) -> UnitCosts {
+    /// cells, so one table prices a tile's, a tenant's mixed-machine,
+    /// the fabric's or the host's counts, and the priced views sum
+    /// bit-for-bit.
+    pub fn prices(&self) -> UnitCosts {
         let mut prices = self.fabric.prices().clone();
         let host = host_unit_costs();
         for phase in [Phase::Index, Phase::Map, Phase::Add] {
@@ -743,7 +731,6 @@ impl ServeFrontEnd {
                     cim_queries: 0,
                     host_queries: 0,
                     counts: CountLedger::new(),
-                    ledger: CostLedger::new(),
                 })
                 .collect(),
             tiles: (0..grid.tiles())
@@ -751,7 +738,6 @@ impl ServeFrontEnd {
                     tile: grid.coord_of(i),
                     queries: 0,
                     counts: CountLedger::new(),
-                    ledger: CostLedger::new(),
                 })
                 .collect(),
             histogram: LatencyHistogram::new(),
@@ -873,20 +859,15 @@ impl ServeFrontEnd {
     pub fn serve(&self, traffic: &TrafficSpec) -> Result<ServeReport, SimError> {
         self.validate(traffic)?;
         let routes = RouteTable::build(&self.policy, &self.fabric);
-        let mut plan = self.plan(traffic, &routes)?;
+        let plan = self.plan(traffic, &routes)?;
         let checksum = self.execute(&plan, &routes)?;
 
-        let prices = self.serve_prices();
-        let fabric_prices = self.fabric.prices();
-        for account in &mut plan.accounts {
-            account.ledger = prices.evaluate(&account.counts);
-        }
         let mut fabric_counts = CountLedger::new();
-        for tile in &mut plan.tiles {
-            tile.ledger = fabric_prices.evaluate(&tile.counts);
+        for tile in &plan.tiles {
             fabric_counts.merge(&tile.counts);
         }
-        let fabric_ledger = fabric_prices.evaluate(&fabric_counts);
+        let prices = self.prices();
+        let fabric_ledger = prices.evaluate(&fabric_counts);
         let host_ledger = prices.evaluate(&plan.host_counts);
         let makespan = Time::from_pico_seconds(plan.free_at as f64);
         let (rejected_queue_full, rejected_quota) =
@@ -1053,12 +1034,16 @@ mod tests {
 
     #[test]
     fn maximal_mean_gap_is_rejected_instead_of_overflowing_the_gap_span() {
-        let err = serve_with_gap(u64::MAX, 10).expect_err("must reject");
-        assert!(
-            matches!(err, SimError::InvalidConfig { .. }),
-            "wrong variant: {err}"
-        );
-        assert!(err.to_string().contains("mean_gap_ps"), "{err}");
+        // With no traffic too: the plan derives its gap span before it
+        // draws an arrival, so an empty stream must not reach it.
+        for queries in [0, 10] {
+            let err = serve_with_gap(u64::MAX, queries).expect_err("must reject");
+            assert!(
+                matches!(err, SimError::InvalidConfig { .. }),
+                "wrong variant: {err}"
+            );
+            assert!(err.to_string().contains("mean_gap_ps"), "{err}");
+        }
     }
 
     #[test]
@@ -1074,6 +1059,25 @@ mod tests {
         let report = serve_with_gap(1 << 63, 1).expect("fits in u64");
         assert_eq!(report.completed, 1);
         assert!(report.conserves());
+    }
+
+    #[test]
+    fn conservation_fails_when_any_count_is_tampered() {
+        let mut fe = front_end(2, 2, 1);
+        fe.policy = DispatchPolicy::hybrid(DispatchObjective::Energy);
+        let report = fe.serve(&TrafficSpec::sustained(500, 3)).expect("serves");
+        assert!(report.conserves());
+        assert!(report.cim_queries > 0 && report.host_queries > 0);
+        let bump = |counts: &mut CountLedger| counts.charge(Component::Controller, Phase::Map, 1);
+        let mut tile = report.clone();
+        bump(&mut tile.tiles[1].counts);
+        let mut tenant = report.clone();
+        bump(&mut tenant.tenants[2].counts);
+        let mut host = report;
+        bump(&mut host.host_counts);
+        for (what, tampered) in [("tile", tile), ("tenant", tenant), ("host", host)] {
+            assert!(!tampered.conserves(), "a tampered {what} count conserved");
+        }
     }
 
     /// A `ServeConfig` size knob: both degenerate ends, small values

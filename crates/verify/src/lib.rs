@@ -21,7 +21,8 @@
 //!   anchored to tile coordinates;
 //! * [`cost_cert`] — closed-form step/latency/energy certificates the
 //!   dynamic [`cim_units::CostLedger`] must match bit for bit, per-tile
-//!   count/ledger conservation ([`certify_tiles`]), and dispatch-claim
+//!   count conservation with the fabric ledger re-derived from the
+//!   merged counts ([`certify_tiles`]), and dispatch-claim
 //!   certification ([`certify_dispatch`]: a routing decision's
 //!   predicted ledger must re-derive from its own counts, base prices,
 //!   and calibration scales; [`certify_split`]: a split-dispatch

@@ -7,8 +7,11 @@
 //! Four tenants fire sustained DNA-lookup / compare / add query traffic
 //! at a 2×2 tile grid through the async-style serving front-end: a
 //! bounded queue with per-tenant quotas admits work, cross-tenant
-//! batches drain into the deterministic tile driver, and every joule is
-//! accounted per tenant *and* per tile — with the two views summing
+//! batches drain into the deterministic tile driver, and every operation
+//! is counted per tenant *and* per tile. Counts are the one record: the
+//! energies below are those counts priced with the front-end's table
+//! (`ServeFrontEnd::prices`), and because both views' counts merge to
+//! the fabric counts and the prices are dyadic, the priced views sum
 //! bit-for-bit to the fabric ledger. The whole trace is reproducible
 //! for any tile count and thread count; the final section proves it by
 //! re-serving the same traffic on a single serial tile.
@@ -46,13 +49,14 @@ fn main() {
         report.p99()
     );
 
+    let prices = fe.prices();
     println!("\nper-tenant accounting:");
     for tenant in &report.tenants {
         println!(
             "  {}: {} completed, {} energy",
             tenant.tenant,
             tenant.completed,
-            tenant.ledger.total_energy()
+            prices.evaluate(&tenant.counts).total_energy()
         );
     }
     println!("per-tile accounting:");
@@ -61,7 +65,7 @@ fn main() {
             "  tile {}: {} queries, {} energy",
             tile.tile,
             tile.queries,
-            tile.ledger.total_energy()
+            prices.evaluate(&tile.counts).total_energy()
         );
     }
     println!(

@@ -5,9 +5,11 @@
 //! result checksums, execution digests, exact op counts, priced ledgers,
 //! admission decisions, every latency bucket — is a function of the
 //! traffic alone, never of how many tiles the work was sharded over or
-//! how many threads executed them. And the accounting conserves: the
-//! per-tile (and per-tenant) ledgers sum **bit-for-bit** to the fabric
-//! ledger, which the static certifier re-derives from the counts.
+//! how many threads executed them. And the accounting conserves: counts
+//! are the one cost record, the per-tile (and per-tenant) counts merge
+//! to the fabric counts, and the per-tile counts, each priced with the
+//! fabric's table, sum **bit-for-bit** to the priced fabric counts,
+//! which the static certifier re-derives as the fabric ledger.
 
 use cim::fabric::{DispatchPolicy, FabricExecutor, ServeConfig, ServeFrontEnd, TrafficSpec};
 use cim::sim::BatchPolicy;
@@ -36,7 +38,6 @@ proptest! {
                     .expect("sharded run");
                 prop_assert_eq!(&outcome.digest, &reference.digest);
                 prop_assert_eq!(&outcome.counts, &reference.counts);
-                prop_assert_eq!(&outcome.ledger, &reference.ledger);
             }
         }
     }
@@ -49,6 +50,7 @@ proptest! {
         let batch = TrafficSpec::sustained(queries, seed).generate();
         let exec = executor(2, 2, 4);
         let outcome = exec.execute(&batch).expect("4-tile run");
+        let fabric_ledger = exec.prices().evaluate(&outcome.counts);
         let mut counts = CountLedger::new();
         let mut ledgers = cim::units::CostLedger::new();
         for tile in &outcome.tiles {
@@ -59,7 +61,7 @@ proptest! {
         // The bitwise half of the contract: summing per-tile *priced*
         // ledgers equals pricing the merged counts — exactly, because
         // the unit prices are dyadic.
-        prop_assert_eq!(&ledgers, &outcome.ledger);
+        prop_assert_eq!(&ledgers, &fabric_ledger);
 
         // The static certifier agrees.
         let claims: Vec<TileClaim> = outcome
@@ -68,7 +70,6 @@ proptest! {
             .map(|t| TileClaim {
                 tile: t.tile,
                 counts: t.counts.clone(),
-                ledger: exec.prices().evaluate(&t.counts),
             })
             .collect();
         let report = certify_tiles(
@@ -76,7 +77,7 @@ proptest! {
             exec.prices(),
             &claims,
             &outcome.counts,
-            &outcome.ledger,
+            &fabric_ledger,
         );
         prop_assert!(report.is_clean(), "{}", report);
     }

@@ -3,7 +3,8 @@
 //!
 //! The pin is an FNV-1a digest of the report's full `Debug` rendering:
 //! every field, every histogram bucket, every tenant and tile account
-//! and every ledger cell, with each `f64` in its round-trip form. So a
+//! with its counts, and every cell of the fabric and host ledgers, with
+//! each `f64` in its round-trip form. So a
 //! change to how `ServeFrontEnd::serve` schedules or executes its work
 //! that moves any bit of the report fails here, whatever the field. The
 //! readable headline next to each digest (checksum, batches, admitted,
@@ -98,9 +99,9 @@ fn hybrid_energy_report_is_pinned() {
             admitted: 5000,
             makespan_bits: 4_532_092_343_511_417_603,
             digests: [
-                0x2baa_beae_6c31_64a9,
-                0x730b_bf5d_c1c8_25ee,
-                0x3289_3c6f_b2d8_d153,
+                0xa29a_9c07_156a_2f36,
+                0xaf5d_e2ec_1190_7490,
+                0x16e9_506e_47ee_5491,
             ],
         },
     );
@@ -118,9 +119,9 @@ fn split_hybrid_report_is_pinned() {
             admitted: 5000,
             makespan_bits: 4_532_116_731_582_822_573,
             digests: [
-                0x7486_4aad_dd07_6193,
-                0x49b4_9d13_2433_e50d,
-                0x8911_1ef1_bf53_a74e,
+                0xb1bf_cb63_d00c_856f,
+                0xb07e_349e_af1d_ab1d,
+                0x6ab4_35da_0e60_ba34,
             ],
         },
     );
@@ -148,9 +149,9 @@ fn rejecting_report_is_pinned() {
             admitted: 2790,
             makespan_bits: 4_523_058_360_174_577_395,
             digests: [
-                0x5e4d_cf87_a12b_7727,
-                0xb5af_21d9_88bd_f737,
-                0x07ed_5e92_71c2_624e,
+                0x62a1_4f23_7c92_9abe,
+                0xbee1_2075_b8fc_b46c,
+                0x824a_589c_1bd4_ebc9,
             ],
         },
     );
